@@ -1,92 +1,3 @@
 """Counting LTL valuations over omega-regular models."""
 
-from .automaton import (
-    CounterAutomaton,
-    Cube,
-    LassoRun,
-    Transition,
-    synchronized_product,
-    to_dot,
-    value_on_lasso,
-)
-from .cegar import (
-    BoundResult,
-    IterationStats,
-    compute_inf_bound,
-    compute_sup_bound,
-    run_value,
-)
-from .emptiness import check_lasso_run, find_accepting_lasso, is_empty, word_of_run
-from .formula import (
-    COST_GT,
-    COST_LE,
-    LTL,
-    MIXED,
-    FormulaSyntaxError,
-    FragmentError,
-    classify_fragment,
-    format_formula,
-    instantiate,
-    label_counters,
-    negate_dual,
-    parse_formula,
-)
-from .model import ModelSyntaxError, ModelValidationError, load_model, parse_model
-from .oracle import eval_ltl_on_lasso, value_inf, value_sup
-from .translate import build_counter_automaton, prune_dominated
-from .words import (
-    ABOVE_CAP,
-    NO_RUN,
-    LassoSyntaxError,
-    LassoWord,
-    format_lasso,
-    parse_lasso,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ABOVE_CAP",
-    "BoundResult",
-    "COST_GT",
-    "COST_LE",
-    "CounterAutomaton",
-    "Cube",
-    "FormulaSyntaxError",
-    "FragmentError",
-    "IterationStats",
-    "LTL",
-    "LassoRun",
-    "LassoSyntaxError",
-    "LassoWord",
-    "MIXED",
-    "ModelSyntaxError",
-    "ModelValidationError",
-    "NO_RUN",
-    "Transition",
-    "build_counter_automaton",
-    "check_lasso_run",
-    "classify_fragment",
-    "compute_inf_bound",
-    "compute_sup_bound",
-    "eval_ltl_on_lasso",
-    "find_accepting_lasso",
-    "format_formula",
-    "format_lasso",
-    "instantiate",
-    "is_empty",
-    "label_counters",
-    "load_model",
-    "negate_dual",
-    "parse_formula",
-    "parse_lasso",
-    "parse_model",
-    "prune_dominated",
-    "run_value",
-    "synchronized_product",
-    "to_dot",
-    "value_inf",
-    "value_on_lasso",
-    "value_sup",
-    "word_of_run",
-]

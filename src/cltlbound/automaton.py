@@ -1,23 +1,19 @@
 """Counter automata on infinite words.
 
-Transitions are labeled by cubes (partial assignments), per-counter action
-words over increment / reset / observe, and generalized transition-based
-acceptance: a run accepts when every acceptance set is visited infinitely
-often.  The translator only ever emits the atomic actions "" (skip), "i",
-"or" (observe then reset) and "r", but valuation handles arbitrary words.
+Transitions are labeled by cubes (partial assignments), per-counter actions
+and generalized transition-based acceptance: a run accepts when every
+acceptance set is visited infinitely often.  A counter takes one of four
+actions per transition: "" (skip), "i" (increment), "or" (observe the
+value, then reset) and "r" (reset).
 """
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import accepting_components
-from .words import ABOVE_CAP, NO_RUN, LassoWord
-
-_ACTION_RE = re.compile(r"[iro]*\Z")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from .words import ABOVE_CAP, NAME_RE, NO_RUN, LassoWord
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class Cube:
         for raw in text.split("&"):
             lit = raw.strip()
             name = lit[1:].strip() if lit.startswith("!") else lit
-            if not _NAME_RE.match(name):
+            if not NAME_RE.match(name):
                 raise ValueError(f"bad literal {raw!r} in cube")
             (neg if lit.startswith("!") else pos).add(name)
         return cls(frozenset(pos), frozenset(neg))
@@ -96,23 +92,19 @@ class CounterAutomaton:
     num_acc_sets: int
     transitions: tuple[Transition, ...]
     ap: tuple[str, ...] = ()
-    semantics: str = "sup"
 
     def __post_init__(self):
         if self.num_states < 1:
             raise ValueError("automaton needs at least one state")
         if not 0 <= self.init < self.num_states:
             raise ValueError("initial state out of range")
-        if self.semantics not in ("sup", "inf"):
-            raise ValueError(f"unknown semantics tag {self.semantics!r}")
         for t in self.transitions:
             if not (0 <= t.src < self.num_states and 0 <= t.dst < self.num_states):
                 raise ValueError(f"transition endpoint out of range: {t}")
             if len(t.actions) != self.num_counters:
                 raise ValueError(f"expected {self.num_counters} action entries: {t}")
             for a in t.actions:
-                # Membership first: the translator only emits these four.
-                if a not in ("", "i", "or", "r") and not _ACTION_RE.match(a):
+                if a not in ("", "i", "or", "r"):
                     raise ValueError(f"bad counter action {a!r}")
             if any(not 0 <= i < self.num_acc_sets for i in t.acc):
                 raise ValueError(f"acceptance index out of range: {t}")
@@ -160,7 +152,6 @@ def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAut
         num_acc_sets=a.num_acc_sets + b.num_acc_sets,
         transitions=tuple(transitions),
         ap=tuple(sorted(set(a.ap) | set(b.ap))),
-        semantics=a.semantics,
     )
 
 
@@ -295,10 +286,6 @@ class _LassoProduct:
         return bool(accepting)
 
 
-def _threshold_ok(aut: CounterAutomaton, word: LassoWord, t: int) -> bool:
-    return _LassoProduct(aut, word).threshold_ok(t)
-
-
 def value_on_lasso(aut: CounterAutomaton, word: LassoWord, cap: int):
     """Exact sup-semantics value of the automaton on the given lasso.
 
@@ -311,8 +298,6 @@ def value_on_lasso(aut: CounterAutomaton, word: LassoWord, cap: int):
     cheap: the search space at threshold t grows with t, and most words
     fail already at small thresholds.
     """
-    if aut.semantics != "sup":
-        raise ValueError("value_on_lasso evaluates sup-semantics automata")
     if cap < 1:
         raise ValueError("cap must be at least 1")
     product = _LassoProduct(aut, word)

@@ -78,6 +78,21 @@ def _pruned(phi: Formula) -> CounterAutomaton:
     return prune_dominated(build_counter_automaton(phi))
 
 
+def _pass(kind, n, phi, model, value, empty=None):
+    """One pass of a search: translate phi, product it with the model and
+    look for an accepting lasso.  Returns the pass's trace row and the
+    product; the row's p is value(run, product) for a found run and
+    `empty` when the product is empty."""
+    aut = _pruned(phi)
+    product = synchronized_product(aut, model)
+    hit = find_accepting_lasso(product)
+    p, word = (empty, None) if hit is None else (value(hit[0], product), hit[1])
+    row = IterationStats(
+        kind, n, p, aut.num_states, product.num_states, len(product.transitions), word
+    )
+    return row, product
+
+
 def _fish_word(model: CounterAutomaton) -> LassoWord | None:
     hit = find_accepting_lasso(model)
     return None if hit is None else hit[1]
@@ -95,6 +110,8 @@ def compute_sup_bound(
     """
     if model.num_counters:
         raise ValueError("the model must not carry counters")
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     frag = classify_fragment(phi)
     if frag == MIXED:
         raise FragmentError("cannot bound a formula mixing U<= and R>")
@@ -111,31 +128,19 @@ def _sup_direct(model, phi, cutoff):
     while True:
         # Conjoining phi itself keeps its counters in the product, so the
         # found run reports a value and the threshold can jump past n+1.
-        aut = _pruned(And(phi, instantiate(phi, n + 1)))
-        product = synchronized_product(aut, model)
-        hit = find_accepting_lasso(product)
-        if hit is None:
-            trace.append(
-                IterationStats(
-                    "search", n, None, aut.num_states, product.num_states,
-                    len(product.transitions), None,
-                )
-            )
+        row = _pass(
+            "search", n, And(phi, instantiate(phi, n + 1)), model,
+            lambda run, product: max(run_value(run, product), n + 1),
+        )[0]
+        trace.append(row)
+        if row.word is None:
             if last_word is None:
                 last_word = _fish_word(model)
             return BoundResult("finite", n, last_word, limit, tuple(trace))
-        run, word = hit
-        p = max(run_value(run, product), n + 1)
-        trace.append(
-            IterationStats(
-                "search", n, p, aut.num_states, product.num_states,
-                len(product.transitions), word,
-            )
-        )
-        if p > limit:
-            return BoundResult("unbounded", None, word, limit, tuple(trace))
-        n = p
-        last_word = word
+        if row.p > limit:
+            return BoundResult("unbounded", None, row.word, limit, tuple(trace))
+        n = row.p
+        last_word = row.word
 
 
 def _sup_via_dual(model, phi, cutoff):
@@ -148,23 +153,12 @@ def _sup_via_dual(model, phi, cutoff):
         )
     # A dual sup of 0 covers values 0 and 1 alike; one emptiness probe of
     # not(phi[0]) against the model separates them.
-    aut = _pruned(negate_dual(instantiate(phi, 0)))
-    product = synchronized_product(aut, model)
-    hit = find_accepting_lasso(product)
-    if hit is None:
-        row = IterationStats(
-            "probe", 0, 0, aut.num_states, product.num_states,
-            len(product.transitions), None,
-        )
-        return BoundResult(
-            "finite", 0, inner.witness, inner.cutoff, inner.trace + (row,)
-        )
-    word = hit[1]
-    row = IterationStats(
-        "probe", 0, 1, aut.num_states, product.num_states,
-        len(product.transitions), word,
-    )
-    return BoundResult("finite", 1, word, inner.cutoff, inner.trace + (row,))
+    row = _pass(
+        "probe", 0, negate_dual(instantiate(phi, 0)), model,
+        lambda *_: 1, empty=0,
+    )[0]
+    word = inner.witness if row.word is None else row.word
+    return BoundResult("finite", row.p, word, inner.cutoff, inner.trace + (row,))
 
 
 def compute_inf_bound(
@@ -177,6 +171,8 @@ def compute_inf_bound(
     """
     if model.num_counters:
         raise ValueError("the model must not carry counters")
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     frag = classify_fragment(phi)
     if frag not in (LTL, COST_LE):
         raise FragmentError("inf bounds apply to the U<= fragment")
@@ -186,8 +182,8 @@ def compute_inf_bound(
     while True:
         if limit is not None and n >= limit:
             return BoundResult("infinite-inf", None, None, limit, tuple(trace))
-        aut = _pruned(instantiate(phi, n))
-        product = synchronized_product(aut, model)
+        row, product = _pass("search", n, instantiate(phi, n), model, lambda *_: n)
+        trace.append(row)
         if limit is None:
             if frag == LTL:
                 # phi[n] does not depend on n; one check decides.
@@ -202,21 +198,7 @@ def compute_inf_bound(
                     * model.num_states
                     * (1 + product.num_acc_sets),
                 )
-        hit = find_accepting_lasso(product)
-        if hit is None:
-            trace.append(
-                IterationStats(
-                    "search", n, None, aut.num_states, product.num_states,
-                    len(product.transitions), None,
-                )
-            )
-            n += 1
-            continue
-        word = hit[1]
-        trace.append(
-            IterationStats(
-                "search", n, n, aut.num_states, product.num_states,
-                len(product.transitions), word,
-            )
-        )
-        return BoundResult("finite", n, word, limit, tuple(trace))
+        del product  # so that two passes' products are never alive at once
+        if row.word is not None:
+            return BoundResult("finite", n, row.word, limit, tuple(trace))
+        n += 1

@@ -47,42 +47,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class Report:
-    """Ordered result fields with one human and one JSON rendering."""
-
-    def __init__(self, fields: dict[str, Any]):
-        self.fields = dict(fields)
-
-    def to_dict(self) -> dict[str, Any]:
-        return dict(self.fields)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Report":
-        return cls(data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.fields, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
-
-    def render(self) -> str:
-        lines = []
-        for key, val in self.fields.items():
-            if key == "trace":
-                lines.append("trace:")
-                for row in val:
-                    lines.append(
-                        "  {kind} n={n} p={p} states={automaton_states}"
-                        " product={product_states}/{product_transitions}"
-                        " word={word}".format(
-                            **{k: _human(v) for k, v in row.items()}
-                        )
+def _render(fields: dict[str, Any]) -> str:
+    """The human rendering of a report: one `key: value` line per field,
+    and one line per row under `trace:`."""
+    lines = []
+    for key, val in fields.items():
+        if key == "trace":
+            lines.append("trace:")
+            for row in val:
+                lines.append(
+                    "  {kind} n={n} p={p} states={automaton_states}"
+                    " product={product_states}/{product_transitions}"
+                    " word={word}".format(
+                        **{k: _human(v) for k, v in row.items()}
                     )
-            else:
-                lines.append(f"{key}: {_human(val)}")
-        return "\n".join(lines)
+                )
+        else:
+            lines.append(f"{key}: {_human(val)}")
+    return "\n".join(lines)
 
 
 def _human(val) -> str:
@@ -211,7 +193,7 @@ def _formula_automaton(phi):
     return prune_dominated(build_counter_automaton(phi))
 
 
-def _run_bound(args, phi) -> tuple[Report, int]:
+def _run_bound(args, phi) -> tuple[dict[str, Any], int]:
     if args.model is None:
         raise _UsageError(f"--mode {args.mode} needs --model")
     if args.word is not None:
@@ -244,10 +226,10 @@ def _run_bound(args, phi) -> tuple[Report, int]:
         if verdict != "ok":
             code = 4
     fields["seconds"] = elapsed
-    return Report(fields), code
+    return fields, code
 
 
-def _run_value(args, phi) -> tuple[Report, int]:
+def _run_value(args, phi) -> tuple[dict[str, Any], int]:
     if args.word is None:
         raise _UsageError("--mode value needs --word")
     if args.model is not None:
@@ -282,7 +264,7 @@ def _run_value(args, phi) -> tuple[Report, int]:
         if verdict != "ok":
             code = 4
     fields["seconds"] = elapsed
-    return Report(fields), code
+    return fields, code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -304,16 +286,13 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(to_dot(_formula_automaton(shown)))
         if args.mode == "value":
-            report, code = _run_value(args, phi)
+            fields, code = _run_value(args, phi)
         else:
-            report, code = _run_bound(args, phi)
-    except _UsageError as exc:
+            fields, code = _run_bound(args, phi)
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(report.to_json() if args.json else report.render())
+    print(json.dumps(fields, indent=2) if args.json else _render(fields))
     return code
 
 

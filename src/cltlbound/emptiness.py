@@ -34,18 +34,11 @@ def find_accepting_lasso(aut: CounterAutomaton) -> tuple[LassoRun, LassoWord] | 
 
     edges = [(t.src, t.dst, t.acc) for t in aut.transitions]
     comp_of, accepting = accepting_components(aut.num_states, edges, aut.num_acc_sets)
-    reachable_accepting = [
-        cid for cid in accepting if any(comp_of[s] == cid and s in disc for s in range(aut.num_states))
-    ]
-    if not reachable_accepting:
+    # Enter the accepting SCC discovered earliest: disc is in BFS order.
+    entry = next((s for s in disc if comp_of[s] in accepting), None)
+    if entry is None:
         return None
-
-    # Enter the accepting SCC discovered earliest.
-    entry, target = None, None
-    for cid in reachable_accepting:
-        for s in disc:
-            if comp_of[s] == cid and (entry is None or disc[s] < disc[entry]):
-                entry, target = s, cid
+    target = comp_of[entry]
     stem: list[Transition] = []
     s = entry
     while s != aut.init:
@@ -96,10 +89,6 @@ def word_of_run(run: LassoRun) -> LassoWord:
     return LassoWord(prefix, cycle)
 
 
-def is_empty(aut: CounterAutomaton) -> bool:
-    return find_accepting_lasso(aut) is None
-
-
 def check_lasso_run(aut: CounterAutomaton, run: LassoRun, word: LassoWord | None = None) -> None:
     """Independent witness validation; raises ValueError on any defect.
 
@@ -118,8 +107,9 @@ def check_lasso_run(aut: CounterAutomaton, run: LassoRun, word: LassoWord | None
     loop_start = run.loop[0].src
     if run.loop[-1].dst != loop_start:
         raise ValueError("loop does not close")
+    known = set(aut.transitions)
     for t in seq:
-        if t not in aut.transitions:
+        if t not in known:
             raise ValueError(f"transition not in the automaton: {t}")
     for i in range(aut.num_acc_sets):
         if not any(i in t.acc for t in run.loop):

@@ -211,16 +211,6 @@ def label_counters(phi: Formula) -> Formula:
     return walk(phi)
 
 
-def strip_counter_labels(phi: Formula) -> Formula:
-    if isinstance(phi, (CostUntil, CostRelease)):
-        return type(phi)(strip_counter_labels(phi.left), strip_counter_labels(phi.right), None)
-    if isinstance(phi, _BINARY):
-        return type(phi)(strip_counter_labels(phi.left), strip_counter_labels(phi.right))
-    if isinstance(phi, Next):
-        return Next(strip_counter_labels(phi.operand))
-    return phi
-
-
 # Constructors used by instantiate: constant folding is restricted to the
 # unit laws below, anything more aggressive would change the shapes the
 # rest of the pipeline (and its tests) expect.

@@ -16,8 +16,8 @@ from __future__ import annotations
 import re
 
 from .automaton import CounterAutomaton, Cube, Transition
+from .words import NAME_RE
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ACC_RE = re.compile(r"\{\s*((\d+\s*(,\s*\d+\s*)*)?)\}\Z")
 
 
@@ -50,7 +50,7 @@ def parse_model(text: str) -> CounterAutomaton:
                 raise ModelSyntaxError("duplicate ap declaration", lineno)
             names = rest.split()
             for name in names:
-                if not _NAME_RE.match(name):
+                if not NAME_RE.match(name):
                     raise ModelSyntaxError(f"bad proposition name {name!r}", lineno)
             if len(set(names)) != len(names):
                 raise ModelSyntaxError("repeated proposition name", lineno)
@@ -124,7 +124,6 @@ def parse_model(text: str) -> CounterAutomaton:
         num_acc_sets=num_acc,
         transitions=tuple(transitions),
         ap=ap,
-        semantics="sup",
     )
 
 

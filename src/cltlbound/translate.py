@@ -368,7 +368,7 @@ def build_counter_automaton(phi: Formula) -> CounterAutomaton:
 
     init = normalize_state({phi})
     if init is None:
-        return CounterAutomaton(1, 0, num_counters, num_acc, (), ap, "sup")
+        return CounterAutomaton(1, 0, num_counters, num_acc, (), ap)
 
     memo: dict = {}
     # The same reduced endpoint shows up under many states and under many
@@ -427,7 +427,7 @@ def build_counter_automaton(phi: Formula) -> CounterAutomaton:
         len(order), 0, transitions, num_acc
     )
     return CounterAutomaton(
-        num_states, init_ix, num_counters, num_acc, live_transitions, ap, "sup"
+        num_states, init_ix, num_counters, num_acc, live_transitions, ap
     )
 
 
@@ -501,5 +501,4 @@ def prune_dominated(aut: CounterAutomaton) -> CounterAutomaton:
         aut.num_acc_sets,
         tuple(kept),
         aut.ap,
-        aut.semantics,
     )

@@ -56,7 +56,7 @@ class LassoWord:
 
 
 _GROUP = re.compile(r"\{([^{}|]*)\}")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _letters(chunk: str, what: str) -> tuple[Letter, ...]:
@@ -67,7 +67,7 @@ def _letters(chunk: str, what: str) -> tuple[Letter, ...]:
     for body in _GROUP.findall(chunk):
         names = [p.strip() for p in body.split(",") if p.strip()]
         for name in names:
-            if not _IDENT.match(name):
+            if not NAME_RE.match(name):
                 raise LassoSyntaxError(f"bad proposition name {name!r}")
         out.append(frozenset(names))
     return tuple(out)

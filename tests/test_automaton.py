@@ -54,14 +54,13 @@ def test_validation():
         CounterAutomaton(0, 0, 0, 0, ())
     with pytest.raises(ValueError):
         CounterAutomaton(1, 1, 0, 0, (t,))
-    with pytest.raises(ValueError):
-        CounterAutomaton(1, 0, 0, 0, (Transition(0, TOP_CUBE, ("x",), frozenset(), 0),), )
+    for bad in ("x", "ii", "ro"):  # only "", "i", "or" and "r" are actions
+        with pytest.raises(ValueError):
+            CounterAutomaton(1, 0, 1, 0, (Transition(0, TOP_CUBE, (bad,), frozenset(), 0),))
     with pytest.raises(ValueError):
         CounterAutomaton(1, 0, 1, 0, (t,))  # action row too short
     with pytest.raises(ValueError):
         CounterAutomaton(1, 0, 0, 1, (Transition(0, TOP_CUBE, (), frozenset({1}), 0),))
-    with pytest.raises(ValueError):
-        CounterAutomaton(1, 0, 0, 0, (t,), semantics="max")
 
 
 def block_counter():

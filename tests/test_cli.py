@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import cltlbound.oracle
-from cltlbound.cli import Report, main
+from cltlbound.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 L3 = str(ROOT / "models" / "L3.model")
@@ -96,15 +96,6 @@ def test_trace_rows_shape(capsys):
     )
 
 
-def test_report_round_trip(capsys):
-    _, data = run_json(
-        capsys, "-f", "G (F<= !a)", "-m", L3, "--mode", "sup", "--witness"
-    )
-    report = Report.from_dict(data)
-    again = Report.from_json(report.to_json())
-    assert again.to_dict() == data
-
-
 def test_formula_file(tmp_path, capsys):
     path = tmp_path / "phi.txt"
     path.write_text("G (F<= !a)\n", encoding="utf-8")
@@ -157,6 +148,8 @@ def test_usage_errors_exit_one(capsys):
         ("-f", "a", "--mode", "value", "--word", "{a}"),  # lasso syntax
         ("-f", "a", "-m", L3, "--mode", "sup", "--word", "| {a}"),
         ("--mode", "sup", "-m", L3),  # no formula at all
+        ("-f", "G> a", "-m", L3, "--mode", "sup", "--cutoff", "-5"),
+        ("-f", "F<= a", "-m", L3, "--mode", "inf", "--cutoff", "-1"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

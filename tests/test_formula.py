@@ -27,7 +27,6 @@ from cltlbound.formula import (
     label_counters,
     negate_dual,
     parse_formula,
-    strip_counter_labels,
     until_subformulas,
 )
 
@@ -142,7 +141,6 @@ def test_label_counters_preorder_and_idempotent():
     assert labelled.left.counter == 1
     assert labelled.right.counter == 2
     assert label_counters(labelled) == labelled
-    assert strip_counter_labels(labelled) == phi
     assert cost_operator_count(phi) == 2
 
 

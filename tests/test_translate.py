@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cltlbound.automaton import TOP_CUBE, value_on_lasso
-from cltlbound.emptiness import is_empty
+from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.formula import (
     TRUE,
     CostRelease,
@@ -110,7 +110,7 @@ def test_plain_until_two_states():
 
 def test_unsatisfiable_formula_translates_empty():
     aut = build("F (a & !a)")
-    assert is_empty(aut)
+    assert find_accepting_lasso(aut) is None
     assert aut.num_states == 1
     assert aut.transitions == ()
 
@@ -172,6 +172,5 @@ def test_prune_keeps_one_of_equal_twins():
         num_acc_sets=aut.num_acc_sets,
         transitions=aut.transitions + aut.transitions,
         ap=aut.ap,
-        semantics=aut.semantics,
     )
     assert len(prune_dominated(doubled).transitions) == 6
