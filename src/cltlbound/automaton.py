@@ -155,15 +155,88 @@ def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAut
     )
 
 
-class _LassoProduct:
-    """Per-position adjacency of an automaton against a fixed lasso word,
-    with counter actions precompiled, shared by every threshold test on
-    the same automaton and word.
+def _counter_slots(aut: CounterAutomaton) -> tuple[dict[int, int], list[int]]:
+    """The counters a threshold test must track, as counter -> slot, and
+    the observed counters that are never incremented.
 
     Only counters that are both incremented and observed somewhere need
     tracking: a never-observed counter is never tested, and an observation
-    of a never-incremented counter can only pass at threshold 0, so edges
-    carrying one are dropped from every positive-threshold search.
+    of a never-incremented counter can only pass at threshold 0.
+    """
+    incremented, observed = set(), set()
+    for tr in aut.transitions:
+        for c, acts in enumerate(tr.actions):
+            if "i" in acts:
+                incremented.add(c)
+            if "o" in acts:
+                observed.add(c)
+    slot = {c: i for i, c in enumerate(sorted(observed & incremented))}
+    return slot, sorted(observed - incremented)
+
+
+def capped_unfolding(aut: CounterAutomaton, t: int) -> CounterAutomaton:
+    """The runs of aut whose every observation is >= t, as an automaton
+    whose acceptance alone decides them.
+
+    A state pairs a state of aut with the tracked counter values capped
+    at t (larger values behave identically for this test); transitions
+    that observe a value below t are dropped.  Every kept transition is a
+    copy of one of aut's with the same cube, actions and acceptance sets,
+    so a run of the unfolding reads the same word as a run of aut and
+    `run_value` on it is at least t.  States are numbered in BFS discovery
+    order from the initial pair.
+    """
+    if t < 1:
+        raise ValueError("threshold must be at least 1")
+    slot, unreachable_obs = _counter_slots(aut)
+    by_src: dict[int, list[tuple[Transition, tuple]]] = {}
+    for tr in aut.transitions:
+        # An observation of a never-incremented counter reads 0 < t.
+        if any("o" in tr.actions[c] for c in unreachable_obs):
+            continue
+        ops = tuple(
+            (slot[c], ch) for c, acts in enumerate(tr.actions) if c in slot for ch in acts
+        )
+        by_src.setdefault(tr.src, []).append((tr, ops))
+    start = (aut.init, (0,) * len(slot))
+    index = {start: 0}
+    queue = deque([start])
+    transitions = []
+    while queue:
+        node = queue.popleft()
+        s = index[node]
+        for tr, ops in by_src.get(node[0], ()):
+            vals = list(node[1])
+            for c, ch in ops:
+                if ch == "i":
+                    if vals[c] < t:
+                        vals[c] += 1
+                elif ch == "r":
+                    vals[c] = 0
+                elif vals[c] < t:  # "o"
+                    break
+            else:
+                tgt = (tr.dst, tuple(vals))
+                if tgt not in index:
+                    index[tgt] = len(index)
+                    queue.append(tgt)
+                transitions.append(Transition(s, tr.cube, tr.actions, tr.acc, index[tgt]))
+    return CounterAutomaton(
+        num_states=len(index),
+        init=0,
+        num_counters=aut.num_counters,
+        num_acc_sets=aut.num_acc_sets,
+        transitions=tuple(transitions),
+        ap=aut.ap,
+    )
+
+
+class _LassoProduct:
+    """Per-position adjacency of an automaton against a fixed lasso word,
+    with counter actions precompiled, shared by every threshold test on
+    the same automaton and word.  Counters are tracked as `_counter_slots`
+    says; edges observing a never-incremented counter are dropped from
+    every positive-threshold search.
     """
 
     def __init__(self, aut: CounterAutomaton, word: LassoWord):
@@ -172,15 +245,7 @@ class _LassoProduct:
         self.succ_pos = [p + 1 if p + 1 < self.total else pre for p in range(self.total)]
         self.init = aut.init
         self.num_acc_sets = aut.num_acc_sets
-        incremented, observed = set(), set()
-        for tr in aut.transitions:
-            for c, acts in enumerate(tr.actions):
-                if "i" in acts:
-                    incremented.add(c)
-                if "o" in acts:
-                    observed.add(c)
-        self._slot = {c: i for i, c in enumerate(sorted(observed & incremented))}
-        self._unreachable_obs = sorted(observed - incremented)
+        self._slot, self._unreachable_obs = _counter_slots(aut)
         self.num_slots = len(self._slot)
         # Only the letters that actually occur in the word matter, and there
         # are at most as many of those as positions.  Propositions outside

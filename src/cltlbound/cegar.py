@@ -1,10 +1,17 @@
 """Iterated bound search: sup and inf of a cost formula over a model.
 
-Each pass instantiates the formula at a threshold, translates it,
-products it with the model and asks for an accepting lasso.  On the sup
-side a found lasso raises the threshold (by the value of its run, when
-that is larger); emptiness certifies the current bound.  On the inf side
-the scan walks upward until the first nonempty product.
+The sup side translates the R> formula once and products it with the
+model once.  Each pass then asks whether some model word has a value
+above a threshold n: the product, unfolded with its counters capped at
+n + 1, has an accepting lasso exactly when one does, and the lasso's run
+value is a lower bound on the sup.  The threshold gallops (doubling past
+each value found) until a pass comes back empty, then bisects between the
+best value found and that threshold; the best value is the sup.  A U<=
+formula goes through its R> dual.
+
+The inf side instantiates the formula at each threshold in turn,
+translates it, products it with the model and stops at the first
+nonempty product.
 """
 
 from __future__ import annotations
@@ -12,13 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .automaton import CounterAutomaton, LassoRun, synchronized_product
+from .automaton import (
+    CounterAutomaton,
+    LassoRun,
+    capped_unfolding,
+    synchronized_product,
+)
 from .emptiness import check_lasso_run, find_accepting_lasso
 from .formula import (
     COST_LE,
     LTL,
     MIXED,
-    And,
     Formula,
     FragmentError,
     classify_fragment,
@@ -33,7 +44,7 @@ from .words import LassoWord
 class IterationStats:
     kind: str  # "search" or "probe"
     n: int  # threshold checked in this pass
-    p: int | float | None  # refined bound, None when the product was empty
+    p: int | float | None  # value shown by the pass, None when a search found no run
     automaton_states: int
     product_states: int
     product_transitions: int
@@ -104,8 +115,8 @@ def compute_sup_bound(
     """sup of the value of phi over the model's language.
 
     Formulas in the U<= fragment are answered through the dual search;
-    plain LTL works too (the sup is then 0 or unbounded).  Once the
-    threshold passes `cutoff` (default: formula automaton states times
+    plain LTL works too (the sup is then 0 or unbounded).  Once a word of
+    value above `cutoff` turns up (default: formula automaton states times
     model states) the sup is provably infinite.
     """
     if model.num_counters:
@@ -121,26 +132,45 @@ def compute_sup_bound(
 
 
 def _sup_direct(model, phi, cutoff):
-    limit = cutoff if cutoff is not None else _pruned(phi).num_states * model.num_states
+    aut = _pruned(phi)
+    limit = cutoff if cutoff is not None else aut.num_states * model.num_states
+    product = synchronized_product(aut, model)
     trace: list[IterationStats] = []
+    best, best_word = 0, None  # largest value found so far, and its word
+    ceiling = None  # least n shown to bound every value, once one is
     n = 0
-    last_word: LassoWord | None = None
     while True:
-        # Conjoining phi itself keeps its counters in the product, so the
-        # found run reports a value and the threshold can jump past n+1.
-        row = _pass(
-            "search", n, And(phi, instantiate(phi, n + 1)), model,
-            lambda run, product: max(run_value(run, product), n + 1),
-        )[0]
-        trace.append(row)
-        if row.word is None:
-            if last_word is None:
-                last_word = _fish_word(model)
-            return BoundResult("finite", n, last_word, limit, tuple(trace))
-        if row.p > limit:
-            return BoundResult("unbounded", None, row.word, limit, tuple(trace))
-        n = row.p
-        last_word = row.word
+        # Is there a model word of value > n?  The unfolding keeps the
+        # runs of the product whose every observation reaches n + 1.
+        unfolded = capped_unfolding(product, n + 1)
+        hit = find_accepting_lasso(unfolded)
+        p = None
+        if hit is not None:
+            p = run_value(hit[0], unfolded)
+            if p <= n:
+                raise RuntimeError(f"run of value {p} accepted at threshold {n + 1}")
+        trace.append(IterationStats(
+            "search", n, p, aut.num_states,
+            unfolded.num_states, len(unfolded.transitions),
+            None if hit is None else hit[1],
+        ))
+        if hit is None:
+            ceiling = n
+        elif p > limit:
+            return BoundResult("unbounded", None, hit[1], limit, tuple(trace))
+        else:
+            best, best_word = p, hit[1]
+        # Gallop past each value found until a test comes back empty, then
+        # bisect between the best value and that test's threshold.
+        if ceiling is None:
+            n = min(2 * best, limit)
+        elif best < ceiling:
+            n = (best + ceiling) // 2
+        else:
+            break
+    if best == 0:
+        best_word = _fish_word(model)
+    return BoundResult("finite", best, best_word, limit, tuple(trace))
 
 
 def _sup_via_dual(model, phi, cutoff):

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 
-from cltlbound.automaton import CounterAutomaton, Cube, Transition
+from cltlbound.automaton import CounterAutomaton, Cube, Transition, synchronized_product
+from cltlbound.cegar import BoundResult, IterationStats, run_value
+from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.formula import (
     FALSE,
     TRUE,
@@ -22,7 +24,9 @@ from cltlbound.formula import (
     Until,
     CostRelease,
     CostUntil,
+    instantiate,
 )
+from cltlbound.translate import build_counter_automaton, prune_dominated
 from cltlbound.words import LassoWord
 
 
@@ -242,3 +246,38 @@ def brute_eval(phi: Formula, word: LassoWord, pos: int = 0, fuel: int | None = N
                 return True
         return True
     raise TypeError(f"brute_eval cannot handle {name}")
+
+
+def instantiation_sup(model: CounterAutomaton, phi: Formula, cutoff: int | None = None) -> BoundResult:
+    """sup of an R> or plain LTL formula over the model by the paper's
+    instantiation route: per threshold n, translate phi & phi[n+1] afresh,
+    product it with the model and look for an accepting lasso; a found run
+    raises n to its value (conjoining phi keeps phi's counters in the
+    product), an empty product certifies n.  Same cutoff rule and result
+    shape as `compute_sup_bound`, which tests compare against it."""
+
+    def pruned(f):
+        return prune_dominated(build_counter_automaton(f))
+
+    limit = cutoff if cutoff is not None else pruned(phi).num_states * model.num_states
+    trace = []
+    n = 0
+    last_word = None
+    while True:
+        aut = pruned(And(phi, instantiate(phi, n + 1)))
+        product = synchronized_product(aut, model)
+        hit = find_accepting_lasso(product)
+        p = None if hit is None else max(run_value(hit[0], product), n + 1)
+        word = None if hit is None else hit[1]
+        trace.append(IterationStats(
+            "search", n, p, aut.num_states, product.num_states, len(product.transitions), word
+        ))
+        if word is None:
+            if last_word is None:
+                any_word = find_accepting_lasso(model)
+                last_word = None if any_word is None else any_word[1]
+            return BoundResult("finite", n, last_word, limit, tuple(trace))
+        if p > limit:
+            return BoundResult("unbounded", None, word, limit, tuple(trace))
+        n = p
+        last_word = word

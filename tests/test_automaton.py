@@ -7,10 +7,13 @@ from cltlbound.automaton import (
     CounterAutomaton,
     Cube,
     Transition,
+    capped_unfolding,
     synchronized_product,
     to_dot,
     value_on_lasso,
 )
+from cltlbound.cegar import run_value
+from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.words import ABOVE_CAP, NO_RUN, parse_lasso
 
 from corpus import naive_accepts, random_automaton, random_lasso
@@ -107,6 +110,47 @@ def test_product_against_membership_brute():
             assert naive_accepts(prod, w) == both
             checked += 1
     assert checked == 600
+
+
+def _word_model(word, props):
+    """The one-word automaton reading exactly the lasso word."""
+    total = len(word.prefix) + len(word.cycle)
+    transitions = []
+    for pos in range(total):
+        letter = word.letter(pos)
+        nxt = pos + 1 if pos + 1 < total else len(word.prefix)
+        letter_cube = Cube(frozenset(letter), frozenset(props) - letter)
+        transitions.append(Transition(pos, letter_cube, (), frozenset(), nxt))
+    return CounterAutomaton(total, 0, 0, 0, tuple(transitions), ap=tuple(props))
+
+
+def test_capped_unfolding_agrees_with_value_on_lasso():
+    # Over a one-word model the unfolding at t is nonempty exactly when
+    # the word's value reaches t, and the run it finds is worth t or more.
+    rng = random.Random(43)
+    cap = 4
+    # a-blocks of every length up to past the cap, then random pairs
+    pairs = [(block_counter(), parse_lasso("| " + "{a} " * m + "{}")) for m in range(cap + 2)]
+    pairs += [
+        (random_automaton(rng, max_states=5, max_acc=2, max_counters=2),
+         random_lasso(rng, ("a", "b"), 3, 3))
+        for _ in range(150)
+    ]
+    nonempty = 0
+    for aut, word in pairs:
+        value = value_on_lasso(aut, word, cap)
+        product = synchronized_product(aut, _word_model(word, ("a", "b")))
+        for t in range(1, cap + 1):
+            unfolded = capped_unfolding(product, t)
+            hit = find_accepting_lasso(unfolded)
+            reaches = value is ABOVE_CAP or (value is not NO_RUN and value >= t)
+            assert (hit is not None) == reaches, (aut, word, t, value)
+            if hit is not None:
+                assert run_value(hit[0], unfolded) >= t
+                nonempty += 1
+    assert nonempty > 50
+    with pytest.raises(ValueError):
+        capped_unfolding(block_counter(), 0)
 
 
 def test_product_shifts_acceptance_sets():

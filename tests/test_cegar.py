@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import random
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +11,25 @@ from cltlbound.cegar import (
     compute_sup_bound,
     run_value,
 )
-from cltlbound.formula import FragmentError, negate_dual, parse_formula
-from cltlbound.model import parse_model
+from cltlbound.formula import (
+    COST_GT,
+    And,
+    FragmentError,
+    classify_fragment,
+    cost_operator_count,
+    instantiate,
+    negate_dual,
+    parse_formula,
+)
+from cltlbound.model import load_model, parse_model
 from cltlbound.oracle import value_inf, value_sup
+from cltlbound.translate import build_counter_automaton
 from cltlbound.words import ABOVE_CAP
+
+from corpus import instantiation_sup, random_formula
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def cube(text):
@@ -122,22 +140,69 @@ def test_sup_dual_fragment_finite():
     assert kinds == ["search", "probe"]
 
 
-def test_sup_trace_thresholds_increase():
-    from pathlib import Path
+def _lk_model(k):
+    spec = importlib.util.spec_from_file_location(
+        "make_lk_models", ROOT / "scripts" / "make_lk_models.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return model(module.render(k))
 
-    path = Path(__file__).resolve().parent.parent / "models" / "L5.model"
-    text = path.read_text(encoding="utf-8")
+
+def test_sup_trace_gallops():
     phi = parse_formula("G (F<= !a)")
-    r = compute_sup_bound(model(text), phi)
-    assert (r.outcome, r.bound) == ("finite", 5)
-    search = [row for row in r.trace if row.kind == "search"]
-    ns = [row.n for row in search]
-    assert ns == sorted(set(ns))
-    for row in search[:-1]:
-        assert row.p == search[search.index(row) + 1].n
-        # every counterexample really reaches past the threshold
-        assert value_sup(negate_dual(phi), row.word, row.n + 1) is ABOVE_CAP
-    assert search[-1].word is None and search[-1].p is None
+    for k in (5, 40):
+        r = compute_sup_bound(_lk_model(k), phi)
+        assert (r.outcome, r.bound) == ("finite", k)
+        dual_bound = k - 1
+        search = [row for row in r.trace if row.kind == "search"]
+        for row in search:
+            if row.word is not None:
+                # every counterexample really reaches past the threshold
+                assert value_sup(negate_dual(phi), row.word, row.n + 1) is ABOVE_CAP
+        assert any(row.p == dual_bound for row in search)
+        assert any(row.word is None and row.n == dual_bound for row in search)
+        # doubling up to the bound, then bisecting back down to it
+        assert len(search) <= 2 * math.ceil(math.log2(k + 2)) + 2, k
+
+
+def _agreement_corpus(count):
+    """R> formulas with one cost operator.  The instantiation route
+    retranslates phi & phi[n+1] per threshold, and that translation grows
+    geometrically in n for some draws, so draws whose phi & phi[1] already
+    has more than 100 transitions are redrawn."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < count:
+        phi = random_formula(rng, depth=3, props=("a", "b"), fragment="CostGT")
+        if classify_fragment(phi) != COST_GT or cost_operator_count(phi) != 1:
+            continue
+        first = build_counter_automaton(And(phi, instantiate(phi, 1)))
+        if len(first.transitions) <= 100:
+            out.append(phi)
+    return out
+
+
+def test_sup_agrees_with_instantiation_route():
+    # A cutoff of 6 caps the reference's passes; below it both routes
+    # give the exact sup, above it both say unbounded.
+    cutoff = 6
+    models = [load_model(p) for p in sorted((ROOT / "models").glob("*.model"))]
+    outcomes = set()
+    for phi in _agreement_corpus(16):
+        for m in models:
+            got = compute_sup_bound(m, phi, cutoff)
+            want = instantiation_sup(m, phi, cutoff)
+            assert (got.outcome, got.bound) == (want.outcome, want.bound), (str(phi), m)
+            outcomes.add((got.outcome, got.bound))
+            if got.witness is None:
+                assert got.outcome == "finite" and want.witness is None
+            elif got.outcome == "finite":
+                assert value_sup(phi, got.witness, got.bound + 2) == got.bound
+            else:
+                assert value_sup(phi, got.witness, cutoff + 1) is ABOVE_CAP
+    # the corpus reaches every bound up to the cutoff, and past it
+    assert outcomes == {("finite", b) for b in range(cutoff + 1)} | {("unbounded", None)}
 
 
 def test_sup_plain_ltl():

@@ -32,13 +32,15 @@ def test_sup_finite_exit_zero(capsys):
 
 
 def test_sup_unbounded_exit_two(capsys):
-    code, data = run_json(
-        capsys, "-f", "G (F<= !a)", "-m", UNIVERSAL, "--mode", "sup", "--witness"
-    )
-    assert code == 2
-    assert data["outcome"] == "unbounded"
-    assert data["bound"] is None
-    assert data["witness"]
+    for extra in [(), ("--cutoff", "700")]:
+        code, data = run_json(
+            capsys, "-f", "G (F<= !a)", "-m", UNIVERSAL, "--mode", "sup", "--witness",
+            *extra,
+        )
+        assert code == 2, extra
+        assert data["outcome"] == "unbounded"
+        assert data["bound"] is None
+        assert data["witness"]
 
 
 def test_inf_infinite_exit_three(capsys):
