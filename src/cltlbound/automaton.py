@@ -358,10 +358,10 @@ def value_on_lasso(aut: CounterAutomaton, word: LassoWord, cap: int):
     the empty-sup convention), ABOVE_CAP when every threshold up to cap is
     achievable (covers infinite values), and the exact value otherwise.
 
-    The largest achievable threshold is found by doubling from 1 and then
-    bisecting the bracket.  Starting from the bottom keeps the common case
-    cheap: the search space at threshold t grows with t, and most words
-    fail already at small thresholds.
+    After thresholds 0 and 1 the cap itself is tested.  Thresholds are
+    monotone, so a pass there answers ABOVE_CAP (every infinite value)
+    after three tests.  Otherwise the largest achievable threshold is
+    found by doubling from 1 and then bisecting the bracket.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -370,15 +370,14 @@ def value_on_lasso(aut: CounterAutomaton, word: LassoWord, cap: int):
         return NO_RUN
     if not product.threshold_ok(1):
         return 0
-    lo = 1  # highest threshold known to pass
+    if cap == 1 or product.threshold_ok(cap):
+        return ABOVE_CAP
+    lo = 1  # highest threshold known to pass; cap is known to fail
     while True:
         hi = min(lo * 2, cap)
-        if hi == lo:
-            return ABOVE_CAP
-        if product.threshold_ok(hi):
-            lo = hi
-        else:
+        if hi == cap or not product.threshold_ok(hi):
             break
+        lo = hi
     best, a, b = lo, lo + 1, hi - 1
     while a <= b:
         mid = (a + b) // 2

@@ -6,7 +6,10 @@ as `key: value` lines, or as JSON with --json; both renderings carry the
 same fields.
 
 Exit codes: 0 finite bound or computed value, 1 usage or input error,
-2 unbounded, 3 infinite inf, 4 oracle cross-check mismatch.
+2 unbounded, 3 infinite inf, 4 oracle cross-check mismatch.  Exit 1 also
+covers an internal error (RecursionError, MemoryError or RuntimeError),
+reported as `error: internal error: <Type>: <message>` so that a bug is
+not taken for bad input.
 """
 
 from __future__ import annotations
@@ -291,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
             fields, code = _run_bound(args, phi)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, RuntimeError) as exc:  # RecursionError is a RuntimeError
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(fields, indent=2) if args.json else _render(fields))
     return code

@@ -1,18 +1,40 @@
 """Reference evaluation on lasso words, straight from the semantics.
 
 This module is the ground truth the rest of the pipeline is tested
-against, so it stays independent of the automaton machinery: plain LTL is
-evaluated by fixpoint tables over the finitely many lasso positions, and
-counting values are found by scanning the unfolded instances.
+against, so it stays independent of the automaton machinery.  Every
+formula is evaluated by one table per subformula over the finitely many
+lasso positions, filled by backward sweeps: plain LTL operators as
+fixpoints of their one-step unrolling, and `l U<= r` by counting.
+
+Counting tables.  `(l U<= r)[n]` holds at position i exactly when `l`
+fails at most n times from i up to the first `r` at or after i.  That
+count is 0 where `r` holds, one more than its successor's where `l`
+fails, the successor's otherwise, and infinite where no `r` follows.
+So `phi[n]` is evaluated directly at level n, without building the
+instantiated formula, whose size grows with n.  An R> formula is the
+dual of a U<= one, and is evaluated through `negate_dual`, as
+`instantiate` unfolds it.
+
+Why bisection is exact.  A finite count is at most the number of
+positions |w|: the first `r` after a position comes within one turn of
+the cycle.  So for n >= |w| every table is the same as at |w|, and a
+value is either at most |w| or infinite.  phi[n] at n = min(cap, |w|)
+thus answers as phi[cap] does, and satisfaction is monotone in n (upward
+for U<=, downward for R>), so a bisection below that level finds the
+exact value.  Nothing costs more for a larger cap.
 """
 
 from __future__ import annotations
+
+import math
 
 from .formula import (
     COST_GT,
     COST_LE,
     LTL,
+    MIXED,
     And,
+    CostUntil,
     FalseF,
     Formula,
     FragmentError,
@@ -23,23 +45,35 @@ from .formula import (
     TrueF,
     Until,
     classify_fragment,
-    instantiate,
+    instantiate,  # noqa: F401  kept importable here for bench/tracing.py
+    negate_dual,
 )
 from .words import ABOVE_CAP, LassoWord
 
 
-def eval_ltl_on_lasso(phi: Formula, word: LassoWord) -> bool:
-    """Does the lasso word satisfy the plain LTL formula at position 0?"""
-    if classify_fragment(phi) != LTL:
-        raise FragmentError("lasso evaluation handles plain LTL only")
+def eval_ltl_on_lasso(phi: Formula, word: LassoWord, n: int | None = None) -> bool:
+    """Does the lasso word satisfy phi at position 0?
+
+    Without n, phi must be plain LTL.  With n, phi may also count, and
+    the question is whether the word satisfies phi[n]."""
+    frag = classify_fragment(phi)
+    if n is None:
+        if frag != LTL:
+            raise FragmentError("lasso evaluation without a level handles plain LTL only")
+    elif n < 0:
+        raise ValueError("evaluation level must be nonnegative")
+    elif frag == MIXED:
+        raise FragmentError("cannot evaluate a formula mixing U<= and R>")
+    dual = frag == COST_GT
+    if dual:
+        phi = negate_dual(phi)
     pre = len(word.prefix)
-    total = word.positions()
-    letters = [word.letter(i) for i in range(total)]
-    memo: dict[int, list[bool]] = {}
-    return _table(phi, letters, pre, memo)[0]
+    letters = [word.letter(i) for i in range(word.positions())]
+    memo: dict[int, list] = {}
+    return _table(phi, letters, pre, n, memo)[0] != dual
 
 
-def _table(phi: Formula, letters, pre: int, memo) -> list[bool]:
+def _table(phi: Formula, letters, pre: int, n: int | None, memo) -> list[bool]:
     got = memo.get(id(phi))
     if got is not None:
         return got
@@ -51,80 +85,90 @@ def _table(phi: Formula, letters, pre: int, memo) -> list[bool]:
     elif isinstance(phi, Lit):
         out = [(phi.name in letters[i]) == phi.positive for i in range(total)]
     elif isinstance(phi, And):
-        l = _table(phi.left, letters, pre, memo)
-        r = _table(phi.right, letters, pre, memo)
+        l = _table(phi.left, letters, pre, n, memo)
+        r = _table(phi.right, letters, pre, n, memo)
         out = [a and b for a, b in zip(l, r)]
     elif isinstance(phi, Or):
-        l = _table(phi.left, letters, pre, memo)
-        r = _table(phi.right, letters, pre, memo)
+        l = _table(phi.left, letters, pre, n, memo)
+        r = _table(phi.right, letters, pre, n, memo)
         out = [a or b for a, b in zip(l, r)]
     elif isinstance(phi, Next):
-        v = _table(phi.operand, letters, pre, memo)
+        v = _table(phi.operand, letters, pre, n, memo)
         out = [v[i + 1] if i + 1 < total else v[pre] for i in range(total)]
-    elif isinstance(phi, Until):
-        out = _fixpoint(phi, letters, pre, memo, least=True)
-    elif isinstance(phi, Release):
-        out = _fixpoint(phi, letters, pre, memo, least=False)
+    elif isinstance(phi, (Until, Release, CostUntil)):
+        a = _table(phi.left, letters, pre, n, memo)
+        b = _table(phi.right, letters, pre, n, memo)
+        if isinstance(phi, Until):
+            out = _sweep(pre, total, False, lambda i, x: b[i] or (a[i] and x))
+        elif isinstance(phi, Release):
+            out = _sweep(pre, total, True, lambda i, x: b[i] and (a[i] or x))
+        else:
+            # failures of the left operand before the first right operand
+            count = _sweep(pre, total, math.inf, lambda i, x: 0 if b[i] else x + (not a[i]))
+            out = [c <= n for c in count]
     else:
-        raise FragmentError("lasso evaluation handles plain LTL only")
+        # R> never gets here: eval_ltl_on_lasso dualises it or rejects it
+        raise TypeError(f"not a formula: {phi!r}")
     memo[id(phi)] = out
     return out
 
 
-def _fixpoint(phi, letters, pre: int, memo, least: bool) -> list[bool]:
-    """Until is the least, Release the greatest solution of the one-step
-    unrolling.  Two backward sweeps of the cycle reach the fixpoint: the
-    first settles windows inside one turn, the second carries the
-    wrap-around, and no satisfying (or violating) window needs more."""
-    a = _table(phi.left, letters, pre, memo)
-    b = _table(phi.right, letters, pre, memo)
-    total = len(letters)
-    x = [not least] * total
+def _sweep(pre: int, total: int, init, step) -> list:
+    """The solution of x[i] = step(i, x[next(i)]) reached from init.
+
+    Until starts from false (the least fixpoint), Release from true (the
+    greatest) and the failure count from infinity (the least count).  Two
+    backward sweeps of the cycle reach the fixpoint: the first settles
+    windows inside one turn, the second carries the wrap-around, and no
+    satisfying (or violating) window needs more.  One sweep of the prefix
+    then finishes."""
+    x = [init] * total
     for _ in range(2):
         for i in range(total - 1, pre - 1, -1):
-            nxt = pre if i == total - 1 else i + 1
-            if least:
-                x[i] = b[i] or (a[i] and x[nxt])
-            else:
-                x[i] = b[i] and (a[i] or x[nxt])
+            x[i] = step(i, x[pre] if i == total - 1 else x[i + 1])
     for i in range(pre - 1, -1, -1):
-        if least:
-            x[i] = b[i] or (a[i] and x[i + 1])
-        else:
-            x[i] = b[i] and (a[i] or x[i + 1])
+        x[i] = step(i, x[i + 1])
     return x
 
 
 def value_inf(phi: Formula, word: LassoWord, cap: int):
-    """Min-counting value: the least n with word |= phi[n], scanning up to
-    cap; ABOVE_CAP when none is satisfied below it."""
+    """Min-counting value: the least n with word |= phi[n], up to cap;
+    ABOVE_CAP when none is satisfied up to it."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if classify_fragment(phi) not in (LTL, COST_LE):
         raise FragmentError("value_inf takes a U<= (or plain LTL) formula")
-    for n in range(cap + 1):
-        if eval_ltl_on_lasso(instantiate(phi, n), word):
-            return n
-    return ABOVE_CAP
+    hi = min(cap, word.positions())
+    if not eval_ltl_on_lasso(phi, word, hi):
+        return ABOVE_CAP
+    lo = 0  # the least satisfied level lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if eval_ltl_on_lasso(phi, word, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def value_sup(phi: Formula, word: LassoWord, cap: int):
     """Max-counting value: the greatest n with word |= phi[n].
 
     Satisfaction is downward closed in n, so a binary search finds the
-    largest satisfied index; ABOVE_CAP reports satisfaction at cap itself
+    largest satisfied level; ABOVE_CAP reports satisfaction at cap itself
     (the value is cap or more, possibly infinite).
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if classify_fragment(phi) not in (LTL, COST_GT):
         raise FragmentError("value_sup takes an R> (or plain LTL) formula")
-    if eval_ltl_on_lasso(instantiate(phi, cap), word):
+    top = min(cap, word.positions())
+    if eval_ltl_on_lasso(phi, word, top):
         return ABOVE_CAP
-    best, lo, hi = 0, 1, cap - 1
+    best, lo, hi = 0, 1, top - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        if eval_ltl_on_lasso(instantiate(phi, mid), word):
+        if eval_ltl_on_lasso(phi, word, mid):
             best = mid
             lo = mid + 1
         else:

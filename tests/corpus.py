@@ -26,8 +26,9 @@ from cltlbound.formula import (
     CostUntil,
     instantiate,
 )
+from cltlbound.oracle import eval_ltl_on_lasso
 from cltlbound.translate import build_counter_automaton, prune_dominated
-from cltlbound.words import LassoWord
+from cltlbound.words import ABOVE_CAP, LassoWord
 
 
 def random_formula(rng: random.Random, depth: int, props, fragment: str = "LTL") -> Formula:
@@ -281,3 +282,30 @@ def instantiation_sup(model: CounterAutomaton, phi: Formula, cutoff: int | None 
             return BoundResult("unbounded", None, word, limit, tuple(trace))
         n = p
         last_word = word
+
+
+def instantiation_value_inf(phi: Formula, word: LassoWord, cap: int):
+    """`oracle.value_inf` by the paper's instantiation route: build phi[n]
+    for n = 0, 1, ... up to cap and evaluate each as plain LTL; the first
+    that holds is the value."""
+    for n in range(cap + 1):
+        if eval_ltl_on_lasso(instantiate(phi, n), word):
+            return n
+    return ABOVE_CAP
+
+
+def instantiation_value_sup(phi: Formula, word: LassoWord, cap: int):
+    """`oracle.value_sup` by the paper's instantiation route: phi[cap]
+    holding means ABOVE_CAP, otherwise a bisection over the built phi[n]
+    finds the greatest n in 1..cap-1 that holds (0 when none does)."""
+    if eval_ltl_on_lasso(instantiate(phi, cap), word):
+        return ABOVE_CAP
+    best, lo, hi = 0, 1, cap - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if eval_ltl_on_lasso(instantiate(phi, mid), word):
+            best = mid
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return best

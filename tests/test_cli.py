@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import cltlbound.cli
 import cltlbound.oracle
 from cltlbound.cli import main
 
@@ -157,3 +158,57 @@ def test_usage_errors_exit_one(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert "error" in err.lower(), argv
+
+
+def _a_run(m):
+    return " ".join(["{a}"] * m)
+
+
+def test_value_mode_past_the_word_length(capsys):
+    # cap 600 is far deeper than an instantiated phi[n] can be built and
+    # evaluated within Python's recursion limit
+    cases = [
+        ("F<= b", "{a} | {a}", "above-cap"),
+        ("G> a", _a_run(601) + " | {} {a}", "above-cap"),
+        ("G> a", _a_run(599) + " | {} {a}", 598),
+    ]
+    for formula, word, want in cases:
+        code, data = run_json(
+            capsys, "-f", formula, "--mode", "value", "--word", word,
+            "--cutoff", "600", "--oracle-check",
+        )
+        assert (code, data["value"], data["oracle"]) == (0, want, "ok"), formula
+
+
+def test_oracle_check_past_a_large_cutoff(tmp_path, capsys):
+    # a* then !a forever: every G> a value is reachable, and the witness
+    # past cutoff 3000 is checked at threshold 3001
+    path = tmp_path / "a_then_not_a.model"
+    path.write_text(
+        "ap: a\nstates: 2\ninit: 0\naccsets: 1\n"
+        "trans: 0 0 a {}\ntrans: 0 1 !a {}\ntrans: 1 1 !a {0}\n",
+        encoding="utf-8",
+    )
+    code, data = run_json(
+        capsys, "--mode", "sup", "-f", "G> a", "-m", str(path),
+        "--cutoff", "3000", "--oracle-check",
+    )
+    assert (code, data["outcome"], data["oracle"]) == (2, "unbounded", "ok")
+
+
+def test_internal_errors_exit_one(capsys, monkeypatch):
+    for exc in (RecursionError("deep"), MemoryError("big"), RuntimeError("broken")):
+        def boom(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cltlbound.cli, "compute_sup_bound", boom)
+        code, out, err = run(capsys, "-f", "G> a", "-m", L3, "--mode", "sup")
+        assert code == 1 and out == ""
+        assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cltlbound.cli, "compute_sup_bound", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["-f", "G> a", "-m", L3, "--mode", "sup"])

@@ -3,11 +3,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cltlbound.formula import FragmentError, negate_dual, parse_formula
+from cltlbound.formula import (
+    FragmentError,
+    cost_operator_count,
+    instantiate,
+    negate_dual,
+    parse_formula,
+)
 from cltlbound.oracle import eval_ltl_on_lasso, value_inf, value_sup
 from cltlbound.words import ABOVE_CAP, LassoWord, parse_lasso
 
-from corpus import brute_eval, random_formula, random_lasso
+from corpus import (
+    brute_eval,
+    instantiation_value_inf,
+    instantiation_value_sup,
+    random_formula,
+    random_lasso,
+)
 
 
 def test_eval_simple():
@@ -114,8 +126,6 @@ def test_duality_seeded_corpus():
 
 def test_value_inf_monotone_in_word_sat():
     # a sanity pin: the value is the least n whose unfolding holds
-    from cltlbound.formula import instantiate
-
     rng = random.Random(5)
     for _ in range(200):
         phi = random_formula(rng, 3, ("a", "b"), "CostLE")
@@ -127,3 +137,73 @@ def test_value_inf_monotone_in_word_sat():
                 assert not holds
             else:
                 assert holds == (n >= v)
+
+
+def _stream(seed, fragment, count):
+    """The first pairs of the acceptance tests' streams: seed 20260819 with
+    U<= is criterion 1's, seed 3 with R> (redrawing past four cost
+    operators) is criterion 3's."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        phi = random_formula(rng, 4, ("a", "b"), fragment)
+        while fragment == "CostGT" and cost_operator_count(phi) > 4:
+            phi = random_formula(rng, 4, ("a", "b"), fragment)
+        out.append((phi, random_lasso(rng, ("a", "b"))))
+    return out
+
+
+def _runs(cycle: str, m: int) -> LassoWord:
+    return parse_lasso(" ".join(["{a}"] * m) + " | " + cycle)
+
+
+def test_tables_agree_with_instantiation_route():
+    checked = 0
+    for phi, w in _stream(20260819, "CostLE", 300):
+        for cap in (1, 3, 6):
+            assert value_inf(phi, w, cap) == instantiation_value_inf(phi, w, cap), (
+                str(phi), str(w), cap)
+            dual = negate_dual(phi)
+            assert value_sup(dual, w, cap) == instantiation_value_sup(dual, w, cap), (
+                str(dual), str(w), cap)
+            checked += 2
+    for phi, w in _stream(3, "CostGT", 400):
+        for cap in (1, 3, 6):
+            assert value_sup(phi, w, cap) == instantiation_value_sup(phi, w, cap), (
+                str(phi), str(w), cap)
+            checked += 1
+    # caps on both sides of the number of positions, where the tables stop
+    # changing with the level
+    le = [parse_formula(t) for t in ("F<= b", "G (F<= !a)", "a U<= (b | X b)")]
+    gt = [parse_formula(t) for t in ("G> a", "F (G> a)", "G> (a | b)")]
+    for m in range(6):
+        for w in (_runs("{b}", m), _runs("{} {a}", m)):
+            size = w.positions()
+            for cap in {max(1, size - 1), size, size + 1, size + 4}:
+                for phi in le:
+                    assert value_inf(phi, w, cap) == instantiation_value_inf(phi, w, cap), (
+                        str(phi), str(w), cap)
+                for phi in gt:
+                    assert value_sup(phi, w, cap) == instantiation_value_sup(phi, w, cap), (
+                        str(phi), str(w), cap)
+                checked += len(le) + len(gt)
+    assert checked > 3000
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_level_evaluation_is_the_instantiated_formula(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    phi = random_formula(rng, 3, ("a", "b"), data.draw(st.sampled_from(("CostLE", "CostGT"))))
+    w = random_lasso(rng, ("a", "b"), 4, 4)
+    for n in range(w.positions() + 3):
+        assert eval_ltl_on_lasso(phi, w, n) == eval_ltl_on_lasso(instantiate(phi, n), w), (
+            str(phi), str(w), n)
+
+
+def test_level_evaluation_rejects():
+    w = parse_lasso("| {a}")
+    with pytest.raises(ValueError):
+        eval_ltl_on_lasso(parse_formula("F<= a"), w, -1)
+    with pytest.raises(FragmentError):
+        eval_ltl_on_lasso(parse_formula("F<= a & G> a"), w, 2)
