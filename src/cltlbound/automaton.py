@@ -5,12 +5,20 @@ and generalized transition-based acceptance: a run accepts when every
 acceptance set is visited infinitely often.  A counter takes one of four
 actions per transition: "" (skip), "i" (increment), "or" (observe the
 value, then reset) and "r" (reset).
+
+A threshold test asks whether some accepting run observes every counter
+at t or more.  One unfolding engine answers it, with counters capped at
+t, for two front ends that feed it the same integer rows: a whole
+automaton (`capped_unfolding`, which the sup search runs on the formula ×
+model product) and an automaton read along one lasso word
+(`value_on_lasso`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import accepting_components
 from .words import ABOVE_CAP, NAME_RE, NO_RUN, LassoWord
@@ -64,8 +72,6 @@ class Cube:
 
 TOP_CUBE = Cube()
 
-_UNCOMPILED = object()
-
 
 @dataclass(frozen=True)
 class Transition:
@@ -115,6 +121,16 @@ class CounterAutomaton:
             out.setdefault(t.src, []).append(t)
         return out
 
+    @cached_property
+    def _rows(self):
+        """The model front end of `capped_unfolding`, built once: nodes are
+        the states, rows come in `by_source` order."""
+        num_slots, ops = _counter_ops(self)
+        succ: dict[int, list[tuple]] = {}
+        for tr in self.transitions:
+            succ.setdefault(tr.src, []).append((tr.dst, tr.acc, ops(tr.actions), tr))
+        return succ, self.init, num_slots
+
 
 def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAutomaton:
     """Synchronous product; counters and acceptance sets are reindexed
@@ -155,200 +171,149 @@ def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAut
     )
 
 
-def _counter_slots(aut: CounterAutomaton) -> tuple[dict[int, int], list[int]]:
-    """The counters a threshold test must track, as counter -> slot, and
-    the observed counters that are never incremented.
+def _counter_ops(aut: CounterAutomaton):
+    """The number of counters a threshold test tracks, and a compiler of a
+    transition's actions into (slot, action char) ops on them.
 
-    Only counters that are both incremented and observed somewhere need
-    tracking: a never-observed counter is never tested, and an observation
-    of a never-incremented counter can only pass at threshold 0.
+    Only observed counters are tracked: a never-observed counter is never
+    tested.  A never-incremented one stays at 0, so its observations fail
+    at every positive threshold.
     """
-    incremented, observed = set(), set()
+    observed = sorted(
+        {c for tr in aut.transitions for c, acts in enumerate(tr.actions) if "o" in acts}
+    )
+    slot = {c: i for i, c in enumerate(observed)}
+    compiled: dict[tuple[str, ...], tuple[tuple[int, str], ...]] = {}
+
+    def ops(actions: tuple[str, ...]) -> tuple[tuple[int, str], ...]:
+        got = compiled.get(actions)
+        if got is None:
+            got = compiled[actions] = tuple(
+                (slot[c], ch) for c, acts in enumerate(actions) if c in slot for ch in acts
+            )
+        return got
+
+    return len(slot), ops
+
+
+# A front end feeds the unfolding engine (succ, init, num_slots): succ maps
+# a node to the rows of the edges leaving it, each row (dst node,
+# acceptance sets, compiled counter ops, transition of the automaton).
+# The model front end is `CounterAutomaton._rows`, the lasso front end
+# `_lasso_rows`.
+
+
+def _lasso_rows(aut: CounterAutomaton, word: LassoWord):
+    """The lasso front end: aut read along one lasso word.  Nodes are the
+    (state, position) pairs reachable from (init, 0), numbered in BFS
+    order; a node's rows are the transitions of its state whose cube
+    matches the letter at its position, in aut's order."""
+    pre, total = len(word.prefix), len(word.prefix) + len(word.cycle)
+    # Only the letters that actually occur in the word matter, and there
+    # are at most as many of those as positions.  Propositions outside
+    # the word are indexed implicitly as always-false: a cube requiring
+    # one can never match here.
+    letters = [word.letter(p) for p in range(total)]
+    prop_bit: dict[str, int] = {}
+    for letter in letters:
+        for p in letter:
+            prop_bit.setdefault(p, 1 << len(prop_bit))
+    distinct = {}
+    for letter in letters:
+        if letter not in distinct:
+            distinct[letter] = sum(prop_bit[p] for p in letter)
+    # One table per distinct letter, shared by every position carrying
+    # that letter.  Each transition is matched against each letter once,
+    # via bitmask tests.
+    num_slots, ops = _counter_ops(aut)
+    tables: dict[int, dict[int, list[tuple]]] = {lm: {} for lm in distinct.values()}
     for tr in aut.transitions:
-        for c, acts in enumerate(tr.actions):
-            if "i" in acts:
-                incremented.add(c)
-            if "o" in acts:
-                observed.add(c)
-    slot = {c: i for i, c in enumerate(sorted(observed & incremented))}
-    return slot, sorted(observed - incremented)
+        if any(p not in prop_bit for p in tr.cube.positive):
+            continue
+        pos_mask = sum(prop_bit[p] for p in tr.cube.positive)
+        neg_mask = sum(prop_bit[p] for p in tr.cube.negative if p in prop_bit)
+        entry = None
+        for lm, table in tables.items():
+            if pos_mask & lm == pos_mask and not neg_mask & lm:
+                if entry is None:
+                    entry = (tr.dst, tr.acc, ops(tr.actions), tr)
+                table.setdefault(tr.src, []).append(entry)
+    at_pos = [tables[distinct[letter]] for letter in letters]
+    start = (aut.init, 0)
+    index = {start: 0}
+    order = [start]
+    succ: dict[int, list[tuple]] = {}
+    for s, (state, pos) in enumerate(order):
+        nxt = pos + 1 if pos + 1 < total else pre
+        row = succ[s] = []
+        for dst, acc, tr_ops, tr in at_pos[pos].get(state, ()):
+            tgt = (dst, nxt)
+            d = index.get(tgt)
+            if d is None:
+                d = index[tgt] = len(order)
+                order.append(tgt)
+            row.append((d, acc, tr_ops, tr))
+    return succ, 0, num_slots
 
 
-def capped_unfolding(aut: CounterAutomaton, t: int) -> CounterAutomaton:
-    """The runs of aut whose every observation is >= t, as an automaton
+def _unfold(
+    succ: dict[int, list[tuple]], init: int, num_slots: int, t: int
+) -> tuple[int, list[tuple]]:
+    """The unfolding engine behind both front ends.
+
+    A configuration pairs a node with the tracked counter values capped at
+    t (larger values behave identically for a threshold test), and an edge
+    that observes a value below t is dropped.  At t = 0 every observation
+    passes, so no counter is tracked.  Returns the number of
+    configurations and the edges (src, dst, acceptance sets, transition).
+    Configurations are numbered in BFS order from the initial one, and the
+    edges come out source by source in that order, each source's in row
+    order, so the first edge into a configuration is its BFS parent.
+    """
+    start = (init, (0,) * num_slots if t else ())
+    index = {start: 0}
+    order = [start]
+    edges = []
+    for s, (node, vals) in enumerate(order):
+        for dst, acc, ops, tr in succ.get(node, ()):
+            if t and ops:
+                new = list(vals)
+                passed = True
+                for c, ch in ops:
+                    if ch == "i":
+                        if new[c] < t:
+                            new[c] += 1
+                    elif ch == "r":
+                        new[c] = 0
+                    elif new[c] < t:  # "o"
+                        passed = False
+                        break
+                if not passed:
+                    continue
+                tgt = (dst, tuple(new))
+            else:
+                tgt = (dst, vals)
+            d = index.get(tgt)
+            if d is None:
+                d = index[tgt] = len(order)
+                order.append(tgt)
+            edges.append((s, d, acc, tr))
+    return len(order), edges
+
+
+def capped_unfolding(aut: CounterAutomaton, t: int) -> tuple[int, list[tuple]]:
+    """The runs of aut whose every counter observation is >= t, as a graph
     whose acceptance alone decides them.
 
-    A state pairs a state of aut with the tracked counter values capped
-    at t (larger values behave identically for this test); transitions
-    that observe a value below t are dropped.  Every kept transition is a
-    copy of one of aut's with the same cube, actions and acceptance sets,
-    so a run of the unfolding reads the same word as a run of aut and
-    `run_value` on it is at least t.  States are numbered in BFS discovery
-    order from the initial pair.
+    Returns (number of configurations, edges) from the unfolding engine;
+    each edge (src, dst, acceptance sets, transition) is labelled by the
+    transition of aut it copies, so a path through the graph is a run of
+    aut.  At t = 0 the graph is aut's reachable part.  The counter ops are
+    compiled once per automaton and shared by every threshold.
     """
-    if t < 1:
-        raise ValueError("threshold must be at least 1")
-    slot, unreachable_obs = _counter_slots(aut)
-    by_src: dict[int, list[tuple[Transition, tuple]]] = {}
-    for tr in aut.transitions:
-        # An observation of a never-incremented counter reads 0 < t.
-        if any("o" in tr.actions[c] for c in unreachable_obs):
-            continue
-        ops = tuple(
-            (slot[c], ch) for c, acts in enumerate(tr.actions) if c in slot for ch in acts
-        )
-        by_src.setdefault(tr.src, []).append((tr, ops))
-    start = (aut.init, (0,) * len(slot))
-    index = {start: 0}
-    queue = deque([start])
-    transitions = []
-    while queue:
-        node = queue.popleft()
-        s = index[node]
-        for tr, ops in by_src.get(node[0], ()):
-            vals = list(node[1])
-            for c, ch in ops:
-                if ch == "i":
-                    if vals[c] < t:
-                        vals[c] += 1
-                elif ch == "r":
-                    vals[c] = 0
-                elif vals[c] < t:  # "o"
-                    break
-            else:
-                tgt = (tr.dst, tuple(vals))
-                if tgt not in index:
-                    index[tgt] = len(index)
-                    queue.append(tgt)
-                transitions.append(Transition(s, tr.cube, tr.actions, tr.acc, index[tgt]))
-    return CounterAutomaton(
-        num_states=len(index),
-        init=0,
-        num_counters=aut.num_counters,
-        num_acc_sets=aut.num_acc_sets,
-        transitions=tuple(transitions),
-        ap=aut.ap,
-    )
-
-
-class _LassoProduct:
-    """Per-position adjacency of an automaton against a fixed lasso word,
-    with counter actions precompiled, shared by every threshold test on
-    the same automaton and word.  Counters are tracked as `_counter_slots`
-    says; edges observing a never-incremented counter are dropped from
-    every positive-threshold search.
-    """
-
-    def __init__(self, aut: CounterAutomaton, word: LassoWord):
-        pre, cyc = len(word.prefix), len(word.cycle)
-        self.total = pre + cyc
-        self.succ_pos = [p + 1 if p + 1 < self.total else pre for p in range(self.total)]
-        self.init = aut.init
-        self.num_acc_sets = aut.num_acc_sets
-        self._slot, self._unreachable_obs = _counter_slots(aut)
-        self.num_slots = len(self._slot)
-        # Only the letters that actually occur in the word matter, and there
-        # are at most as many of those as positions.  Propositions outside
-        # the word are indexed implicitly as always-false: a cube requiring
-        # one can never match here.
-        letters = [word.letter(p) for p in range(self.total)]
-        prop_bit = {}
-        for letter in letters:
-            for p in letter:
-                prop_bit.setdefault(p, 1 << len(prop_bit))
-        distinct = {}
-        for letter in letters:
-            if letter not in distinct:
-                distinct[letter] = sum(prop_bit[p] for p in letter)
-        # One adjacency table per distinct letter, shared by every position
-        # carrying that letter.  Each transition is matched against each
-        # letter once, via bitmask tests.  Entries are mutable so that ops
-        # can be filled in lazily: the threshold-0 search never looks at
-        # counters, and higher thresholds only visit the reachable part.
-        tables = {lm: {} for lm in distinct.values()}
-        for tr in aut.transitions:
-            if any(p not in prop_bit for p in tr.cube.positive):
-                continue
-            pos_mask = sum(prop_bit[p] for p in tr.cube.positive)
-            neg_mask = sum(prop_bit[p] for p in tr.cube.negative if p in prop_bit)
-            entry = None
-            for lm in tables:
-                if pos_mask & lm == pos_mask and not neg_mask & lm:
-                    if entry is None:
-                        entry = [tr.dst, tr.acc, _UNCOMPILED, tr.actions]
-                    tables[lm].setdefault(tr.src, []).append(entry)
-        # rows[pos][state] = [dst, acc, ops, actions] entries for transitions
-        # whose cube matches the letter at pos.
-        self.rows = [tables[distinct[letter]] for letter in letters]
-
-    def _ops_of(self, entry):
-        """Compiled counter ops of one entry: None when the edge observes a
-        never-incremented counter (it can only pass at threshold 0), else a
-        tuple of (slot, action char)."""
-        actions = entry[3]
-        if any("o" in actions[c] for c in self._unreachable_obs):
-            ops = None
-        else:
-            slot = self._slot
-            ops = tuple(
-                (slot[c], ch)
-                for c, acts in enumerate(actions)
-                if c in slot
-                for ch in acts
-            )
-        entry[2] = ops
-        return ops
-
-    def threshold_ok(self, t: int) -> bool:
-        """Is there an accepting run whose every observation is >= t?
-
-        Explores the product graph tracking counter values capped at t
-        (larger values behave identically for this test).  Edges performing
-        an observation below t are dropped; acceptance is then an SCC
-        condition on the remaining graph.  At t = 0 every observation
-        passes, so counters are not tracked at all.
-        """
-        zeros = (0,) * self.num_slots
-        start = (self.init, 0, zeros) if t else (self.init, 0)
-        index = {start: 0}
-        order = [start]
-        queue = deque([start])
-        edges = []
-        while queue:
-            node = queue.popleft()
-            s = index[node]
-            state, pos = node[0], node[1]
-            nxt = self.succ_pos[pos]
-            for entry in self.rows[pos].get(state, ()):
-                dst, acc, ops = entry[0], entry[1], entry[2]
-                if t == 0:
-                    tgt = (dst, nxt)
-                else:
-                    if ops is _UNCOMPILED:
-                        ops = self._ops_of(entry)
-                    if ops is None:
-                        continue
-                    new_vals = list(node[2])
-                    ok = True
-                    for c, ch in ops:
-                        if ch == "i":
-                            if new_vals[c] < t:
-                                new_vals[c] += 1
-                        elif ch == "r":
-                            new_vals[c] = 0
-                        elif new_vals[c] < t:  # "o"
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    tgt = (dst, nxt, tuple(new_vals))
-                if tgt not in index:
-                    index[tgt] = len(order)
-                    order.append(tgt)
-                    queue.append(tgt)
-                edges.append((s, index[tgt], acc))
-        _, accepting = accepting_components(len(order), edges, self.num_acc_sets)
-        return bool(accepting)
+    if t < 0:
+        raise ValueError("threshold must be nonnegative")
+    return _unfold(*aut._rows, t)
 
 
 def value_on_lasso(aut: CounterAutomaton, word: LassoWord, cap: int):
@@ -365,23 +330,29 @@ def value_on_lasso(aut: CounterAutomaton, word: LassoWord, cap: int):
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    product = _LassoProduct(aut, word)
-    if not product.threshold_ok(0):
+    rows = _lasso_rows(aut, word)
+
+    def reaches(t: int) -> bool:
+        """Is there an accepting run whose every observation is >= t?"""
+        num_configs, edges = _unfold(*rows, t)
+        return bool(accepting_components(num_configs, edges, aut.num_acc_sets)[1])
+
+    if not reaches(0):
         return NO_RUN
-    if not product.threshold_ok(1):
+    if not reaches(1):
         return 0
-    if cap == 1 or product.threshold_ok(cap):
+    if cap == 1 or reaches(cap):
         return ABOVE_CAP
     lo = 1  # highest threshold known to pass; cap is known to fail
     while True:
         hi = min(lo * 2, cap)
-        if hi == cap or not product.threshold_ok(hi):
+        if hi == cap or not reaches(hi):
             break
         lo = hi
     best, a, b = lo, lo + 1, hi - 1
     while a <= b:
         mid = (a + b) // 2
-        if product.threshold_ok(mid):
+        if reaches(mid):
             best = mid
             a = mid + 1
         else:

@@ -2,12 +2,24 @@
 
 The sup side translates the R> formula once and products it with the
 model once.  Each pass then asks whether some model word has a value
-above a threshold n: the product, unfolded with its counters capped at
-n + 1, has an accepting lasso exactly when one does, and the lasso's run
-value is a lower bound on the sup.  The threshold gallops (doubling past
-each value found) until a pass comes back empty, then bisects between the
-best value found and that threshold; the best value is the sup.  A U<=
-formula goes through its R> dual.
+above a threshold n: the product's capped unfolding at n + 1 has an
+accepting lasso exactly when one does, and that lasso, read back as a run
+of the product, has a run value that is a lower bound on the sup.  The
+threshold gallops (doubling past each value found) until a pass comes back
+empty, then bisects between the best value found and that threshold; the
+best value is the sup.  A U<= formula goes through its R> dual.
+
+The default sup cutoff is formula automaton states × model states
+reachable from the model's initial state, which bounds the number of
+product states.  It is sound by pumping.  Take a run whose every counter
+observation exceeds the number of product states.  Between an
+observation and its counter's last reset lie more increments than product
+states, so some product state repeats with an increment in between.
+Repeating that stretch raises the observation.  It lowers no other one: a
+counter reset inside the stretch reads the same values after it, and any
+other counter only gains increments.  Pumping every observation of the
+lasso's stem and loop body this way gives runs of every larger value.  So
+once a value above the cutoff turns up, the sup is infinite.
 
 The inf side instantiates the formula at each threshold in turn,
 translates it, products it with the model and stops at the first
@@ -104,6 +116,11 @@ def _pass(kind, n, phi, model, value, empty=None):
     return row, product
 
 
+def _reachable_states(model: CounterAutomaton) -> int:
+    """The model states reachable from its initial state."""
+    return capped_unfolding(model, 0)[0]
+
+
 def _fish_word(model: CounterAutomaton) -> LassoWord | None:
     hit = find_accepting_lasso(model)
     return None if hit is None else hit[1]
@@ -117,7 +134,8 @@ def compute_sup_bound(
     Formulas in the U<= fragment are answered through the dual search;
     plain LTL works too (the sup is then 0 or unbounded).  Once a word of
     value above `cutoff` turns up (default: formula automaton states times
-    model states) the sup is provably infinite.
+    reachable model states, see the module docstring) the sup is provably
+    infinite.
     """
     if model.num_counters:
         raise ValueError("the model must not carry counters")
@@ -133,7 +151,7 @@ def compute_sup_bound(
 
 def _sup_direct(model, phi, cutoff):
     aut = _pruned(phi)
-    limit = cutoff if cutoff is not None else aut.num_states * model.num_states
+    limit = cutoff if cutoff is not None else aut.num_states * _reachable_states(model)
     product = synchronized_product(aut, model)
     trace: list[IterationStats] = []
     best, best_word = 0, None  # largest value found so far, and its word
@@ -143,15 +161,14 @@ def _sup_direct(model, phi, cutoff):
         # Is there a model word of value > n?  The unfolding keeps the
         # runs of the product whose every observation reaches n + 1.
         unfolded = capped_unfolding(product, n + 1)
-        hit = find_accepting_lasso(unfolded)
+        hit = find_accepting_lasso(product, unfolded)
         p = None
         if hit is not None:
-            p = run_value(hit[0], unfolded)
+            p = run_value(hit[0], product)
             if p <= n:
                 raise RuntimeError(f"run of value {p} accepted at threshold {n + 1}")
         trace.append(IterationStats(
-            "search", n, p, aut.num_states,
-            unfolded.num_states, len(unfolded.transitions),
+            "search", n, p, aut.num_states, unfolded[0], len(unfolded[1]),
             None if hit is None else hit[1],
         ))
         if hit is None:
@@ -225,7 +242,7 @@ def compute_inf_bound(
                 limit = max(
                     1,
                     sizing.num_states
-                    * model.num_states
+                    * _reachable_states(model)
                     * (1 + product.num_acc_sets),
                 )
         del product  # so that two passes' products are never alive at once

@@ -1,84 +1,84 @@
-"""Emptiness and witness search, ignoring counters.
+"""Emptiness and witness search over a capped unfolding.
 
-A counter automaton (viewed as a generalized Buchi automaton) is nonempty
-iff some reachable SCC contains, for every acceptance set, an internal
-transition of that set.  The returned witness is a lasso run: shortest
-stem into such an SCC, then a loop threading one required transition per
-acceptance set.  The search is deterministic for a fixed transition order.
+A counter automaton's runs whose every counter observation is at least t
+form a graph, `capped_unfolding(aut, t)`; at t = 0 counters play no part
+and the graph is the automaton's reachable part, read as a generalized
+Buchi automaton.  That graph has an accepting run iff some SCC contains,
+for every acceptance set, an internal edge of that set.  The returned
+witness is a lasso run of the automaton itself: shortest stem into the
+accepting SCC discovered first, then a loop threading one required edge
+per acceptance set.  The search is deterministic for a fixed transition
+order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .automaton import CounterAutomaton, LassoRun, Transition
+from .automaton import CounterAutomaton, LassoRun, capped_unfolding
 from .graphs import accepting_components
 from .words import LassoWord
 
 
-def find_accepting_lasso(aut: CounterAutomaton) -> tuple[LassoRun, LassoWord] | None:
-    """A lasso run plus the word it reads, or None when the language is empty."""
-    by_src = aut.by_source()
+def find_accepting_lasso(
+    aut: CounterAutomaton, unfolded: tuple[int, list[tuple]] | None = None
+) -> tuple[LassoRun, LassoWord] | None:
+    """A lasso run of aut plus the word it reads, or None when there is none.
 
-    # BFS from the initial state; remember the discovery tree for stems.
-    disc = {aut.init: 0}
-    parent: dict[int, Transition] = {}
-    bfs = deque([aut.init])
-    while bfs:
-        s = bfs.popleft()
-        for t in by_src.get(s, ()):
-            if t.dst not in disc:
-                disc[t.dst] = len(disc)
-                parent[t.dst] = t
-                bfs.append(t.dst)
-
-    edges = [(t.src, t.dst, t.acc) for t in aut.transitions]
-    comp_of, accepting = accepting_components(aut.num_states, edges, aut.num_acc_sets)
-    # Enter the accepting SCC discovered earliest: disc is in BFS order.
-    entry = next((s for s in disc if comp_of[s] in accepting), None)
+    The search runs over `unfolded`, which must be `capped_unfolding(aut,
+    t)` for some t, so that a run found observes every counter at t or
+    more; by default t = 0 and the search ignores counters.
+    """
+    num_configs, edges = capped_unfolding(aut, 0) if unfolded is None else unfolded
+    comp_of, accepting = accepting_components(num_configs, edges, aut.num_acc_sets)
+    # Configurations are numbered in BFS order: enter the accepting SCC
+    # discovered earliest.
+    entry = next((c for c in range(num_configs) if comp_of[c] in accepting), None)
     if entry is None:
         return None
     target = comp_of[entry]
-    stem: list[Transition] = []
-    s = entry
-    while s != aut.init:
-        t = parent[s]
-        stem.append(t)
-        s = t.src
+    # The first edge into a configuration is the one that discovered it.
+    parent: dict[int, tuple] = {}
+    inside: dict[int, list[tuple]] = {}
+    for e in edges:
+        parent.setdefault(e[1], e)
+        if comp_of[e[0]] == target and comp_of[e[1]] == target:
+            inside.setdefault(e[0], []).append(e)
+    stem: list[tuple] = []
+    c = entry
+    while c != 0:
+        e = parent[c]
+        stem.append(e)
+        c = e[0]
     stem.reverse()
 
-    internal = [t for t in aut.transitions if comp_of[t.src] == target and comp_of[t.dst] == target]
-    inside: dict[int, list[Transition]] = {}
-    for t in internal:
-        inside.setdefault(t.src, []).append(t)
-
-    loop: list[Transition] = []
+    loop: list[tuple] = []
     cur = entry
     for i in range(aut.num_acc_sets):
-        if any(i in t.acc for t in loop):
+        if any(i in e[2] for e in loop):
             continue
-        path = _shortest_via(cur, lambda t, i=i: i in t.acc, inside)
+        path = _shortest_via(cur, lambda e, i=i: i in e[2], inside)
         loop.extend(path)
-        cur = path[-1].dst
+        cur = path[-1][1]
     if cur != entry or not loop:
-        loop.extend(_shortest_via(cur, lambda t: t.dst == entry, inside))
-    run = LassoRun(tuple(stem), tuple(loop))
+        loop.extend(_shortest_via(cur, lambda e: e[1] == entry, inside))
+    run = LassoRun(tuple(e[3] for e in stem), tuple(e[3] for e in loop))
     return run, word_of_run(run)
 
 
-def _shortest_via(start: int, want, inside: dict) -> list[Transition]:
-    """Shortest nonempty transition path from start, staying inside the SCC,
-    whose final transition satisfies want."""
+def _shortest_via(start: int, want, inside: dict) -> list[tuple]:
+    """Shortest nonempty edge path from start, staying inside the SCC,
+    whose final edge satisfies want."""
     visited = {start}
     queue = deque([(start, [])])
     while queue:
-        s, path = queue.popleft()
-        for t in inside.get(s, ()):
-            if want(t):
-                return path + [t]
-            if t.dst not in visited:
-                visited.add(t.dst)
-                queue.append((t.dst, path + [t]))
+        c, path = queue.popleft()
+        for e in inside.get(c, ()):
+            if want(e):
+                return path + [e]
+            if e[1] not in visited:
+                visited.add(e[1])
+                queue.append((e[1], path + [e]))
     raise RuntimeError("accepting SCC stopped covering an acceptance set")
 
 

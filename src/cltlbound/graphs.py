@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def tarjan_sccs(num_nodes: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -58,21 +58,21 @@ def tarjan_sccs(num_nodes: int, succ: Sequence[Sequence[int]]) -> list[list[int]
 
 def accepting_components(
     num_nodes: int,
-    edges: Iterable[tuple[int, int, Iterable[int]]],
+    edges: Sequence[tuple],
     num_acc_sets: int,
 ) -> tuple[list[int], set[int]]:
     """Partition into SCCs and pick out the accepting ones.
 
-    edges are (src, dst, acceptance-set-indices) triples.  A component is
-    accepting when it holds at least one internal edge and, for every
-    acceptance set, an internal edge belonging to it; with zero acceptance
-    sets any internal edge qualifies (every infinite run accepts).
+    edges are tuples starting (src, dst, acceptance-set-indices); further
+    fields are ignored.  A component is accepting when it holds at least
+    one internal edge and, for every acceptance set, an internal edge
+    belonging to it; with zero acceptance sets any internal edge qualifies
+    (every infinite run accepts).
     Returns (component id per node, ids of accepting components).
     """
-    edges = list(edges)
     succ: list[list[int]] = [[] for _ in range(num_nodes)]
-    for src, dst, _ in edges:
-        succ[src].append(dst)
+    for e in edges:
+        succ[e[0]].append(e[1])
     comps = tarjan_sccs(num_nodes, succ)
     comp_of = [0] * num_nodes
     for cid, comp in enumerate(comps):
@@ -82,12 +82,12 @@ def accepting_components(
     full = (1 << num_acc_sets) - 1
     internal = [False] * len(comps)
     cover = [0] * len(comps)
-    for src, dst, acc in edges:
-        cid = comp_of[src]
-        if comp_of[dst] != cid:
+    for e in edges:
+        cid = comp_of[e[0]]
+        if comp_of[e[1]] != cid:
             continue
         internal[cid] = True
-        for a in acc:
+        for a in e[2]:
             cover[cid] |= 1 << a
     accepting = {cid for cid in range(len(comps)) if internal[cid] and cover[cid] == full}
     return comp_of, accepting

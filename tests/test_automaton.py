@@ -125,8 +125,11 @@ def _word_model(word, props):
 
 
 def test_capped_unfolding_agrees_with_value_on_lasso():
-    # Over a one-word model the unfolding at t is nonempty exactly when
-    # the word's value reaches t, and the run it finds is worth t or more.
+    # A lasso word is a one-path model.  The lasso front end (behind
+    # value_on_lasso) and the model front end over the product with the
+    # one-word model agree at every threshold: the unfolding at t has a
+    # lasso exactly when the word's value reaches t, and the run found is
+    # a run of the product worth t or more.
     rng = random.Random(43)
     cap = 4
     # a-blocks of every length up to past the cap, then random pairs
@@ -140,17 +143,16 @@ def test_capped_unfolding_agrees_with_value_on_lasso():
     for aut, word in pairs:
         value = value_on_lasso(aut, word, cap)
         product = synchronized_product(aut, _word_model(word, ("a", "b")))
-        for t in range(1, cap + 1):
-            unfolded = capped_unfolding(product, t)
-            hit = find_accepting_lasso(unfolded)
+        for t in range(cap + 1):
+            hit = find_accepting_lasso(product, capped_unfolding(product, t))
             reaches = value is ABOVE_CAP or (value is not NO_RUN and value >= t)
             assert (hit is not None) == reaches, (aut, word, t, value)
             if hit is not None:
-                assert run_value(hit[0], unfolded) >= t
-                nonempty += 1
+                assert run_value(hit[0], product) >= t
+                nonempty += t > 0
     assert nonempty > 50
     with pytest.raises(ValueError):
-        capped_unfolding(block_counter(), 0)
+        capped_unfolding(block_counter(), -1)
 
 
 def test_product_shifts_acceptance_sets():

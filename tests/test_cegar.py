@@ -26,7 +26,7 @@ from cltlbound.oracle import value_inf, value_sup
 from cltlbound.translate import build_counter_automaton
 from cltlbound.words import ABOVE_CAP
 
-from corpus import instantiation_sup, random_formula
+from corpus import instantiation_sup, random_automaton, random_formula
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -224,6 +224,34 @@ def test_sup_cutoff_override():
     assert r.outcome == "unbounded"
     assert r.cutoff == 1
     assert r.iterations <= 2
+
+
+def test_default_sup_cutoff_holds_at_four_times_it():
+    # A value above formula states x reachable model states pumps to any
+    # larger value (see the cegar docstring), so an `unbounded` answer at
+    # the default cutoff must stay `unbounded` when the search may go four
+    # times as far.  Formulas with two counting operators of either kind,
+    # over the fixtures and over random 2-letter models.  The 4x searches
+    # have a heavy tail (seed 29 draws one that takes 5 s alone); this
+    # seed keeps the test near 3 s.
+    rng = random.Random(31)
+    fixtures = [load_model(p) for p in sorted((ROOT / "models").glob("*.model"))]
+    unbounded = 0
+    for _ in range(120):
+        fragment = rng.choice(("CostGT", "CostLE"))
+        phi = random_formula(rng, depth=3, props=("a", "b"), fragment=fragment)
+        while cost_operator_count(phi) != 2:
+            phi = random_formula(rng, depth=3, props=("a", "b"), fragment=fragment)
+        if rng.random() < 0.5:
+            m = rng.choice(fixtures)
+        else:
+            m = random_automaton(rng, max_states=4, max_acc=2, max_counters=0)
+        r = compute_sup_bound(m, phi)
+        if r.outcome == "unbounded":
+            further = compute_sup_bound(m, phi, 4 * r.cutoff)
+            assert further.outcome == "unbounded", (str(phi), m, r.cutoff, further.bound)
+            unbounded += 1
+    assert unbounded >= 25
 
 
 def test_sup_rejections():

@@ -9,6 +9,7 @@ from cltlbound.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 L3 = str(ROOT / "models" / "L3.model")
+L8 = str(ROOT / "models" / "L8.model")
 A_ONLY = str(ROOT / "models" / "a_only.model")
 UNIVERSAL = str(ROOT / "models" / "universal.model")
 
@@ -97,6 +98,48 @@ def test_trace_rows_shape(capsys):
         }
         for r in rows
     )
+
+
+def test_readme_trace_rows(capsys):
+    # the L8 example of the README's --trace bullet, row by row
+    _, data = run_json(
+        capsys, "-f", "G (F<= !a)", "-m", L8, "--mode", "sup", "--trace"
+    )
+    rows = [
+        (r["kind"], r["n"], r["p"], r["automaton_states"],
+         r["product_states"], r["product_transitions"])
+        for r in data["trace"]
+    ]
+    assert rows == [
+        ("search", 0, 1, 3, 29, 66),
+        ("search", 2, 3, 3, 44, 79),
+        ("search", 6, 7, 3, 62, 93),
+        ("search", 14, None, 3, 62, 82),
+        ("search", 10, None, 3, 58, 78),
+        ("search", 8, None, 3, 56, 76),
+        ("search", 7, None, 3, 55, 76),
+    ]
+    assert data["trace"][0]["word"] == "{a} {a} | {a} {} {a} {a}"
+    assert data["bound"] == 8
+
+
+def test_cutoffs_count_reachable_model_states(tmp_path, capsys):
+    # One reachable state among the declared ones: each default cutoff
+    # multiplies by 1, not by the declared count.  G> b's automaton has 2
+    # states; the inf cutoff is 2 (the states of F<= b's dual) x 1 x (1 +
+    # the product's 1 acceptance set).
+    for declared, mode, formula, want in [
+        (1000, "sup", "G> b", (0, "finite", 0, 2)),
+        (2, "inf", "F<= b", (3, "infinite-inf", None, 4)),
+    ]:
+        path = tmp_path / f"unreachable_{declared}.model"
+        path.write_text(
+            f"ap: a b\nstates: {declared}\ninit: 0\naccsets: 1\n"
+            "trans: 0 0 a&!b {0}\n",
+            encoding="utf-8",
+        )
+        code, data = run_json(capsys, "--mode", mode, "-f", formula, "-m", str(path))
+        assert (code, data["outcome"], data["bound"], data["cutoff"]) == want, mode
 
 
 def test_formula_file(tmp_path, capsys):

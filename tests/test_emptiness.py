@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cltlbound import emptiness
 from cltlbound.automaton import TOP_CUBE, CounterAutomaton, LassoRun, Transition
 from cltlbound.emptiness import (
     check_lasso_run,
@@ -113,3 +114,19 @@ def test_agrees_with_naive_decision():
             check_lasso_run(aut, run, word)
             found += 1
     assert found > 30 and empty > 30
+
+
+def test_search_covers_only_reachable_states(monkeypatch):
+    # one reachable state among 100000 declared: the SCC pass sees one node
+    sizes = []
+    real = emptiness.accepting_components
+
+    def counting(num_nodes, edges, num_acc_sets):
+        sizes.append(num_nodes)
+        return real(num_nodes, edges, num_acc_sets)
+
+    monkeypatch.setattr(emptiness, "accepting_components", counting)
+    aut = simple([Transition(0, cube("a"), (), frozenset({0}), 0)], 100000)
+    run, word = find_accepting_lasso(aut)
+    check_lasso_run(aut, run, word)
+    assert sizes == [1]
