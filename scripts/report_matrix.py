@@ -5,13 +5,13 @@
 
 Each line holds the query's argv, its exit code, its standard error and
 every field of its `--json` report except `seconds`, which differs from
-run to run.  The queries are the README examples, 8 sup formulas over
-every fixture model with `--witness --trace --oracle-check`, and 3 inf
-formulas over every fixture except L2 (whose inf searches are slow) with
-the same flags.  The script imports the package from the `src` directory
-next to it and runs from the repository root, so running the copy in
-another checkout and diffing the two outputs compares the two trees'
-behaviour query by query.
+run to run.  The queries are the README examples, four queries over L3
+with a user `--cutoff` below the sound one, 8 sup formulas over every
+fixture model and 3 inf formulas over every fixture, all but the README
+examples with `--witness --trace --oracle-check`.  The script imports
+the package from the `src` directory next to it and runs from the
+repository root, so running the copy in another checkout and diffing the
+two outputs compares the two trees' behaviour query by query.
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ README = [
     ["--mode", "sup", "-f", "G (F<= !a)", "-m", "models/L8.model", "--trace"],
 ]
 
+CUTOFFS = [
+    ["--mode", "sup", "-f", "G> a", "-m", "models/L3.model", "--cutoff", "0"],
+    ["--mode", "sup", "-f", "G> a", "-m", "models/L3.model", "--cutoff", "1"],
+    ["--mode", "sup", "-f", "G (F<= !a)", "-m", "models/L3.model", "--cutoff", "1"],
+    ["--mode", "inf", "-f", "F<= a", "-m", "models/L3.model", "--cutoff", "0"],
+]
+
 SUP_FORMULAS = [
     "G (F<= !a)", "G> a", "G> !a", "F<= !a", "F a", "X (G> a)",
     "(F<= !a) | G a", "(G> a) & F (G> !a)",
@@ -45,14 +52,11 @@ FLAGS = ["--witness", "--trace", "--oracle-check"]
 
 def queries() -> list[list[str]]:
     models = sorted(f"models/{name}" for name in os.listdir(os.path.join(ROOT, "models")))
-    out = list(README)
+    out = README + [[*argv, *FLAGS] for argv in CUTOFFS]
     for phi in SUP_FORMULAS:
         out += [["--mode", "sup", "-f", phi, "-m", m, *FLAGS] for m in models]
     for phi in INF_FORMULAS:
-        out += [
-            ["--mode", "inf", "-f", phi, "-m", m, *FLAGS]
-            for m in models if m != "models/L2.model"
-        ]
+        out += [["--mode", "inf", "-f", phi, "-m", m, *FLAGS] for m in models]
     return out
 
 

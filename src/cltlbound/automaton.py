@@ -11,7 +11,10 @@ at t or more.  One unfolding engine answers it, with counters capped at
 t, for two front ends that feed it the same integer rows: a whole
 automaton (`capped_unfolding`, which the sup search runs on the formula ×
 model product) and an automaton read along one lasso word
-(`value_on_lasso`).
+(`value_on_lasso`).  The same engine, with counters bounded instead of
+capped, keeps the runs whose every counter stays at n or below
+(`bounded_unfolding`, which the inf search runs on the product of a U<=
+automaton): a run's value is then its largest counter value.
 """
 
 from __future__ import annotations
@@ -123,13 +126,23 @@ class CounterAutomaton:
 
     @cached_property
     def _rows(self):
-        """The model front end of `capped_unfolding`, built once: nodes are
-        the states, rows come in `by_source` order."""
-        num_slots, ops = _counter_ops(self)
-        succ: dict[int, list[tuple]] = {}
-        for tr in self.transitions:
-            succ.setdefault(tr.src, []).append((tr.dst, tr.acc, ops(tr.actions), tr))
-        return succ, self.init, num_slots
+        """The model front end of `capped_unfolding`, built once."""
+        return _model_rows(self, bounded=False)
+
+    @cached_property
+    def _bounded_rows(self):
+        """The model front end of `bounded_unfolding`, built once."""
+        return _model_rows(self, bounded=True)
+
+
+def _model_rows(aut: CounterAutomaton, bounded: bool):
+    """The model front end: nodes are the states, rows come in `by_source`
+    order."""
+    num_slots, ops = _counter_ops(aut, bounded)
+    succ: dict[int, list[tuple]] = {}
+    for tr in aut.transitions:
+        succ.setdefault(tr.src, []).append((tr.dst, tr.acc, ops(tr.actions), tr))
+    return succ, aut.init, num_slots
 
 
 def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAutomaton:
@@ -171,25 +184,33 @@ def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAut
     )
 
 
-def _counter_ops(aut: CounterAutomaton):
+def _counter_ops(aut: CounterAutomaton, bounded: bool = False):
     """The number of counters a threshold test tracks, and a compiler of a
     transition's actions into (slot, action char) ops on them.
 
-    Only observed counters are tracked: a never-observed counter is never
-    tested.  A never-incremented one stays at 0, so its observations fail
-    at every positive threshold.
+    Capped, only observed counters are tracked: a never-observed counter is
+    never tested.  A never-incremented one stays at 0, so its observations
+    fail at every positive threshold.  Bounded, only incremented counters
+    are tracked, since only an increment can push a counter past the
+    bound, and observations play no part.
     """
-    observed = sorted(
-        {c for tr in aut.transitions for c, acts in enumerate(tr.actions) if "o" in acts}
+    key = "i" if bounded else "o"
+    tracked = sorted(
+        {c for tr in aut.transitions for c, acts in enumerate(tr.actions) if key in acts}
     )
-    slot = {c: i for i, c in enumerate(observed)}
+    slot = {c: i for i, c in enumerate(tracked)}
+    kept = "ir" if bounded else "ior"
     compiled: dict[tuple[str, ...], tuple[tuple[int, str], ...]] = {}
 
     def ops(actions: tuple[str, ...]) -> tuple[tuple[int, str], ...]:
         got = compiled.get(actions)
         if got is None:
             got = compiled[actions] = tuple(
-                (slot[c], ch) for c, acts in enumerate(actions) if c in slot for ch in acts
+                (slot[c], ch)
+                for c, acts in enumerate(actions)
+                if c in slot
+                for ch in acts
+                if ch in kept
             )
         return got
 
@@ -257,32 +278,42 @@ def _lasso_rows(aut: CounterAutomaton, word: LassoWord):
 
 
 def _unfold(
-    succ: dict[int, list[tuple]], init: int, num_slots: int, t: int
+    succ: dict[int, list[tuple]],
+    init: int,
+    num_slots: int,
+    t: int,
+    bounded: bool = False,
 ) -> tuple[int, list[tuple]]:
     """The unfolding engine behind both front ends.
 
     A configuration pairs a node with the tracked counter values capped at
     t (larger values behave identically for a threshold test), and an edge
     that observes a value below t is dropped.  At t = 0 every observation
-    passes, so no counter is tracked.  Returns the number of
-    configurations and the edges (src, dst, acceptance sets, transition).
-    Configurations are numbered in BFS order from the initial one, and the
-    edges come out source by source in that order, each source's in row
-    order, so the first edge into a configuration is its BFS parent.
+    passes, so no counter is tracked.  Bounded, an edge that would
+    increment a counter past t is dropped instead, at t = 0 too.  Returns
+    the number of configurations and the edges (src, dst, acceptance sets,
+    transition).  Configurations are numbered in BFS order from the
+    initial one, and the edges come out source by source in that order,
+    each source's in row order, so the first edge into a configuration is
+    its BFS parent.
     """
-    start = (init, (0,) * num_slots if t else ())
+    track = bool(t or bounded)
+    start = (init, (0,) * num_slots if track else ())
     index = {start: 0}
     order = [start]
     edges = []
     for s, (node, vals) in enumerate(order):
         for dst, acc, ops, tr in succ.get(node, ()):
-            if t and ops:
+            if track and ops:
                 new = list(vals)
                 passed = True
                 for c, ch in ops:
                     if ch == "i":
                         if new[c] < t:
                             new[c] += 1
+                        elif bounded:
+                            passed = False
+                            break
                     elif ch == "r":
                         new[c] = 0
                     elif new[c] < t:  # "o"
@@ -314,6 +345,19 @@ def capped_unfolding(aut: CounterAutomaton, t: int) -> tuple[int, list[tuple]]:
     if t < 0:
         raise ValueError("threshold must be nonnegative")
     return _unfold(*aut._rows, t)
+
+
+def bounded_unfolding(aut: CounterAutomaton, n: int) -> tuple[int, list[tuple]]:
+    """The runs of aut whose every counter stays at n or below, as a graph
+    whose acceptance alone decides them.
+
+    Same output as `capped_unfolding`; a configuration pairs a state with
+    the values of the incremented counters, and every edge that would push
+    one past n is dropped.  Observations play no part.
+    """
+    if n < 0:
+        raise ValueError("bound must be nonnegative")
+    return _unfold(*aut._bounded_rows, n, bounded=True)
 
 
 def value_on_lasso(aut: CounterAutomaton, word: LassoWord, cap: int):

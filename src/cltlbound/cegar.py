@@ -21,9 +21,26 @@ other counter only gains increments.  Pumping every observation of the
 lasso's stem and loop body this way gives runs of every larger value.  So
 once a value above the cutoff turns up, the sup is infinite.
 
-The inf side instantiates the formula at each threshold in turn,
-translates it, products it with the model and stops at the first
-nonempty product.
+A user cutoff below that default proves nothing: a value above it ends
+the search with the outcome `cutoff-reached`, not `unbounded`.  A user
+cutoff at or above the default only caps the work.
+
+The inf side also translates once and products once.  The U<= automaton
+counts, per occurrence, the failures of its left operand (see
+`translate`), and a word's value is the least n for which some accepting
+run keeps every counter at n or below.  So the inf is the least n whose
+bounded unfolding of the product has an accepting lasso.  First comes a
+Streett check on the product itself: a run keeps its counters bounded iff
+each counter it increments infinitely often it also resets infinitely
+often, and `graphs.bounded_components` decides that by SCC refinement.
+No surviving component proves `infinite-inf` exactly, with no cutoff.
+Otherwise the check returns a lasso whose loop resets every counter it
+increments, so its counters stay at or below some U, and the bounded
+unfolding at U is nonempty.  That is why the search terminates:
+n gallops 0, 1, 2, 4, ... below U until an unfolding is nonempty, then
+bisects between the last empty n and the least value found.  A user
+cutoff caps n; an empty unfolding at the cutoff ends the search with
+`cutoff-reached` (the inf is finite, and above the cutoff).
 """
 
 from __future__ import annotations
@@ -34,10 +51,11 @@ from dataclasses import dataclass
 from .automaton import (
     CounterAutomaton,
     LassoRun,
+    bounded_unfolding,
     capped_unfolding,
     synchronized_product,
 )
-from .emptiness import check_lasso_run, find_accepting_lasso
+from .emptiness import check_lasso_run, find_accepting_lasso, find_bounded_lasso
 from .formula import (
     COST_LE,
     LTL,
@@ -54,9 +72,9 @@ from .words import LassoWord
 
 @dataclass(frozen=True)
 class IterationStats:
-    kind: str  # "search" or "probe"
-    n: int  # threshold checked in this pass
-    p: int | float | None  # value shown by the pass, None when a search found no run
+    kind: str  # "search", "probe" or "streett"
+    n: int | None  # threshold checked in this pass; None on the Streett row
+    p: int | float | None  # value shown by the pass, None when it found no run
     automaton_states: int
     product_states: int
     product_transitions: int
@@ -65,10 +83,10 @@ class IterationStats:
 
 @dataclass(frozen=True)
 class BoundResult:
-    outcome: str  # "finite" | "unbounded" | "infinite-inf"
+    outcome: str  # "finite" | "unbounded" | "infinite-inf" | "cutoff-reached"
     bound: int | None
     witness: LassoWord | None
-    cutoff: int
+    cutoff: int | None  # None for an inf search without a user cutoff
     trace: tuple[IterationStats, ...]
 
     @property
@@ -97,23 +115,31 @@ def run_value(run: LassoRun, aut: CounterAutomaton) -> int | float:
     return best
 
 
+def run_peak(run: LassoRun, aut: CounterAutomaton) -> int:
+    """Largest counter value an accepting run reaches: its value under the
+    bounded reading of a U<= automaton.
+
+    Two passes over the loop suffice when the loop resets every counter it
+    increments, as the runs the inf search finds do: from the second pass
+    on, the values repeat.
+    """
+    check_lasso_run(aut, run)
+    vals = [0] * aut.num_counters
+    peak = 0
+    for t in run.stem + run.loop + run.loop:
+        for c, act in enumerate(t.actions):
+            if act == "i":
+                vals[c] += 1
+                peak = max(peak, vals[c])
+            elif "r" in act:
+                vals[c] = 0
+    return peak
+
+
 def _pruned(phi: Formula) -> CounterAutomaton:
-    return prune_dominated(build_counter_automaton(phi))
-
-
-def _pass(kind, n, phi, model, value, empty=None):
-    """One pass of a search: translate phi, product it with the model and
-    look for an accepting lasso.  Returns the pass's trace row and the
-    product; the row's p is value(run, product) for a found run and
-    `empty` when the product is empty."""
-    aut = _pruned(phi)
-    product = synchronized_product(aut, model)
-    hit = find_accepting_lasso(product)
-    p, word = (empty, None) if hit is None else (value(hit[0], product), hit[1])
-    row = IterationStats(
-        kind, n, p, aut.num_states, product.num_states, len(product.transitions), word
+    return prune_dominated(
+        build_counter_automaton(phi), inf=classify_fragment(phi) == COST_LE
     )
-    return row, product
 
 
 def _reachable_states(model: CounterAutomaton) -> int:
@@ -151,7 +177,8 @@ def compute_sup_bound(
 
 def _sup_direct(model, phi, cutoff):
     aut = _pruned(phi)
-    limit = cutoff if cutoff is not None else aut.num_states * _reachable_states(model)
+    sound = aut.num_states * _reachable_states(model)
+    limit = sound if cutoff is None else cutoff
     product = synchronized_product(aut, model)
     trace: list[IterationStats] = []
     best, best_word = 0, None  # largest value found so far, and its word
@@ -174,7 +201,8 @@ def _sup_direct(model, phi, cutoff):
         if hit is None:
             ceiling = n
         elif p > limit:
-            return BoundResult("unbounded", None, hit[1], limit, tuple(trace))
+            outcome = "unbounded" if limit >= sound else "cutoff-reached"
+            return BoundResult(outcome, None, hit[1], limit, tuple(trace))
         else:
             best, best_word = p, hit[1]
         # Gallop past each value found until a test comes back empty, then
@@ -192,7 +220,7 @@ def _sup_direct(model, phi, cutoff):
 
 def _sup_via_dual(model, phi, cutoff):
     inner = _sup_direct(model, negate_dual(phi), cutoff)
-    if inner.outcome == "unbounded":
+    if inner.outcome != "finite":
         return inner
     if inner.bound >= 1:
         return BoundResult(
@@ -200,11 +228,14 @@ def _sup_via_dual(model, phi, cutoff):
         )
     # A dual sup of 0 covers values 0 and 1 alike; one emptiness probe of
     # not(phi[0]) against the model separates them.
-    row = _pass(
-        "probe", 0, negate_dual(instantiate(phi, 0)), model,
-        lambda *_: 1, empty=0,
-    )[0]
-    word = inner.witness if row.word is None else row.word
+    aut = _pruned(negate_dual(instantiate(phi, 0)))
+    product = synchronized_product(aut, model)
+    hit = find_accepting_lasso(product)
+    row = IterationStats(
+        "probe", 0, 0 if hit is None else 1, aut.num_states, product.num_states,
+        len(product.transitions), None if hit is None else hit[1],
+    )
+    word = inner.witness if hit is None else hit[1]
     return BoundResult("finite", row.p, word, inner.cutoff, inner.trace + (row,))
 
 
@@ -213,39 +244,47 @@ def compute_inf_bound(
 ) -> BoundResult:
     """inf of the value of phi over the model's language.
 
-    Scans thresholds upward until the language of phi[n] meets the model;
-    an all-empty scan up to the cutoff means every value is infinite.
+    Translates phi once, products it with the model, runs the Streett
+    check and then gallops over the product's bounded unfolding (see the
+    module docstring).  No cutoff is needed; a user `cutoff` caps the
+    thresholds tried.
     """
     if model.num_counters:
         raise ValueError("the model must not carry counters")
     if cutoff is not None and cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    frag = classify_fragment(phi)
-    if frag not in (LTL, COST_LE):
+    if classify_fragment(phi) not in (LTL, COST_LE):
         raise FragmentError("inf bounds apply to the U<= fragment")
-    trace: list[IterationStats] = []
-    limit = cutoff
-    n = 0
-    while True:
-        if limit is not None and n >= limit:
-            return BoundResult("infinite-inf", None, None, limit, tuple(trace))
-        row, product = _pass("search", n, instantiate(phi, n), model, lambda *_: n)
-        trace.append(row)
-        if limit is None:
-            if frag == LTL:
-                # phi[n] does not depend on n; one check decides.
-                limit = 1
-            else:
-                # Pumping keeps some finite value below this product size,
-                # so a scan this long with no hit leaves only infinity.
-                sizing = _pruned(negate_dual(phi))
-                limit = max(
-                    1,
-                    sizing.num_states
-                    * _reachable_states(model)
-                    * (1 + product.num_acc_sets),
-                )
-        del product  # so that two passes' products are never alive at once
-        if row.word is not None:
-            return BoundResult("finite", n, row.word, limit, tuple(trace))
-        n += 1
+    aut = _pruned(phi)
+    product = synchronized_product(aut, model)
+    unfolded = capped_unfolding(product, 0)
+    hit = find_bounded_lasso(product, unfolded)
+    hi, word = (None, None) if hit is None else (run_peak(hit[0], product), hit[1])
+    trace = [IterationStats(
+        "streett", None, hi, aut.num_states, unfolded[0], len(unfolded[1]), word
+    )]
+    if hit is None:
+        return BoundResult("infinite-inf", None, None, cutoff, tuple(trace))
+    # The least nonempty n lies in (lo, hi]: the unfolding at lo is empty
+    # (lo = -1 says nothing yet) and a run of value hi is known.
+    lo, n = -1, 0
+    while lo + 1 < hi:
+        if cutoff is not None and lo >= cutoff:
+            return BoundResult("cutoff-reached", None, None, cutoff, tuple(trace))
+        unfolded = bounded_unfolding(product, n)
+        hit = find_accepting_lasso(product, unfolded)
+        p = None if hit is None else run_peak(hit[0], product)
+        trace.append(IterationStats(
+            "search", n, p, aut.num_states, unfolded[0], len(unfolded[1]),
+            None if hit is None else hit[1],
+        ))
+        if hit is None:
+            lo = n
+        else:
+            hi, word = p, hit[1]
+        # Gallop, but never past the middle of the bracket: once a run
+        # turns up at n, hi <= n and the middle wins, so this bisects.
+        n = min(max(1, 2 * n), (lo + hi) // 2)
+        if cutoff is not None:
+            n = min(n, cutoff)
+    return BoundResult("finite", hi, word, cutoff, tuple(trace))

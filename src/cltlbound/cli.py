@@ -6,7 +6,9 @@ as `key: value` lines, or as JSON with --json; both renderings carry the
 same fields.
 
 Exit codes: 0 finite bound or computed value, 1 usage or input error,
-2 unbounded, 3 infinite inf, 4 oracle cross-check mismatch.  Exit 1 also
+2 unbounded, 3 infinite inf, 4 oracle cross-check mismatch, 5 cutoff
+reached: a user --cutoff stopped the search before a proof (a sup value
+above a cutoff below the sound one, or an inf above the cutoff).  Exit 1 also
 covers an internal error (RecursionError, MemoryError or RuntimeError),
 reported as `error: internal error: <Type>: <message>` so that a bug is
 not taken for bad input.
@@ -157,8 +159,9 @@ def _check_bound(mode: str, phi, result: BoundResult) -> str:
         if got is ABOVE_CAP or got != want:
             return f"mismatch: witness value {got!r}, expected {want}"
         return "ok"
-    # Unbounded: the last pass accepted the witness at threshold n, which
-    # certifies a value beyond n on the matching side.
+    # Unbounded, or a sup past a user cutoff: the last pass accepted the
+    # witness at threshold n, which certifies a value beyond n on the
+    # matching side.
     t = result.trace[-1].n + 1
     if frag == COST_LE:
         got = oracle.value_inf(phi, witness, t)
@@ -222,7 +225,9 @@ def _run_bound(args, phi) -> tuple[dict[str, Any], int]:
         fields["witness"] = None if result.witness is None else str(result.witness)
     if args.trace:
         fields["trace"] = _trace_rows(result)
-    code = {"finite": 0, "unbounded": 2, "infinite-inf": 3}[result.outcome]
+    code = {"finite": 0, "unbounded": 2, "infinite-inf": 3, "cutoff-reached": 5}[
+        result.outcome
+    ]
     if args.oracle_check:
         verdict = _check_bound(args.mode, phi, result)
         fields["oracle"] = verdict

@@ -295,11 +295,11 @@ def _unfold(left: Formula, right: Formula, n: int) -> Formula:
     return out
 
 
-def until_subformulas(phi: Formula) -> tuple[Until, ...]:
-    """Distinct Until subformulas, in depth-first discovery order."""
-    seen: list[Until] = []
+def until_subformulas(phi: Formula) -> tuple[Until | CostUntil, ...]:
+    """Distinct Until and U<= subformulas, in depth-first discovery order."""
+    seen: list[Until | CostUntil] = []
     for f in subformulas(phi):
-        if isinstance(f, Until) and f not in seen:
+        if isinstance(f, (Until, CostUntil)) and f not in seen:
             seen.append(f)
     return tuple(seen)
 

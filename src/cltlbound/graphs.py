@@ -91,3 +91,71 @@ def accepting_components(
             cover[cid] |= 1 << a
     accepting = {cid for cid in range(len(comps)) if internal[cid] and cover[cid] == full}
     return comp_of, accepting
+
+
+def bounded_components(
+    edges: Sequence[tuple],
+    num_acc_sets: int,
+    marks: Sequence[tuple[int, int]],
+) -> list[list[int]]:
+    """The Streett check: accepting components in which every counter an
+    edge increments is also reset by an edge.
+
+    edges are tuples starting (src, dst, acceptance-set-indices), and
+    marks[k] holds the (increments, resets) counter bitmasks of edge k.  A
+    run keeps its counters bounded iff each counter it increments
+    infinitely often it also resets infinitely often: a Streett condition.
+    Components are refined as Emerson and Lei do it (see also Henzinger and
+    Telle, "Faster algorithms for the nonemptiness of Streett automata",
+    1996): in an accepting component that increments a counter it never
+    resets, no bounded run uses those increments forever, so the edges
+    making them are dropped and the rest is split into components again.
+    Each round drops at least one counter from a component, so there are
+    at most one more rounds than counters.
+
+    Returns each surviving component as the indices of its internal
+    edges; the list is empty iff no accepting run keeps every counter
+    bounded.
+    """
+    full = (1 << num_acc_sets) - 1
+    good: list[list[int]] = []
+    work: list[Sequence[int]] = [range(len(edges))]
+    while work:
+        for comp in _split(work.pop(), edges):
+            incs = resets = cover = 0
+            for k in comp:
+                incs |= marks[k][0]
+                resets |= marks[k][1]
+                for a in edges[k][2]:
+                    cover |= 1 << a
+            if cover != full:
+                continue  # dropping edges never covers more sets
+            bad = incs & ~resets
+            if bad:
+                work.append([k for k in comp if not marks[k][0] & bad])
+            else:
+                good.append(comp)
+    return good
+
+
+def _split(ids: Sequence[int], edges: Sequence[tuple]) -> list[list[int]]:
+    """The SCCs of the subgraph made of the edges ids, each as the ids of
+    its internal edges; components without one are left out."""
+    local: dict[int, int] = {}
+    succ: list[list[int]] = []
+    for k in ids:
+        for v in edges[k][:2]:
+            if v not in local:
+                local[v] = len(succ)
+                succ.append([])
+        succ[local[edges[k][0]]].append(local[edges[k][1]])
+    comp_of = [0] * len(succ)
+    for cid, comp in enumerate(tarjan_sccs(len(succ), succ)):
+        for v in comp:
+            comp_of[v] = cid
+    groups: dict[int, list[int]] = {}
+    for k in ids:
+        cid = comp_of[local[edges[k][0]]]
+        if comp_of[local[edges[k][1]]] == cid:
+            groups.setdefault(cid, []).append(k)
+    return list(groups.values())

@@ -26,6 +26,18 @@ demanded once keep a single counter and never pay for the pair.
 
 Counter ids on epsilon edges are signed occurrence labels: label i for
 the occurrence's own counter, -i for its partner.
+
+A U<= occurrence `l U<= r` counts the failures of l before r arrives on
+one counter: it rewrites to {r} with a reset, to {l, X(l U<= r)} with no
+action, or to {X(l U<= r)} with an increment (a tolerated failure), and
+its acceptance set, like an Until's, forces r to arrive.  It needs no
+counter pair.  A copy demanded again while one is running merges into it
+by set semantics, and the merge is exact: both copies wait for the same
+first r, and the older copy's count, which includes the younger's
+failures, is the larger.  Such an automaton is read with bounded
+counters: a run's value is the largest counter value it reaches
+(`automaton.bounded_unfolding`), where an R> automaton's is its least
+observation (`automaton.capped_unfolding`).
 """
 
 from __future__ import annotations
@@ -36,8 +48,7 @@ from functools import lru_cache
 
 from .automaton import CounterAutomaton, Cube, Transition
 from .formula import (
-    COST_GT,
-    LTL,
+    MIXED,
     And,
     CostRelease,
     CostUntil,
@@ -229,7 +240,13 @@ def reduce_state(state: StateSet) -> list[EpsilonEdge]:
             edge({psi.right, Carry(psi)}),
         ]
     elif isinstance(psi, CostUntil):
-        raise FragmentError("U<= does not translate directly; use the dual route")
+        if psi.counter is None:
+            raise ValueError("U<= needs a counter label before reduction")
+        raw = [
+            edge({psi.right}, counter=psi.counter, action="r"),
+            edge({psi.left, Next(psi)}, postponed=psi),
+            edge({Next(psi)}, counter=psi.counter, action="i", postponed=psi),
+        ]
     else:
         raise TypeError(f"unexpected member {psi!r}")
     return [e for e in raw if e is not None]
@@ -287,11 +304,11 @@ def _cube_of(state: StateSet) -> Cube:
 def _paired_occurrences(phi: Formula) -> frozenset:
     """Labels of R> occurrences that some enclosing operator can demand
     again while an earlier copy is still running; only these need the
-    second counter."""
+    second counter.  A U<= occurrence never does (see above)."""
     out = set()
 
     def walk(f: Formula, multi: bool) -> None:
-        if isinstance(f, (CostUntil, CostRelease)) and multi and f.counter is not None:
+        if isinstance(f, CostRelease) and multi and f.counter is not None:
             out.add(_occ(f))
         if isinstance(f, Until):
             walk(f.left, True)
@@ -299,7 +316,7 @@ def _paired_occurrences(phi: Formula) -> frozenset:
         elif isinstance(f, Release):
             walk(f.left, multi)
             walk(f.right, True)
-        elif isinstance(f, (CostRelease, CostUntil)):
+        elif isinstance(f, CostRelease):
             walk(f.left, True)
             walk(f.right, True)
         elif isinstance(f, Next):
@@ -347,12 +364,12 @@ def _step_letter(endpoint: StateSet):
 
 
 def build_counter_automaton(phi: Formula) -> CounterAutomaton:
-    """Translate an R>-fragment (or plain LTL) formula to a sup-semantics
+    """Translate a U<=-fragment, R>-fragment or plain LTL formula to a
     counter automaton; unreachable states and states that cannot reach an
-    accepting cycle are removed."""
-    frag = classify_fragment(phi)
-    if frag not in (COST_GT, LTL):
-        raise FragmentError("translation takes the R> fragment (or plain LTL)")
+    accepting cycle are removed.  The caller reads an R> automaton with
+    capped counters and a U<= automaton with bounded ones (see above)."""
+    if classify_fragment(phi) == MIXED:
+        raise FragmentError("cannot translate a formula mixing U<= and R>")
     phi = label_counters(phi)
     labels = cost_operator_count(phi)
     paired = _paired_occurrences(phi)
@@ -460,18 +477,23 @@ def _live_slice(num_states, init, transitions, num_acc_sets):
     return len(keep), renumber[init], kept
 
 
-def _action_dominates(strong: str, weak: str) -> bool:
-    # Increment beats skip for sup semantics; observe-reset and the window
-    # hand-off reset compare to nothing but themselves.
+def _action_dominates(strong: str, weak: str, inf: bool) -> bool:
+    # Where a run is worth its least observation (sup), an increment beats
+    # a skip; where it is worth its largest counter value (inf), a skip
+    # beats an increment.  Resets compare to nothing but themselves.
     if strong == weak:
         return True
-    return strong == "i" and weak == ""
+    return (strong, weak) == (("", "i") if inf else ("i", ""))
 
 
-def prune_dominated(aut: CounterAutomaton) -> CounterAutomaton:
+def prune_dominated(aut: CounterAutomaton, inf: bool = False) -> CounterAutomaton:
     """Drop transitions dominated by a sibling with the same endpoints and
     acceptance, a subsuming cube, and per-counter actions at least as
-    strong.  Values under sup semantics are preserved."""
+    strong.  Values are preserved: with inf False under the capped reading
+    of an R> automaton, with inf True under the bounded reading of a U<=
+    automaton.  The sup rule would change a U<= automaton's values: on
+    `a U<= b` it drops the skip edge {a, X} in favour of the increment
+    edge {X}, whose cube is wider, and every a before b then costs 1."""
     deduped: list[Transition] = []
     seen = set()
     for t in aut.transitions:
@@ -487,7 +509,7 @@ def prune_dominated(aut: CounterAutomaton) -> CounterAutomaton:
         dominated = any(
             s != t
             and s.cube.subsumes(t.cube)
-            and all(_action_dominates(x, y) for x, y in zip(s.actions, t.actions))
+            and all(_action_dominates(x, y, inf) for x, y in zip(s.actions, t.actions))
             for s in siblings
         )
         if not dominated:

@@ -9,11 +9,18 @@ from __future__ import annotations
 
 import random
 
-from cltlbound.automaton import CounterAutomaton, Cube, Transition, synchronized_product
+from cltlbound.automaton import (
+    CounterAutomaton,
+    Cube,
+    Transition,
+    capped_unfolding,
+    synchronized_product,
+)
 from cltlbound.cegar import BoundResult, IterationStats, run_value
 from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.formula import (
     FALSE,
+    LTL,
     TRUE,
     And,
     Formula,
@@ -24,7 +31,9 @@ from cltlbound.formula import (
     Until,
     CostRelease,
     CostUntil,
+    classify_fragment,
     instantiate,
+    negate_dual,
 )
 from cltlbound.oracle import eval_ltl_on_lasso
 from cltlbound.translate import build_counter_automaton, prune_dominated
@@ -108,6 +117,18 @@ def random_automaton(
         transitions=tuple(transitions),
         ap=tuple(props),
     )
+
+
+def word_model(word: LassoWord, props) -> CounterAutomaton:
+    """The one-word automaton reading exactly the lasso word."""
+    total = len(word.prefix) + len(word.cycle)
+    transitions = []
+    for pos in range(total):
+        letter = word.letter(pos)
+        nxt = pos + 1 if pos + 1 < total else len(word.prefix)
+        letter_cube = Cube(frozenset(letter), frozenset(props) - letter)
+        transitions.append(Transition(pos, letter_cube, (), frozenset(), nxt))
+    return CounterAutomaton(total, 0, 0, 0, tuple(transitions), ap=tuple(props))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +275,15 @@ def instantiation_sup(model: CounterAutomaton, phi: Formula, cutoff: int | None 
     instantiation route: per threshold n, translate phi & phi[n+1] afresh,
     product it with the model and look for an accepting lasso; a found run
     raises n to its value (conjoining phi keeps phi's counters in the
-    product), an empty product certifies n.  Same cutoff rule and result
-    shape as `compute_sup_bound`, which tests compare against it."""
+    product), an empty product certifies n.  Same cutoff rule (a value past
+    a cutoff below formula states x model states is `cutoff-reached`) and
+    result shape as `compute_sup_bound`, which tests compare against it."""
 
     def pruned(f):
         return prune_dominated(build_counter_automaton(f))
 
-    limit = cutoff if cutoff is not None else pruned(phi).num_states * model.num_states
+    sound = pruned(phi).num_states * model.num_states
+    limit = sound if cutoff is None else cutoff
     trace = []
     n = 0
     last_word = None
@@ -279,9 +302,49 @@ def instantiation_sup(model: CounterAutomaton, phi: Formula, cutoff: int | None 
                 last_word = None if any_word is None else any_word[1]
             return BoundResult("finite", n, last_word, limit, tuple(trace))
         if p > limit:
-            return BoundResult("unbounded", None, word, limit, tuple(trace))
+            outcome = "unbounded" if limit >= sound else "cutoff-reached"
+            return BoundResult(outcome, None, word, limit, tuple(trace))
         n = p
         last_word = word
+
+
+def instantiation_inf(model: CounterAutomaton, phi: Formula, cutoff: int | None = None) -> BoundResult:
+    """inf of a U<= or plain LTL formula over the model by the paper's
+    instantiation route: for n = 0, 1, ... translate phi[n] afresh, product
+    it with the model and stop at the first nonempty product, whose n is
+    the inf.  A scan of n = 0 .. cutoff - 1 that finds nothing reports
+    `infinite-inf`; the default cutoff is 1 for plain LTL (phi[n] does not
+    depend on n) and otherwise the pumping size dual states x reachable
+    model states x (1 + the product's acceptance sets).  `compute_inf_bound`
+    replaced this route, and tests compare against it."""
+
+    def pruned(f):
+        return prune_dominated(build_counter_automaton(f))
+
+    trace = []
+    limit = cutoff
+    n = 0
+    while True:
+        if limit is not None and n >= limit:
+            return BoundResult("infinite-inf", None, None, limit, tuple(trace))
+        aut = pruned(instantiate(phi, n))
+        product = synchronized_product(aut, model)
+        hit = find_accepting_lasso(product)
+        word = None if hit is None else hit[1]
+        trace.append(IterationStats(
+            "search", n, None if hit is None else n, aut.num_states,
+            product.num_states, len(product.transitions), word,
+        ))
+        if limit is None:
+            if classify_fragment(phi) == LTL:
+                limit = 1
+            else:
+                sizing = pruned(negate_dual(phi))
+                reachable = capped_unfolding(model, 0)[0]
+                limit = max(1, sizing.num_states * reachable * (1 + product.num_acc_sets))
+        if word is not None:
+            return BoundResult("finite", n, word, limit, tuple(trace))
+        n += 1
 
 
 def instantiation_value_inf(phi: Formula, word: LassoWord, cap: int):

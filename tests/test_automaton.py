@@ -16,7 +16,7 @@ from cltlbound.cegar import run_value
 from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.words import ABOVE_CAP, NO_RUN, parse_lasso
 
-from corpus import naive_accepts, random_automaton, random_lasso
+from corpus import naive_accepts, random_automaton, random_lasso, word_model
 
 
 def cube(text):
@@ -112,18 +112,6 @@ def test_product_against_membership_brute():
     assert checked == 600
 
 
-def _word_model(word, props):
-    """The one-word automaton reading exactly the lasso word."""
-    total = len(word.prefix) + len(word.cycle)
-    transitions = []
-    for pos in range(total):
-        letter = word.letter(pos)
-        nxt = pos + 1 if pos + 1 < total else len(word.prefix)
-        letter_cube = Cube(frozenset(letter), frozenset(props) - letter)
-        transitions.append(Transition(pos, letter_cube, (), frozenset(), nxt))
-    return CounterAutomaton(total, 0, 0, 0, tuple(transitions), ap=tuple(props))
-
-
 def test_capped_unfolding_agrees_with_value_on_lasso():
     # A lasso word is a one-path model.  The lasso front end (behind
     # value_on_lasso) and the model front end over the product with the
@@ -142,7 +130,7 @@ def test_capped_unfolding_agrees_with_value_on_lasso():
     nonempty = 0
     for aut, word in pairs:
         value = value_on_lasso(aut, word, cap)
-        product = synchronized_product(aut, _word_model(word, ("a", "b")))
+        product = synchronized_product(aut, word_model(word, ("a", "b")))
         for t in range(cap + 1):
             hit = find_accepting_lasso(product, capped_unfolding(product, t))
             reaches = value is ABOVE_CAP or (value is not NO_RUN and value >= t)

@@ -26,7 +26,7 @@ from cltlbound.oracle import value_inf, value_sup
 from cltlbound.translate import build_counter_automaton
 from cltlbound.words import ABOVE_CAP
 
-from corpus import instantiation_sup, random_automaton, random_formula
+from corpus import instantiation_inf, instantiation_sup, random_automaton, random_formula
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -185,7 +185,8 @@ def _agreement_corpus(count):
 
 def test_sup_agrees_with_instantiation_route():
     # A cutoff of 6 caps the reference's passes; below it both routes
-    # give the exact sup, above it both say unbounded.
+    # give the exact sup, above it both say unbounded, or cutoff-reached
+    # where 6 is below the sound cutoff.
     cutoff = 6
     models = [load_model(p) for p in sorted((ROOT / "models").glob("*.model"))]
     outcomes = set()
@@ -202,7 +203,9 @@ def test_sup_agrees_with_instantiation_route():
             else:
                 assert value_sup(phi, got.witness, cutoff + 1) is ABOVE_CAP
     # the corpus reaches every bound up to the cutoff, and past it
-    assert outcomes == {("finite", b) for b in range(cutoff + 1)} | {("unbounded", None)}
+    assert outcomes == {("finite", b) for b in range(cutoff + 1)} | {
+        ("unbounded", None), ("cutoff-reached", None),
+    }
 
 
 def test_sup_plain_ltl():
@@ -220,10 +223,14 @@ def test_sup_empty_language_is_zero_without_witness():
 
 
 def test_sup_cutoff_override():
+    # G> a has 2 automaton states and the model 1, so the sound cutoff is
+    # 2: a value past a user cutoff of 1 proves nothing, past 2 it does.
     r = compute_sup_bound(model(UNIVERSAL), parse_formula("G> a"), cutoff=1)
-    assert r.outcome == "unbounded"
+    assert r.outcome == "cutoff-reached"
     assert r.cutoff == 1
     assert r.iterations <= 2
+    r = compute_sup_bound(model(UNIVERSAL), parse_formula("G> a"), cutoff=2)
+    assert (r.outcome, r.cutoff) == ("unbounded", 2)
 
 
 def test_default_sup_cutoff_holds_at_four_times_it():
@@ -277,19 +284,22 @@ def test_inf_scan_hits_first_threshold():
 
 
 def test_inf_infinite():
+    # the Streett check alone proves it: no unfolding, no cutoff
     phi = parse_formula("F<= a")
     r = compute_inf_bound(model(NO_A), phi)
     assert r.outcome == "infinite-inf"
     assert r.bound is None and r.witness is None
-    assert r.iterations == r.cutoff
+    assert r.cutoff is None and r.iterations == 0
+    assert [(row.kind, row.p) for row in r.trace] == [("streett", None)]
 
 
 def test_inf_plain_ltl_one_pass():
     r = compute_inf_bound(model(NO_A), parse_formula("F a"))
     assert r.outcome == "infinite-inf"
-    assert r.cutoff == 1 and r.iterations == 1
+    assert r.cutoff is None and len(r.trace) == 1
     r2 = compute_inf_bound(model(UNIVERSAL), parse_formula("F a"))
     assert (r2.outcome, r2.bound) == ("finite", 0)
+    assert len(r2.trace) == 1
 
 
 def test_inf_empty_language():
@@ -300,9 +310,57 @@ def test_inf_empty_language():
 def test_inf_cutoff_override():
     r = compute_inf_bound(model(NO_A), parse_formula("F<= a"), cutoff=3)
     assert r.outcome == "infinite-inf"
-    assert r.cutoff == 3 and r.iterations == 3
+    assert r.cutoff == 3 and r.iterations == 0
+    # Every word starts with a^3, so the inf is 3 and the Streett run has
+    # value 3.  With a cutoff of 1 the search stops at 1 without a claim;
+    # with 2 the empty unfolding at 2 and the Streett run pin the inf.
+    three = load_model(ROOT / "models" / "three_leading_a.model")
+    phi = parse_formula("F<= !a")
+    r = compute_inf_bound(three, phi, cutoff=1)
+    assert (r.outcome, r.bound, r.witness, r.cutoff) == ("cutoff-reached", None, None, 1)
+    assert [(row.kind, row.n) for row in r.trace] == [
+        ("streett", None), ("search", 0), ("search", 1),
+    ]
+    r = compute_inf_bound(three, phi, cutoff=2)
+    assert (r.outcome, r.bound, r.cutoff) == ("finite", 3, 2)
 
 
 def test_inf_rejects_gt():
     with pytest.raises(FragmentError):
         compute_inf_bound(model(UNIVERSAL), parse_formula("G> a"))
+
+
+def _inf_corpus(count):
+    """U<= formulas with one or two cost operators, alternately.  They
+    speak of a only, which the fixtures constrain (a free b would give
+    most values 0)."""
+    rng = random.Random(26)
+    out = []
+    while len(out) < count:
+        phi = random_formula(rng, depth=3, props=("a",), fragment="CostLE")
+        if cost_operator_count(phi) == 1 + len(out) % 2:
+            out.append(phi)
+    return out
+
+
+def test_inf_agrees_with_instantiation_route():
+    # phi[n] grows like 2^n per cost operator, so the reference scans
+    # n = 0 .. 4 for one operator and 0 .. 2 for two.  It pins every inf up
+    # to that depth; above it, or when every value is infinite, it only
+    # says that no value is that small.
+    models = [load_model(p) for p in sorted((ROOT / "models").glob("*.model"))]
+    outcomes = set()
+    for phi in _inf_corpus(16):
+        depth = {1: 4, 2: 2}[cost_operator_count(phi)]
+        for m in models:
+            got = compute_inf_bound(m, phi)
+            want = instantiation_inf(m, phi, depth + 1)
+            if want.outcome == "finite":
+                assert (got.outcome, got.bound) == ("finite", want.bound), (str(phi), m)
+            else:
+                assert got.outcome == "infinite-inf" or got.bound > depth, (str(phi), m)
+            if got.outcome == "finite":
+                assert value_inf(phi, got.witness, got.bound + 2) == got.bound
+            outcomes.add(got.bound if got.outcome == "finite" else got.outcome)
+    # the corpus reaches infinite-inf and finite bounds 0 .. 3
+    assert {"infinite-inf", 0, 1, 2, 3} <= outcomes, outcomes

@@ -101,7 +101,7 @@ def test_trace_rows_shape(capsys):
 
 
 def test_readme_trace_rows(capsys):
-    # the L8 example of the README's --trace bullet, row by row
+    # the examples of the README's --trace bullet, row by row: sup on L8
     _, data = run_json(
         capsys, "-f", "G (F<= !a)", "-m", L8, "--mode", "sup", "--trace"
     )
@@ -121,16 +121,33 @@ def test_readme_trace_rows(capsys):
     ]
     assert data["trace"][0]["word"] == "{a} {a} | {a} {} {a} {a}"
     assert data["bound"] == 8
+    # and the inf example on three_leading_a
+    _, data = run_json(
+        capsys, "-f", "F<= !a", "-m", str(ROOT / "models" / "three_leading_a.model"),
+        "--mode", "inf", "--trace",
+    )
+    rows = [
+        (r["kind"], r["n"], r["p"], r["automaton_states"],
+         r["product_states"], r["product_transitions"], r["word"])
+        for r in data["trace"]
+    ]
+    assert rows == [
+        ("streett", None, 3, 2, 6, 8, "{a} {a} {a} {} | {}"),
+        ("search", 0, None, 2, 1, 0, None),
+        ("search", 1, None, 2, 2, 1, None),
+        ("search", 2, None, 2, 3, 2, None),
+    ]
+    assert (data["bound"], data["cutoff"]) == (3, None)
 
 
 def test_cutoffs_count_reachable_model_states(tmp_path, capsys):
-    # One reachable state among the declared ones: each default cutoff
+    # One reachable state among the declared ones: the default sup cutoff
     # multiplies by 1, not by the declared count.  G> b's automaton has 2
-    # states; the inf cutoff is 2 (the states of F<= b's dual) x 1 x (1 +
-    # the product's 1 acceptance set).
+    # states.  The inf search needs no cutoff: its Streett check proves
+    # infinite-inf on the one reachable state.
     for declared, mode, formula, want in [
         (1000, "sup", "G> b", (0, "finite", 0, 2)),
-        (2, "inf", "F<= b", (3, "infinite-inf", None, 4)),
+        (2, "inf", "F<= b", (3, "infinite-inf", None, None)),
     ]:
         path = tmp_path / f"unreachable_{declared}.model"
         path.write_text(
@@ -255,3 +272,39 @@ def test_internal_errors_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(cltlbound.cli, "compute_sup_bound", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["-f", "G> a", "-m", L3, "--mode", "sup"])
+
+
+def test_user_cutoff_below_the_sound_one_claims_nothing(capsys):
+    # A value past a user cutoff below the sound cutoff is no proof of
+    # unboundedness: the sup of G> a over L3 is 2 and that of G (F<= !a)
+    # is 3.  The inf of F<= a over L3 is 0, found at the cutoff itself.
+    cases = [
+        (("--mode", "sup", "-f", "G> a", "--cutoff", "0"), 5, "cutoff-reached", None),
+        (("--mode", "sup", "-f", "G> a", "--cutoff", "1"), 5, "cutoff-reached", None),
+        (("--mode", "sup", "-f", "G (F<= !a)", "--cutoff", "1"), 5, "cutoff-reached", None),
+        (("--mode", "inf", "-f", "F<= a", "--cutoff", "0"), 0, "finite", 0),
+    ]
+    for argv, code, outcome, bound in cases:
+        got, data = run_json(capsys, *argv, "-m", L3, "--oracle-check")
+        assert (got, data["outcome"], data["bound"], data["oracle"]) == (
+            code, outcome, bound, "ok",
+        ), argv
+        assert data["cutoff"] == int(argv[-1])
+
+
+def test_inf_infinite_by_the_streett_check(tmp_path, capsys):
+    # No L2 word satisfies G a, and b never holds on the 3-state cycle:
+    # every value is infinite, proved without a scan of thresholds.
+    cycle = tmp_path / "cycle3.model"
+    cycle.write_text(
+        "ap: a b\nstates: 3\ninit: 0\naccsets: 1\n"
+        "trans: 0 1 !b {0}\ntrans: 1 2 !b {}\ntrans: 2 0 !b {}\n",
+        encoding="utf-8",
+    )
+    for formula, path in [("F<= (G a)", str(ROOT / "models" / "L2.model")),
+                          ("F<= b", str(cycle))]:
+        code, data = run_json(
+            capsys, "--mode", "inf", "-f", formula, "-m", path, "--trace"
+        )
+        assert (code, data["outcome"], data["bound"]) == (3, "infinite-inf", None)
+        assert len(data["trace"]) <= 2

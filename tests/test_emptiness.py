@@ -3,10 +3,19 @@ import random
 import pytest
 
 from cltlbound import emptiness
-from cltlbound.automaton import TOP_CUBE, CounterAutomaton, LassoRun, Transition
+from cltlbound.automaton import (
+    TOP_CUBE,
+    CounterAutomaton,
+    LassoRun,
+    Transition,
+    bounded_unfolding,
+    capped_unfolding,
+)
+from cltlbound.cegar import run_peak
 from cltlbound.emptiness import (
     check_lasso_run,
     find_accepting_lasso,
+    find_bounded_lasso,
     word_of_run,
 )
 
@@ -130,3 +139,33 @@ def test_search_covers_only_reachable_states(monkeypatch):
     run, word = find_accepting_lasso(aut)
     check_lasso_run(aut, run, word)
     assert sizes == [1]
+
+
+def test_streett_check_agrees_with_a_deep_bounded_unfolding():
+    # A bounded accepting run exists iff one has a lasso whose loop resets
+    # what it increments; threading the loop through one edge per
+    # acceptance set and per counter keeps its counters below
+    # configurations x (acceptance sets + counters + 3).  So the Streett
+    # check must find a lasso exactly when the bounded unfolding at that
+    # depth has one, and its lasso's counters must stay within it.
+    rng = random.Random(47)
+    found = empty = 0
+    for _ in range(300):
+        aut = random_automaton(rng, max_states=5, max_acc=2, max_counters=2)
+        configs = capped_unfolding(aut, 0)[0]
+        depth = configs * (aut.num_acc_sets + aut.num_counters + 3)
+        hit = find_bounded_lasso(aut)
+        deep = find_accepting_lasso(aut, bounded_unfolding(aut, depth))
+        assert (hit is None) == (deep is None), aut
+        if hit is None:
+            empty += find_accepting_lasso(aut) is not None
+            continue
+        found += 1
+        run, word = hit
+        check_lasso_run(aut, run, word)
+        assert run_peak(run, aut) <= depth
+        for c in range(aut.num_counters):
+            acts = [t.actions[c] for t in run.loop]
+            assert "i" not in acts or any("r" in a for a in acts), (aut, run)
+    # both answers occur, and some accepting automata have no bounded run
+    assert found > 50 and empty > 10, (found, empty)

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from cltlbound.automaton import TOP_CUBE, value_on_lasso
+from cltlbound.automaton import (
+    TOP_CUBE,
+    bounded_unfolding,
+    synchronized_product,
+    value_on_lasso,
+)
 from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.formula import (
     TRUE,
@@ -10,9 +15,11 @@ from cltlbound.formula import (
     FragmentError,
     Lit,
     Next,
+    cost_operator_count,
     label_counters,
     parse_formula,
 )
+from cltlbound.oracle import value_inf
 from cltlbound.translate import (
     build_counter_automaton,
     is_reduced_state,
@@ -20,9 +27,9 @@ from cltlbound.translate import (
     prune_dominated,
     reduce_state,
 )
-from cltlbound.words import ABOVE_CAP, NO_RUN
+from cltlbound.words import ABOVE_CAP, NO_RUN, parse_lasso
 
-from corpus import random_formula, random_lasso
+from corpus import random_formula, random_lasso, word_model
 
 
 def build(text):
@@ -69,7 +76,15 @@ def test_reduce_cost_release_actions():
     ]
     with pytest.raises(ValueError):
         reduce_state(frozenset({CostRelease(TRUE, Lit("a"))}))
-    with pytest.raises(FragmentError):
+    # F<= a: a with a reset, or X(F<= a) with an increment, postponing;
+    # the skip rewrite {false, X(F<= a)} is contradictory
+    psi = label_counters(parse_formula("F<= a"))
+    edges = reduce_state(frozenset({psi}))
+    assert sorted(
+        (e.action, e.counter, e.postponed is not None, sorted(map(str, e.target)))
+        for e in edges
+    ) == [("i", 1, True, ["X (F<= a)"]), ("r", 1, False, ["a"])]
+    with pytest.raises(ValueError):
         reduce_state(frozenset({parse_formula("F<= a")}))
 
 
@@ -116,8 +131,15 @@ def test_unsatisfiable_formula_translates_empty():
 
 
 def test_mixed_and_le_rejected():
-    with pytest.raises(FragmentError):
-        build("F<= a")
+    # U<= translates directly now, with one counter and no pair
+    aut = build("F<= a")
+    assert (aut.num_states, aut.num_counters, aut.num_acc_sets) == (2, 1, 1)
+    edges = sorted((t.cube.to_text(), t.actions, bool(t.acc)) for t in aut.transitions)
+    assert edges == [
+        ("a", ("r",), True),  # a arrives: reset, accepting
+        ("true", ("",), True),  # afterwards nothing is left
+        ("true", ("i",), False),  # a tolerated failure, postponing
+    ]
     with pytest.raises(FragmentError):
         build("(F<= a) & (G> b)")
 
@@ -174,3 +196,47 @@ def test_prune_keeps_one_of_equal_twins():
         ap=aut.ap,
     )
     assert len(prune_dominated(doubled).transitions) == 6
+
+
+def least_bound(aut, word, cap):
+    """The least n at which aut, read with counters bounded by n, accepts
+    the word; ABOVE_CAP when none up to cap does."""
+    product = synchronized_product(aut, word_model(word, ("a", "b")))
+    for n in range(cap + 1):
+        if find_accepting_lasso(product, bounded_unfolding(product, n)) is not None:
+            return n
+    return ABOVE_CAP
+
+
+def test_le_translation_value_agrees_with_oracle():
+    # The criterion-1 stream (seed 20260819): a U<= automaton with bounded
+    # counters gives each word the value the counting tables give it.  Its
+    # first 400 pairs, with the desk-scale redraw rule of criterion 3
+    # (translation is exponential in the pending cost operators).
+    rng = random.Random(20260819)
+    cap = 6
+    values = []
+    for _ in range(400):
+        phi = random_formula(rng, depth=4, props=("a", "b"), fragment="CostLE")
+        word = random_lasso(rng, props=("a", "b"))
+        if cost_operator_count(phi) > 4:
+            continue
+        aut = prune_dominated(build_counter_automaton(phi), inf=True)
+        want = value_inf(phi, word, cap)
+        assert least_bound(aut, word, cap) == want, (str(phi), str(word))
+        values.append(want)
+    assert len(values) > 350
+    assert {0, 1, 2, 3, ABOVE_CAP} <= set(values), set(values)
+
+
+def test_le_pruning_keeps_the_skip_edge():
+    # On a U<= b the increment edge {X} (cube true) subsumes the skip edge
+    # {a, X} (cube a).  Under the sup rule the increment wins and every a
+    # before b costs 1; under the inf rule the skip edge stays.
+    aut = build("a U<= b")
+    pruned = prune_dominated(aut, inf=True)
+    assert any(t.cube.to_text() == "a" and t.actions == ("",) for t in pruned.transitions)
+    word = parse_lasso("{a} {a} | {b}")
+    assert value_inf(parse_formula("a U<= b"), word, 4) == 0
+    assert least_bound(pruned, word, 4) == least_bound(aut, word, 4) == 0
+    assert least_bound(prune_dominated(aut), word, 4) == 2  # the sup rule
