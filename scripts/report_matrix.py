@@ -8,7 +8,9 @@ every field of its `--json` report except `seconds`, which differs from
 run to run.  The queries are the README examples, four queries over L3
 with a user `--cutoff` below the sound one, 8 sup formulas over every
 fixture model and 3 inf formulas over every fixture, all but the README
-examples with `--witness --trace --oracle-check`.  The script imports
+examples with `--witness --trace --oracle-check`, and last 4 formulas in
+value mode with `--oracle-check`, each on words of value 0, 1 and above
+the default cap.  The script imports
 the package from the `src` directory next to it and runs from the
 repository root, so running the copy in another checkout and diffing the
 two outputs compares the two trees' behaviour query by query.
@@ -48,6 +50,12 @@ SUP_FORMULAS = [
 ]
 INF_FORMULAS = ["F<= a", "F<= !a", "a U<= b"]
 FLAGS = ["--witness", "--trace", "--oracle-check"]
+VALUE_WORDS = {  # words of value 0, 1 and above the default cap
+    "F<= b": ["| {b}", "{} | {b}", "| {a}"],
+    "a U<= b": ["{a} | {b}", "{} | {b}", "| {a}"],
+    "G> a": ["| {}", "{a} {a} | {}", "| {a}"],
+    "G (F<= !a)": ["| {}", "{a} | {}", "| {a}"],
+}
 
 
 def queries() -> list[list[str]]:
@@ -57,6 +65,8 @@ def queries() -> list[list[str]]:
         out += [["--mode", "sup", "-f", phi, "-m", m, *FLAGS] for m in models]
     for phi in INF_FORMULAS:
         out += [["--mode", "inf", "-f", phi, "-m", m, *FLAGS] for m in models]
+    for phi, words in VALUE_WORDS.items():
+        out += [["--mode", "value", "-f", phi, "--word", w, "--oracle-check"] for w in words]
     return out
 
 

@@ -7,7 +7,12 @@ accepting lasso exactly when one does, and that lasso, read back as a run
 of the product, has a run value that is a lower bound on the sup.  The
 threshold gallops (doubling past each value found) until a pass comes back
 empty, then bisects between the best value found and that threshold; the
-best value is the sup.  A U<= formula goes through its R> dual.
+best value is the sup.  The best value starts at -1, the sup when the
+product accepts no model word: an empty test at n = 0 makes the bisection
+test n = -1, which asks whether the product accepts any word at all.
+A U<= formula goes through its R> dual: a word fails phi[n] exactly when
+its dual value is n or more, so the U<= sup is the dual's sup plus one.
+R> and plain LTL read -1 as 0: a word no run accepts has value 0.
 
 The default sup cutoff is formula automaton states × model states
 reachable from the model's initial state, which bounds the number of
@@ -46,7 +51,7 @@ cutoff caps n; an empty unfolding at the cutoff ends the search with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .automaton import (
     CounterAutomaton,
@@ -63,7 +68,7 @@ from .formula import (
     Formula,
     FragmentError,
     classify_fragment,
-    instantiate,
+    instantiate,  # noqa: F401  kept importable here for bench/tracing.py
     negate_dual,
 )
 from .translate import build_counter_automaton, prune_dominated
@@ -72,7 +77,7 @@ from .words import LassoWord
 
 @dataclass(frozen=True)
 class IterationStats:
-    kind: str  # "search", "probe" or "streett"
+    kind: str  # "search" (a threshold test) or "streett"
     n: int | None  # threshold checked in this pass; None on the Streett row
     p: int | float | None  # value shown by the pass, None when it found no run
     automaton_states: int
@@ -91,7 +96,9 @@ class BoundResult:
 
     @property
     def iterations(self) -> int:
-        return sum(1 for row in self.trace if row.kind == "search")
+        # The threshold tests; an n = -1 row only asks whether any model
+        # word is accepted at all.
+        return sum(1 for row in self.trace if row.kind == "search" and row.n >= 0)
 
 
 def run_value(run: LassoRun, aut: CounterAutomaton) -> int | float:
@@ -172,7 +179,8 @@ def compute_sup_bound(
         raise FragmentError("cannot bound a formula mixing U<= and R>")
     if frag == COST_LE:
         return _sup_via_dual(model, phi, cutoff)
-    return _sup_direct(model, phi, cutoff)
+    r = _sup_direct(model, phi, cutoff)
+    return replace(r, bound=0) if r.bound == -1 else r
 
 
 def _sup_direct(model, phi, cutoff):
@@ -181,7 +189,7 @@ def _sup_direct(model, phi, cutoff):
     limit = sound if cutoff is None else cutoff
     product = synchronized_product(aut, model)
     trace: list[IterationStats] = []
-    best, best_word = 0, None  # largest value found so far, and its word
+    best, best_word = -1, None  # largest value found so far, and its word
     ceiling = None  # least n shown to bound every value, once one is
     n = 0
     while True:
@@ -213,30 +221,14 @@ def _sup_direct(model, phi, cutoff):
             n = (best + ceiling) // 2
         else:
             break
-    if best == 0:
+    if best == -1:
         best_word = _fish_word(model)
     return BoundResult("finite", best, best_word, limit, tuple(trace))
 
 
 def _sup_via_dual(model, phi, cutoff):
-    inner = _sup_direct(model, negate_dual(phi), cutoff)
-    if inner.outcome != "finite":
-        return inner
-    if inner.bound >= 1:
-        return BoundResult(
-            "finite", inner.bound + 1, inner.witness, inner.cutoff, inner.trace
-        )
-    # A dual sup of 0 covers values 0 and 1 alike; one emptiness probe of
-    # not(phi[0]) against the model separates them.
-    aut = _pruned(negate_dual(instantiate(phi, 0)))
-    product = synchronized_product(aut, model)
-    hit = find_accepting_lasso(product)
-    row = IterationStats(
-        "probe", 0, 0 if hit is None else 1, aut.num_states, product.num_states,
-        len(product.transitions), None if hit is None else hit[1],
-    )
-    word = inner.witness if hit is None else hit[1]
-    return BoundResult("finite", row.p, word, inner.cutoff, inner.trace + (row,))
+    r = _sup_direct(model, negate_dual(phi), cutoff)
+    return replace(r, bound=r.bound + 1) if r.outcome == "finite" else r
 
 
 def compute_inf_bound(

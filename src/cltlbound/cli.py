@@ -25,7 +25,7 @@ from typing import Any
 
 from . import oracle
 from .automaton import to_dot, value_on_lasso
-from .cegar import BoundResult, compute_inf_bound, compute_sup_bound
+from .cegar import BoundResult, _pruned, compute_inf_bound, compute_sup_bound
 from .formula import (
     COST_GT,
     COST_LE,
@@ -38,7 +38,10 @@ from .formula import (
     parse_formula,
 )
 from .model import load_model
-from .translate import build_counter_automaton, prune_dominated
+from .translate import (  # kept importable here for bench/tracing.py
+    build_counter_automaton,  # noqa: F401
+    prune_dominated,  # noqa: F401
+)
 from .words import ABOVE_CAP, NO_RUN, parse_lasso
 
 
@@ -174,29 +177,25 @@ def _check_bound(mode: str, phi, result: BoundResult) -> str:
 
 def _check_value(phi, frag: str, word, cap: int, val) -> str:
     if frag == LTL:
-        side = value_on_lasso(_formula_automaton(phi), word, 1)
+        side = value_on_lasso(_pruned(phi), word, 1)
         if val == 0:
             ok = side is ABOVE_CAP
         else:
             ok = side is NO_RUN
         return "ok" if ok else f"mismatch: automaton route says {side!r}"
     if frag == COST_GT:
-        side = value_on_lasso(_formula_automaton(phi), word, cap)
+        side = value_on_lasso(_pruned(phi), word, cap)
+        side = 0 if side is NO_RUN else side  # the empty-sup convention
         expect = val
     else:
-        side = value_on_lasso(_formula_automaton(negate_dual(phi)), word, cap)
-        expect = ABOVE_CAP if val is ABOVE_CAP else max(0, val - 1)
-    if side is NO_RUN:
-        side = 0
+        # The dual value is the U<= value minus one, NO_RUN standing for -1.
+        side = value_on_lasso(_pruned(negate_dual(phi)), word, cap)
+        expect = val if val is ABOVE_CAP else NO_RUN if val == 0 else val - 1
     if (side is ABOVE_CAP) != (expect is ABOVE_CAP) or (
         side is not ABOVE_CAP and side != expect
     ):
         return f"mismatch: automaton route says {side!r}, expected {expect!r}"
     return "ok"
-
-
-def _formula_automaton(phi):
-    return prune_dominated(build_counter_automaton(phi))
 
 
 def _run_bound(args, phi) -> tuple[dict[str, Any], int]:
@@ -290,9 +289,11 @@ def main(argv: list[str] | None = None) -> int:
                 text = handle.read()
         phi = parse_formula(text)
         if args.dot is not None:
-            shown = negate_dual(phi) if classify_fragment(phi) == COST_LE else phi
+            # inf searches a U<= automaton itself, sup and value its R> dual
+            le = classify_fragment(phi) == COST_LE
+            shown = negate_dual(phi) if le and args.mode != "inf" else phi
             with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(to_dot(_formula_automaton(shown)))
+                handle.write(to_dot(_pruned(shown)))
         if args.mode == "value":
             fields, code = _run_value(args, phi)
         else:

@@ -19,6 +19,7 @@ from cltlbound.automaton import (
 from cltlbound.cegar import BoundResult, IterationStats, run_value
 from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.formula import (
+    COST_LE,
     FALSE,
     LTL,
     TRUE,
@@ -271,16 +272,31 @@ def brute_eval(phi: Formula, word: LassoWord, pos: int = 0, fuel: int | None = N
 
 
 def instantiation_sup(model: CounterAutomaton, phi: Formula, cutoff: int | None = None) -> BoundResult:
-    """sup of an R> or plain LTL formula over the model by the paper's
-    instantiation route: per threshold n, translate phi & phi[n+1] afresh,
-    product it with the model and look for an accepting lasso; a found run
-    raises n to its value (conjoining phi keeps phi's counters in the
-    product), an empty product certifies n.  Same cutoff rule (a value past
-    a cutoff below formula states x model states is `cutoff-reached`) and
-    result shape as `compute_sup_bound`, which tests compare against it."""
+    """sup of a formula over the model by the paper's instantiation route:
+    per threshold n, translate phi & phi[n+1] afresh, product it with the
+    model and look for an accepting lasso; a found run raises n to its
+    value (conjoining phi keeps phi's counters in the product), an empty
+    product certifies n.  A U<= formula goes through its R> dual, whose sup
+    is one less when it is at least 1; a dual sup of 0 covers U<= sups 0
+    and 1 alike, and one emptiness probe of not(phi[0]) against the model
+    separates them.  Same cutoff rule (a value past a cutoff below formula
+    states x model states is `cutoff-reached`) and result shape as
+    `compute_sup_bound`, which tests compare against it."""
 
     def pruned(f):
         return prune_dominated(build_counter_automaton(f))
+
+    if classify_fragment(phi) == COST_LE:
+        inner = instantiation_sup(model, negate_dual(phi), cutoff)
+        if inner.outcome != "finite":
+            return inner
+        bound, word = inner.bound + 1, inner.witness
+        if bound == 1:
+            hit = find_accepting_lasso(
+                synchronized_product(pruned(negate_dual(instantiate(phi, 0))), model)
+            )
+            bound, word = (0, word) if hit is None else (1, hit[1])
+        return BoundResult("finite", bound, word, inner.cutoff, inner.trace)
 
     sound = pruned(phi).num_states * model.num_states
     limit = sound if cutoff is None else cutoff

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import cltlbound.cegar
 from cltlbound.automaton import CounterAutomaton, Cube, LassoRun, Transition
 from cltlbound.cegar import (
     compute_inf_bound,
@@ -13,6 +14,7 @@ from cltlbound.cegar import (
 )
 from cltlbound.formula import (
     COST_GT,
+    COST_LE,
     And,
     FragmentError,
     classify_fragment,
@@ -136,8 +138,10 @@ def test_sup_dual_fragment_finite():
     r = compute_sup_bound(model(NO_A), phi)
     assert (r.outcome, r.bound) == ("finite", 0)
     assert value_inf(phi, r.witness, 2) == 0
-    kinds = [row.kind for row in r.trace]
-    assert kinds == ["search", "probe"]
+    # n = 0 finds no dual value above 0, so n = -1 asks whether the dual
+    # accepts any model word; none does, so every word satisfies phi[0].
+    rows = [(row.kind, row.n, row.p) for row in r.trace]
+    assert rows == [("search", 0, None), ("search", -1, None)]
 
 
 def _lk_model(k):
@@ -186,26 +190,32 @@ def _agreement_corpus(count):
 def test_sup_agrees_with_instantiation_route():
     # A cutoff of 6 caps the reference's passes; below it both routes
     # give the exact sup, above it both say unbounded, or cutoff-reached
-    # where 6 is below the sound cutoff.
+    # where 6 is below the sound cutoff.  Each draw's U<= dual runs too:
+    # the reference probes not(phi[0]) where the search tests n = -1.
     cutoff = 6
     models = [load_model(p) for p in sorted((ROOT / "models").glob("*.model"))]
-    outcomes = set()
-    for phi in _agreement_corpus(16):
-        for m in models:
-            got = compute_sup_bound(m, phi, cutoff)
-            want = instantiation_sup(m, phi, cutoff)
-            assert (got.outcome, got.bound) == (want.outcome, want.bound), (str(phi), m)
-            outcomes.add((got.outcome, got.bound))
-            if got.witness is None:
-                assert got.outcome == "finite" and want.witness is None
-            elif got.outcome == "finite":
-                assert value_sup(phi, got.witness, got.bound + 2) == got.bound
-            else:
-                assert value_sup(phi, got.witness, cutoff + 1) is ABOVE_CAP
+    outcomes = {COST_GT: set(), COST_LE: set()}
+    for drawn in _agreement_corpus(16):
+        for phi in (drawn, negate_dual(drawn)):
+            frag = classify_fragment(phi)
+            value = value_sup if frag == COST_GT else value_inf
+            for m in models:
+                got = compute_sup_bound(m, phi, cutoff)
+                want = instantiation_sup(m, phi, cutoff)
+                assert (got.outcome, got.bound) == (want.outcome, want.bound), (str(phi), m)
+                outcomes[frag].add((got.outcome, got.bound))
+                if got.witness is None:
+                    assert got.outcome == "finite" and want.witness is None
+                elif got.outcome == "finite":
+                    assert value(phi, got.witness, got.bound + 2) == got.bound
+                else:
+                    assert value(phi, got.witness, cutoff + 1) is ABOVE_CAP
     # the corpus reaches every bound up to the cutoff, and past it
-    assert outcomes == {("finite", b) for b in range(cutoff + 1)} | {
+    assert outcomes[COST_GT] == {("finite", b) for b in range(cutoff + 1)} | {
         ("unbounded", None), ("cutoff-reached", None),
     }
+    # and the duals reach U<= sups 0 and 1, which the n = -1 test tells apart
+    assert {("finite", 0), ("finite", 1)} <= outcomes[COST_LE]
 
 
 def test_sup_plain_ltl():
@@ -214,6 +224,26 @@ def test_sup_plain_ltl():
     r2 = compute_sup_bound(model(NO_A), parse_formula("F a"))
     assert (r2.outcome, r2.bound) == ("finite", 0)
     assert r2.witness is not None
+
+
+@pytest.mark.parametrize("search, text, fixture, bound", [
+    (compute_sup_bound, "G (F<= !a)", "L0", 0),
+    (compute_sup_bound, "G (F<= !a)", "L1", 1),
+    (compute_sup_bound, "G> a", "L3", 2),
+    (compute_sup_bound, "F !a", "a_only", 0),
+    (compute_inf_bound, "F<= !a", "three_leading_a", 3),
+])
+def test_one_translation_per_query(monkeypatch, search, text, fixture, bound):
+    calls = []
+
+    def counted(phi):
+        calls.append(phi)
+        return build_counter_automaton(phi)
+
+    monkeypatch.setattr(cltlbound.cegar, "build_counter_automaton", counted)
+    r = search(load_model(ROOT / "models" / f"{fixture}.model"), parse_formula(text))
+    assert (r.outcome, r.bound) == ("finite", bound)
+    assert len(calls) == 1
 
 
 def test_sup_empty_language_is_zero_without_witness():

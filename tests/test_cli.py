@@ -179,6 +179,18 @@ def test_dot_export(tmp_path, capsys):
     assert text.startswith("digraph") and "or1" in text
 
 
+def test_dot_writes_the_automaton_the_mode_searches(tmp_path, capsys):
+    # inf searches the U<= automaton itself (increments and resets), sup
+    # its R> dual (observe-and-reset edges)
+    text = {}
+    for mode in ("inf", "sup"):
+        target = tmp_path / f"{mode}.dot"
+        run(capsys, "-f", "a U<= b", "--mode", mode, "-m", L3, "--dot", str(target))
+        text[mode] = target.read_text(encoding="utf-8")
+    assert "r1" in text["inf"] and "i1" in text["inf"] and "or1" not in text["inf"]
+    assert "or1" in text["sup"]
+
+
 def test_oracle_check_ok(capsys):
     code, data = run_json(
         capsys, "-f", "G (F<= !a)", "-m", L3, "--mode", "sup", "--oracle-check"
@@ -197,6 +209,19 @@ def test_oracle_check_mismatch_exits_four(capsys, monkeypatch):
         capsys, "-f", "G (F<= !a)", "-m", L3, "--mode", "sup", "--oracle-check"
     )
     assert code == 4
+    assert data["oracle"].startswith("mismatch")
+
+
+@pytest.mark.parametrize("word, wrong", [("| {b}", 1), ("{} | {b}", 0)])
+def test_value_check_tells_u_le_zero_from_one(capsys, monkeypatch, word, wrong):
+    # F<= b is 0 on the first word and 1 on the second.  The dual accepts
+    # no run on the first, and reaches 0 on the second, so a value off by
+    # one at that boundary is a mismatch.
+    monkeypatch.setattr(cltlbound.oracle, "value_inf", lambda phi, w, cap: wrong)
+    code, data = run_json(
+        capsys, "-f", "F<= b", "--mode", "value", "--word", word, "--oracle-check"
+    )
+    assert (code, data["value"]) == (4, wrong)
     assert data["oracle"].startswith("mismatch")
 
 
