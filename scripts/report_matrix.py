@@ -8,12 +8,16 @@ every field of its `--json` report except `seconds`, which differs from
 run to run.  The queries are the README examples, four queries over L3
 with a user `--cutoff` below the sound one, 8 sup formulas over every
 fixture model and 3 inf formulas over every fixture, all but the README
-examples with `--witness --trace --oracle-check`, and last 4 formulas in
+examples with `--witness --trace --oracle-check`, then 4 formulas in
 value mode with `--oracle-check`, each on words of value 0, 1 and above
-the default cap.  The script imports
-the package from the `src` directory next to it and runs from the
-repository root, so running the copy in another checkout and diffing the
-two outputs compares the two trees' behaviour query by query.
+the default cap, and last the first 20 pairs of each value-corpus stream
+(the R> stream of criterion 3 and the U<= stream of criterion 1, drawn
+by `tests/corpus.py` with criterion 3's rule of redrawing formulas with
+more than four cost operators) in value mode at cap 10 with
+`--oracle-check`.  The script imports the package from the `src`
+directory next to it and runs from the repository root, so running the
+copy in another checkout and diffing the two outputs compares the two
+trees' behaviour query by query.
 """
 
 from __future__ import annotations
@@ -22,12 +26,17 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+from corpus import random_formula, random_lasso  # noqa: E402
 
 from cltlbound.cli import main  # noqa: E402
+from cltlbound.formula import cost_operator_count, format_formula  # noqa: E402
 
 README = [
     ["--mode", "sup", "-f", "G (F<= !a)", "-m", "models/L3.model", "--witness"],
@@ -57,6 +66,26 @@ VALUE_WORDS = {  # words of value 0, 1 and above the default cap
     "G (F<= !a)": ["| {}", "{a} | {}", "| {a}"],
 }
 
+# (fragment, seed) of the two value-corpus streams, the pairs taken from
+# each and their cap.
+CORPUS_STREAMS = [("CostGT", 3), ("CostLE", 20260819)]
+CORPUS_PAIRS = 20
+CORPUS_CAP = 10
+
+
+def corpus_queries() -> list[list[str]]:
+    out = []
+    for fragment, seed in CORPUS_STREAMS:
+        rng = random.Random(seed)
+        for _ in range(CORPUS_PAIRS):
+            phi = random_formula(rng, depth=4, props=("a", "b"), fragment=fragment)
+            while cost_operator_count(phi) > 4:
+                phi = random_formula(rng, depth=4, props=("a", "b"), fragment=fragment)
+            word = random_lasso(rng, props=("a", "b"))
+            out.append(["--mode", "value", "-f", format_formula(phi), "--word", str(word),
+                        "--cutoff", str(CORPUS_CAP), "--oracle-check"])
+    return out
+
 
 def queries() -> list[list[str]]:
     models = sorted(f"models/{name}" for name in os.listdir(os.path.join(ROOT, "models")))
@@ -67,7 +96,7 @@ def queries() -> list[list[str]]:
         out += [["--mode", "inf", "-f", phi, "-m", m, *FLAGS] for m in models]
     for phi, words in VALUE_WORDS.items():
         out += [["--mode", "value", "-f", phi, "--word", w, "--oracle-check"] for w in words]
-    return out
+    return out + corpus_queries()
 
 
 def report(argv: list[str]) -> dict:

@@ -7,14 +7,18 @@ actions per transition: "" (skip), "i" (increment), "or" (observe the
 value, then reset) and "r" (reset).
 
 A threshold test asks whether some accepting run observes every counter
-at t or more.  One unfolding engine answers it, with counters capped at
-t, for two front ends that feed it the same integer rows: a whole
-automaton (`capped_unfolding`, which the sup search runs on the formula ×
-model product) and an automaton read along one lasso word
-(`value_on_lasso`).  The same engine, with counters bounded instead of
-capped, keeps the runs whose every counter stays at n or below
-(`bounded_unfolding`, which the inf search runs on the product of a U<=
-automaton): a run's value is then its largest counter value.
+at t or more.  One unfolding engine answers it: configurations pair a
+node with counter values capped at t, fed by two front ends.
+The model front end reads a whole automaton (`capped_unfolding`, which
+the sup search runs on the formula × model product) and builds every
+configuration, since the search reads a witness off the graph.  The
+same engine, with counters bounded instead of capped, keeps the runs
+whose every counter stays at n or below (`bounded_unfolding`, which the
+inf search runs on the product of a U<= automaton): a run's value is
+then its largest counter value.  The lasso front end (`value_on_lasso`)
+reads an automaton, or a formula's `translate.Tableau` translated only as
+far as the word reaches, along one lasso word; its threshold tests stop
+at the first accepting cycle they meet (`_accepts`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import accepting_components
+from .graphs import accepting_components, coreachable
 from .words import ABOVE_CAP, NAME_RE, NO_RUN, LassoWord
 
 
@@ -119,10 +123,20 @@ class CounterAutomaton:
                 raise ValueError(f"acceptance index out of range: {t}")
 
     def by_source(self) -> dict[int, list[Transition]]:
+        return self._by_source
+
+    @cached_property
+    def _by_source(self) -> dict[int, list[Transition]]:
         out: dict[int, list[Transition]] = {}
         for t in self.transitions:
             out.setdefault(t.src, []).append(t)
         return out
+
+    def successors(self, state: int, letter: frozenset) -> list[Transition]:
+        """The transitions leaving state whose cube matches letter.
+        `translate.Tableau` answers the same question without building the
+        automaton."""
+        return [t for t in self._by_source.get(state, ()) if t.cube.matches(letter)]
 
     @cached_property
     def _rows(self):
@@ -138,7 +152,7 @@ class CounterAutomaton:
 def _model_rows(aut: CounterAutomaton, bounded: bool):
     """The model front end: nodes are the states, rows come in `by_source`
     order."""
-    num_slots, ops = _counter_ops(aut, bounded)
+    num_slots, ops = _counter_ops((tr.actions for tr in aut.transitions), bounded)
     succ: dict[int, list[tuple]] = {}
     for tr in aut.transitions:
         succ.setdefault(tr.src, []).append((tr.dst, tr.acc, ops(tr.actions), tr))
@@ -184,10 +198,11 @@ def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAut
     )
 
 
-def _counter_ops(aut: CounterAutomaton, bounded: bool = False):
+def _counter_ops(action_rows, bounded: bool = False):
     """The number of counters a threshold test tracks, and a compiler of a
     transition's actions into (slot, action char) ops on them.
 
+    action_rows holds the actions of every transition the test can take.
     Capped, only observed counters are tracked: a never-observed counter is
     never tested.  A never-incremented one stays at 0, so its observations
     fail at every positive threshold.  Bounded, only incremented counters
@@ -196,7 +211,7 @@ def _counter_ops(aut: CounterAutomaton, bounded: bool = False):
     """
     key = "i" if bounded else "o"
     tracked = sorted(
-        {c for tr in aut.transitions for c, acts in enumerate(tr.actions) if key in acts}
+        {c for actions in action_rows for c, acts in enumerate(actions) if key in acts}
     )
     slot = {c: i for i, c in enumerate(tracked)}
     kept = "ir" if bounded else "ior"
@@ -217,64 +232,80 @@ def _counter_ops(aut: CounterAutomaton, bounded: bool = False):
     return len(slot), ops
 
 
-# A front end feeds the unfolding engine (succ, init, num_slots): succ maps
-# a node to the rows of the edges leaving it, each row (dst node,
-# acceptance sets, compiled counter ops, transition of the automaton).
-# The model front end is `CounterAutomaton._rows`, the lasso front end
-# `_lasso_rows`.
+# The model front end feeds `_unfold` (succ, init, num_slots): succ maps a
+# state to the rows of the transitions leaving it, each row (dst state,
+# acceptance sets, compiled counter ops, transition).  The lasso front end
+# is `_lasso_graph`; `value_on_lasso` compiles the live part of its graph
+# into the rows `_accepts` reads.
 
 
-def _lasso_rows(aut: CounterAutomaton, word: LassoWord):
-    """The lasso front end: aut read along one lasso word.  Nodes are the
+def action_dominates(strong: str, weak: str, inf: bool) -> bool:
+    """Can one counter action replace another without lowering any value?
+
+    Where a run is worth its least observation (sup), an increment beats a
+    skip; where it is worth its largest counter value (inf), a skip beats
+    an increment.  Resets and observations compare to nothing but
+    themselves."""
+    if strong == weak:
+        return True
+    return (strong, weak) == (("", "i") if inf else ("i", ""))
+
+
+def _letter_rows(transitions) -> list[tuple]:
+    """The rows (dst, acceptance sets, actions) of the transitions enabled
+    under one letter, each once, minus the rows another row dominates: same
+    dst and acceptance sets, and counter actions at least as strong under
+    the least-observation value (`action_dominates`).  Both rows match the
+    letter, so unlike `translate.prune_dominated` no cube is compared."""
+    rows = list(dict.fromkeys((t.dst, t.acc, t.actions) for t in transitions))
+    if len(rows) < 2:
+        return rows
+    groups: dict[tuple, list[tuple]] = {}
+    for row in rows:
+        groups.setdefault(row[:2], []).append(row[2])
+    return [
+        row
+        for row in rows
+        if not any(
+            other != row[2]
+            and all(action_dominates(x, y, False) for x, y in zip(other, row[2]))
+            for other in groups[row[:2]]
+        )
+    ]
+
+
+def _lasso_graph(source, word: LassoWord) -> tuple[int, list[tuple]]:
+    """The lasso front end: source read along one lasso word.
+
+    source is a CounterAutomaton or a `translate.Tableau`: anything with
+    `init`, `num_acc_sets` and `successors(state, letter)`.  Nodes are the
     (state, position) pairs reachable from (init, 0), numbered in BFS
-    order; a node's rows are the transitions of its state whose cube
-    matches the letter at its position, in aut's order."""
+    order, and source is asked only for the (state, letter) pairs they
+    hold, once each; a Tableau then translates only what the word reaches.
+    Returns the number of nodes and the edges (src, dst, acceptance sets,
+    actions), source by source, each source's in `_letter_rows` order.
+    """
     pre, total = len(word.prefix), len(word.prefix) + len(word.cycle)
-    # Only the letters that actually occur in the word matter, and there
-    # are at most as many of those as positions.  Propositions outside
-    # the word are indexed implicitly as always-false: a cube requiring
-    # one can never match here.
     letters = [word.letter(p) for p in range(total)]
-    prop_bit: dict[str, int] = {}
-    for letter in letters:
-        for p in letter:
-            prop_bit.setdefault(p, 1 << len(prop_bit))
-    distinct = {}
-    for letter in letters:
-        if letter not in distinct:
-            distinct[letter] = sum(prop_bit[p] for p in letter)
-    # One table per distinct letter, shared by every position carrying
-    # that letter.  Each transition is matched against each letter once,
-    # via bitmask tests.
-    num_slots, ops = _counter_ops(aut)
-    tables: dict[int, dict[int, list[tuple]]] = {lm: {} for lm in distinct.values()}
-    for tr in aut.transitions:
-        if any(p not in prop_bit for p in tr.cube.positive):
-            continue
-        pos_mask = sum(prop_bit[p] for p in tr.cube.positive)
-        neg_mask = sum(prop_bit[p] for p in tr.cube.negative if p in prop_bit)
-        entry = None
-        for lm, table in tables.items():
-            if pos_mask & lm == pos_mask and not neg_mask & lm:
-                if entry is None:
-                    entry = (tr.dst, tr.acc, ops(tr.actions), tr)
-                table.setdefault(tr.src, []).append(entry)
-    at_pos = [tables[distinct[letter]] for letter in letters]
-    start = (aut.init, 0)
+    rows_of: dict[tuple, list[tuple]] = {}
+    start = (source.init, 0)
     index = {start: 0}
     order = [start]
-    succ: dict[int, list[tuple]] = {}
+    edges = []
     for s, (state, pos) in enumerate(order):
+        key = (state, letters[pos])
+        rows = rows_of.get(key)
+        if rows is None:
+            rows = rows_of[key] = _letter_rows(source.successors(*key))
         nxt = pos + 1 if pos + 1 < total else pre
-        row = succ[s] = []
-        for dst, acc, tr_ops, tr in at_pos[pos].get(state, ()):
+        for dst, acc, actions in rows:
             tgt = (dst, nxt)
             d = index.get(tgt)
             if d is None:
                 d = index[tgt] = len(order)
                 order.append(tgt)
-            row.append((d, acc, tr_ops, tr))
-    return succ, 0, num_slots
+            edges.append((s, d, acc, actions))
+    return len(order), edges
 
 
 def _unfold(
@@ -284,7 +315,7 @@ def _unfold(
     t: int,
     bounded: bool = False,
 ) -> tuple[int, list[tuple]]:
-    """The unfolding engine behind both front ends.
+    """The unfolding engine, whole, behind the model front end.
 
     A configuration pairs a node with the tracked counter values capped at
     t (larger values behave identically for a threshold test), and an edge
@@ -332,6 +363,83 @@ def _unfold(
     return len(order), edges
 
 
+def _accepts(succ: dict[int, list[tuple]], num_slots: int, t: int, full: int) -> bool:
+    """A threshold test with early exit: does the capped unfolding at t
+    hold an accepting cycle?
+
+    The unfolding is explored depth first from node 0 as it is generated,
+    by Couvreur's SCC-based emptiness check ("On-the-fly verification of
+    linear temporal logic", FM'99; see also Renault et al., LPAR 2013).
+    succ rows are (dst node, acceptance bitmask, counter ops), and full is
+    the mask of every set.  Each root of a component still on the stack
+    carries the sets met inside the component, and the set of the edge
+    that entered it, which joins the component only when an edge back
+    into a live configuration merges it with an older root.  The search
+    stops at the first merge covering every set; with no sets, at the
+    first cycle.  Finished components are marked dead and never merged.
+    """
+    start = (0, (0,) * num_slots)
+    index = {start: 0}
+    dead = set()
+    live = [start]  # configurations of unfinished components, in order
+    roots = [0]  # DFS index of each unfinished component's root
+    sets = [0]  # acceptance sets met inside each of those components
+    entry = [0]  # acceptance sets of the edge entering each root
+    todo = [(start, iter(succ.get(0, ())))]
+    while todo:
+        v, rows = todo[-1]
+        vals = v[1]
+        for dst, mask, ops in rows:
+            if ops:
+                # The capped step of `_unfold`, inline for the same reason:
+                # it runs once per edge.
+                new = list(vals)
+                passed = True
+                for c, ch in ops:
+                    if ch == "i":
+                        if new[c] < t:
+                            new[c] += 1
+                    elif ch == "r":
+                        new[c] = 0
+                    elif new[c] < t:  # "o"
+                        passed = False
+                        break
+                if not passed:
+                    continue
+                w = (dst, tuple(new))
+            else:
+                w = (dst, vals)
+            i = index.get(w)
+            if i is None:
+                index[w] = len(index)
+                live.append(w)
+                roots.append(index[w])
+                sets.append(0)
+                entry.append(mask)
+                todo.append((w, iter(succ.get(dst, ()))))
+                break
+            if w in dead:
+                continue
+            while roots[-1] > i:
+                roots.pop()
+                mask |= sets.pop() | entry.pop()
+            sets[-1] |= mask
+            if sets[-1] == full:
+                return True
+        else:
+            todo.pop()
+            if roots[-1] == index[v]:
+                roots.pop()
+                sets.pop()
+                entry.pop()
+                while True:
+                    u = live.pop()
+                    dead.add(u)
+                    if u == v:
+                        break
+    return False
+
+
 def capped_unfolding(aut: CounterAutomaton, t: int) -> tuple[int, list[tuple]]:
     """The runs of aut whose every counter observation is >= t, as a graph
     whose acceptance alone decides them.
@@ -360,29 +468,44 @@ def bounded_unfolding(aut: CounterAutomaton, n: int) -> tuple[int, list[tuple]]:
     return _unfold(*aut._bounded_rows, n, bounded=True)
 
 
-def value_on_lasso(aut: CounterAutomaton, word: LassoWord, cap: int):
+def value_on_lasso(aut, word: LassoWord, cap: int):
     """Exact sup-semantics value of the automaton on the given lasso.
 
-    Returns NO_RUN when no accepting run exists (the value is then 0 by
-    the empty-sup convention), ABOVE_CAP when every threshold up to cap is
-    achievable (covers infinite values), and the exact value otherwise.
+    aut is a CounterAutomaton, or a `translate.Tableau` read lazily along
+    the word (see `_lasso_graph`).  Returns NO_RUN when no accepting run
+    exists (the value is then 0 by the empty-sup convention), ABOVE_CAP
+    when every threshold up to cap is achievable (covers infinite values),
+    and the exact value otherwise.
 
-    After thresholds 0 and 1 the cap itself is tested.  Thresholds are
-    monotone, so a pass there answers ABOVE_CAP (every infinite value)
-    after three tests.  Otherwise the largest achievable threshold is
-    found by doubling from 1 and then bisecting the bracket.
+    Threshold 0 tests the lasso graph itself; every later test unfolds only
+    the nodes from which an accepting component is reachable, since no
+    accepting run passes through the others.  After thresholds 0 and 1 the
+    cap itself is tested.  Thresholds are monotone, so a pass there answers
+    ABOVE_CAP (every infinite value) after three tests.  Otherwise the
+    largest achievable threshold is found by doubling from 1 and then
+    bisecting the bracket.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    rows = _lasso_rows(aut, word)
+    num_nodes, edges = _lasso_graph(aut, word)
+    comp_of, accepting = accepting_components(num_nodes, edges, aut.num_acc_sets)
+    if not accepting:
+        return NO_RUN
+    live = coreachable(
+        num_nodes, edges, [v for v in range(num_nodes) if comp_of[v] in accepting]
+    )
+    kept = [e for e in edges if e[1] in live]  # its source is live too
+    num_slots, ops = _counter_ops(e[3] for e in kept)
+    succ: dict[int, list[tuple]] = {}
+    for s, d, acc, actions in kept:
+        mask = sum(1 << a for a in acc)
+        succ.setdefault(s, []).append((d, mask, ops(actions)))
+    full = (1 << aut.num_acc_sets) - 1
 
     def reaches(t: int) -> bool:
         """Is there an accepting run whose every observation is >= t?"""
-        num_configs, edges = _unfold(*rows, t)
-        return bool(accepting_components(num_configs, edges, aut.num_acc_sets)[1])
+        return _accepts(succ, num_slots, t, full)
 
-    if not reaches(0):
-        return NO_RUN
     if not reaches(1):
         return 0
     if cap == 1 or reaches(cap):

@@ -38,9 +38,10 @@ from .formula import (
     parse_formula,
 )
 from .model import load_model
-from .translate import (  # kept importable here for bench/tracing.py
-    build_counter_automaton,  # noqa: F401
-    prune_dominated,  # noqa: F401
+from .translate import (
+    Tableau,
+    build_counter_automaton,  # noqa: F401  kept importable here for bench/tracing.py
+    prune_dominated,  # noqa: F401  likewise
 )
 from .words import ABOVE_CAP, NO_RUN, parse_lasso
 
@@ -176,20 +177,21 @@ def _check_bound(mode: str, phi, result: BoundResult) -> str:
 
 
 def _check_value(phi, frag: str, word, cap: int, val) -> str:
+    # The formula's tableau is read along the word only, never built whole.
     if frag == LTL:
-        side = value_on_lasso(_pruned(phi), word, 1)
+        side = value_on_lasso(Tableau(phi), word, 1)
         if val == 0:
             ok = side is ABOVE_CAP
         else:
             ok = side is NO_RUN
         return "ok" if ok else f"mismatch: automaton route says {side!r}"
     if frag == COST_GT:
-        side = value_on_lasso(_pruned(phi), word, cap)
+        side = value_on_lasso(Tableau(phi), word, cap)
         side = 0 if side is NO_RUN else side  # the empty-sup convention
         expect = val
     else:
         # The dual value is the U<= value minus one, NO_RUN standing for -1.
-        side = value_on_lasso(_pruned(negate_dual(phi)), word, cap)
+        side = value_on_lasso(Tableau(negate_dual(phi)), word, cap)
         expect = val if val is ABOVE_CAP else NO_RUN if val == 0 else val - 1
     if (side is ABOVE_CAP) != (expect is ABOVE_CAP) or (
         side is not ABOVE_CAP and side != expect

@@ -93,6 +93,24 @@ def accepting_components(
     return comp_of, accepting
 
 
+def coreachable(num_nodes: int, edges: Sequence[tuple], targets) -> set[int]:
+    """targets and every node with a path into one of them.
+
+    edges are tuples starting (src, dst); further fields are ignored.
+    """
+    pred: list[list[int]] = [[] for _ in range(num_nodes)]
+    for e in edges:
+        pred[e[1]].append(e[0])
+    out = set(targets)
+    stack = list(out)
+    while stack:
+        for u in pred[stack.pop()]:
+            if u not in out:
+                out.add(u)
+                stack.append(u)
+    return out
+
+
 def bounded_components(
     edges: Sequence[tuple],
     num_acc_sets: int,

@@ -38,15 +38,24 @@ failures, is the larger.  Such an automaton is read with bounded
 counters: a run's value is the largest counter value it reaches
 (`automaton.bounded_unfolding`), where an R> automaton's is its least
 observation (`automaton.capped_unfolding`).
+
+There is one tableau per formula, a `Tableau`, and it is built on demand:
+`successors(state, letter)` collapses the epsilon paths of one state under
+one letter, and drops every set holding a literal the letter falsifies
+before rewriting it.  `build_counter_automaton` explores it whole, over
+every letter, and removes the states that cannot reach an accepting cycle.
+`automaton.value_on_lasso` reads it lazily along one lasso word, asking
+only for the (state, letter) pairs the word reaches: the on-the-fly
+construction of Gerth, Peled, Vardi and Wolper ("Simple on-the-fly
+automatic verification of linear temporal logic", 1995).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .automaton import CounterAutomaton, Cube, Transition
+from .automaton import CounterAutomaton, Cube, Transition, action_dominates
 from .formula import (
     MIXED,
     And,
@@ -70,7 +79,7 @@ from .formula import (
     subformulas,
     until_subformulas,
 )
-from .graphs import accepting_components
+from .graphs import accepting_components, coreachable
 
 StateSet = frozenset
 
@@ -252,47 +261,6 @@ def reduce_state(state: StateSet) -> list[EpsilonEdge]:
     return [e for e in raw if e is not None]
 
 
-def _closure(state: StateSet, memo: dict):
-    """All (reduced endpoint, accumulated actions, postponed untils) of the
-    maximal epsilon paths out of state.  actions is a sorted tuple of
-    (signed counter, action) pairs; each counter may act at most once per
-    path."""
-    got = memo.get(state)
-    if got is not None:
-        return got
-    edges = reduce_state(state)
-    if not edges:
-        # No edges means either a reduced endpoint or a state whose every
-        # rewrite was contradictory; the latter branch just dies.
-        out = ((state, (), frozenset()),) if is_reduced_state(state) else ()
-    else:
-        seen = set()
-        acc = []
-        for e in edges:
-            step = tuple((c, "r") for c in e.resets)
-            if e.counter is not None:
-                step += ((e.counter, e.action),)
-            for endpoint, actions, marks in _closure(e.target, memo):
-                if step:
-                    combined = actions + step
-                    if len(combined) > 1:
-                        labels = {c for c, _ in combined}
-                        if len(labels) != len(combined):
-                            raise RuntimeError(
-                                "a counter acted twice on one epsilon path"
-                            )
-                    actions = tuple(sorted(combined))
-                if e.postponed is not None:
-                    marks = marks | {e.postponed}
-                item = (endpoint, actions, marks)
-                if item not in seen:
-                    seen.add(item)
-                    acc.append(item)
-        out = tuple(acc)
-    memo[state] = out
-    return out
-
-
 def _cube_of(state: StateSet) -> Cube:
     pos, neg = [], []
     for f in state:
@@ -363,88 +331,186 @@ def _step_letter(endpoint: StateSet):
     return carried, tuple(resets)
 
 
-def build_counter_automaton(phi: Formula) -> CounterAutomaton:
-    """Translate a U<=-fragment, R>-fragment or plain LTL formula to a
-    counter automaton; unreachable states and states that cannot reach an
-    accepting cycle are removed.  The caller reads an R> automaton with
-    capped counters and a U<= automaton with bounded ones (see above)."""
-    if classify_fragment(phi) == MIXED:
-        raise FragmentError("cannot translate a formula mixing U<= and R>")
-    phi = label_counters(phi)
-    labels = cost_operator_count(phi)
-    paired = _paired_occurrences(phi)
-    slot = {i: i - 1 for i in range(1, labels + 1)}
-    for rank, i in enumerate(sorted(paired)):
-        slot[-i] = labels + rank
-    num_counters = labels + len(paired)
+class Tableau:
+    """The tableau of one formula, built on demand.
 
-    untils = until_subformulas(phi)
-    acc_of = {u: i for i, u in enumerate(untils)}
-    num_acc = len(untils)
-    ap = propositions(phi)
+    `successors(state, letter)` returns the transitions leaving a state
+    whose cube matches the letter, and `letter=None` returns every one.
+    States are numbered in the order they are first reached, so exploring
+    the states in that order over all letters numbers them breadth-first
+    from the initial state 0, as `build_counter_automaton` does.
 
-    init = normalize_state({phi})
-    if init is None:
-        return CounterAutomaton(1, 0, num_counters, num_acc, (), ap)
+    Under a letter the epsilon closure drops every set that holds a literal
+    the letter falsifies, before its rewrites are enumerated.  No literal
+    ever leaves a set on an epsilon path, so every endpoint below such a
+    set would carry the literal in its cube: nothing matching the letter
+    is lost.  A word's reader thus builds only the part of the tableau the
+    word reaches.  All memos live on the object, one per query.
+    """
 
-    memo: dict = {}
-    # The same reduced endpoint shows up under many states and under many
-    # action combinations, so its letter crossing and cube are computed
-    # once; likewise the acceptance sets per combination of postponements.
-    cross_memo: dict = {}
-    acc_memo: dict = {frozenset(): frozenset(range(num_acc))}
-    index: dict[StateSet, int] = {init: 0}
-    order = [init]
-    queue = deque([init])
-    transitions: list[Transition] = []
-    seen = set()
-    while queue:
-        state = queue.popleft()
-        src = index[state]
-        for endpoint, actions, marks in _closure(state, memo):
-            got = cross_memo.get(endpoint)
+    def __init__(self, phi: Formula):
+        if classify_fragment(phi) == MIXED:
+            raise FragmentError("cannot translate a formula mixing U<= and R>")
+        phi = label_counters(phi)
+        labels = cost_operator_count(phi)
+        paired = _paired_occurrences(phi)
+        self._slot = {i: i - 1 for i in range(1, labels + 1)}
+        for rank, i in enumerate(sorted(paired)):
+            self._slot[-i] = labels + rank
+        self.num_counters = labels + len(paired)
+        untils = until_subformulas(phi)
+        self._acc_of = {u: i for i, u in enumerate(untils)}
+        self.num_acc_sets = len(untils)
+        self.ap = propositions(phi)
+        self._props = frozenset(self.ap)
+        self.init = 0
+        # An unsatisfiable formula keeps one state, None, with no successors.
+        init = normalize_state({phi})
+        self._sets: list[StateSet | None] = [init]
+        self._index: dict[StateSet | None, int] = {init: 0}
+        self._reduced: dict[StateSet, list[EpsilonEdge]] = {}
+        self._closures: dict[frozenset | None, dict] = {}
+        # The same reduced endpoint shows up under many states and under
+        # many action combinations, so its letter crossing and cube are
+        # computed once; likewise the acceptance sets per combination of
+        # postponements.
+        self._crossings: dict[StateSet, tuple] = {}
+        self._accs: dict[frozenset, frozenset] = {
+            frozenset(): frozenset(range(self.num_acc_sets))
+        }
+
+    @property
+    def num_states(self) -> int:
+        """The number of states reached so far."""
+        return len(self._sets)
+
+    def successors(self, state: int, letter: frozenset | None) -> list[Transition]:
+        members = self._sets[state]
+        if members is None:
+            return []
+        if letter is not None:
+            letter &= self._props
+        memo = self._closures.setdefault(letter, {})
+        out: list[Transition] = []
+        seen = set()
+        for endpoint, actions, marks in self._closure(members, letter, memo):
+            got = self._crossings.get(endpoint)
             if got is None:
-                members, crossing = _step_letter(endpoint)
-                got = (normalize_state(members), _cube_of(endpoint), crossing)
-                cross_memo[endpoint] = got
+                carried, crossing = _step_letter(endpoint)
+                got = (normalize_state(carried), _cube_of(endpoint), crossing)
+                self._crossings[endpoint] = got
             target, cube, crossing = got
             if target is None:
                 continue
-            action_row = [""] * num_counters
-            try:
-                for counter, act in actions:
-                    action_row[slot[counter]] = act
-                for counter in crossing:
-                    s = slot[counter]
-                    # A pending increment only ever fed the window being
-                    # abandoned here, so the reset swallows it.
-                    if action_row[s] == "or":
-                        raise RuntimeError(
-                            "an observation cannot share a step with the hand-off"
-                        )
-                    action_row[s] = "r"
-            except KeyError as k:
-                raise RuntimeError(
-                    f"window hand-off for occurrence {abs(k.args[0])}, "
-                    "which was not sized for overlap"
-                ) from None
-            acc = acc_memo.get(marks)
-            if acc is None:
-                acc = acc_memo[frozenset()].difference(acc_of[u] for u in marks)
-                acc_memo[marks] = acc
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            tr = Transition(src, cube, tuple(action_row), acc, index[target])
+            tr = Transition(
+                state, cube, self._action_row(actions, crossing),
+                self._acc(marks), self._state_id(target),
+            )
             if tr not in seen:
                 seen.add(tr)
-                transitions.append(tr)
-    num_states, init_ix, live_transitions = _live_slice(
-        len(order), 0, transitions, num_acc
+                out.append(tr)
+        return out
+
+    def _state_id(self, members: StateSet) -> int:
+        got = self._index.get(members)
+        if got is None:
+            got = self._index[members] = len(self._sets)
+            self._sets.append(members)
+        return got
+
+    def _acc(self, marks: frozenset) -> frozenset:
+        got = self._accs.get(marks)
+        if got is None:
+            got = self._accs[frozenset()].difference(self._acc_of[u] for u in marks)
+            self._accs[marks] = got
+        return got
+
+    def _action_row(self, actions, crossing) -> tuple[str, ...]:
+        row = [""] * self.num_counters
+        try:
+            for counter, act in actions:
+                row[self._slot[counter]] = act
+            for counter in crossing:
+                s = self._slot[counter]
+                # A pending increment only ever fed the window being
+                # abandoned here, so the reset swallows it.
+                if row[s] == "or":
+                    raise RuntimeError(
+                        "an observation cannot share a step with the hand-off"
+                    )
+                row[s] = "r"
+        except KeyError as k:
+            raise RuntimeError(
+                f"window hand-off for occurrence {abs(k.args[0])}, "
+                "which was not sized for overlap"
+            ) from None
+        return tuple(row)
+
+    def _closure(self, state: StateSet, letter: frozenset | None, memo: dict):
+        """All (reduced endpoint, accumulated actions, postponed untils) of
+        the maximal epsilon paths out of state whose endpoint's cube
+        matches letter.  actions is a sorted tuple of (signed counter,
+        action) pairs; each counter may act at most once per path."""
+        got = memo.get(state)
+        if got is not None:
+            return got
+        if letter is not None and any(
+            isinstance(f, Lit) and (f.name in letter) != f.positive for f in state
+        ):
+            memo[state] = ()
+            return ()
+        edges = self._reduced.get(state)
+        if edges is None:
+            edges = self._reduced[state] = reduce_state(state)
+        if not edges:
+            # No edges means either a reduced endpoint or a state whose every
+            # rewrite was contradictory; the latter branch just dies.
+            out = ((state, (), frozenset()),) if is_reduced_state(state) else ()
+        else:
+            seen = set()
+            acc = []
+            for e in edges:
+                step = tuple((c, "r") for c in e.resets)
+                if e.counter is not None:
+                    step += ((e.counter, e.action),)
+                for endpoint, actions, marks in self._closure(e.target, letter, memo):
+                    if step:
+                        combined = actions + step
+                        if len(combined) > 1:
+                            labels = {c for c, _ in combined}
+                            if len(labels) != len(combined):
+                                raise RuntimeError(
+                                    "a counter acted twice on one epsilon path"
+                                )
+                        actions = tuple(sorted(combined))
+                    if e.postponed is not None:
+                        marks = marks | {e.postponed}
+                    item = (endpoint, actions, marks)
+                    if item not in seen:
+                        seen.add(item)
+                        acc.append(item)
+            out = tuple(acc)
+        memo[state] = out
+        return out
+
+
+def build_counter_automaton(phi: Formula) -> CounterAutomaton:
+    """Translate a U<=-fragment, R>-fragment or plain LTL formula to a
+    counter automaton: its `Tableau` explored over every letter, with the
+    states that cannot reach an accepting cycle removed.  The caller reads
+    an R> automaton with capped counters and a U<= automaton with bounded
+    ones (see above)."""
+    tab = Tableau(phi)
+    transitions: list[Transition] = []
+    state = 0
+    while state < tab.num_states:
+        transitions += tab.successors(state, None)
+        state += 1
+    num_states, init, live_transitions = _live_slice(
+        tab.num_states, tab.init, transitions, tab.num_acc_sets
     )
     return CounterAutomaton(
-        num_states, init_ix, num_counters, num_acc, live_transitions, ap
+        num_states, init, tab.num_counters, tab.num_acc_sets, live_transitions, tab.ap
     )
 
 
@@ -454,17 +520,9 @@ def _live_slice(num_states, init, transitions, num_acc_sets):
     Returns the renumbered (state count, initial state, transitions)."""
     edges = [(t.src, t.dst, t.acc) for t in transitions]
     comp_of, accepting = accepting_components(num_states, edges, num_acc_sets)
-    rev: dict[int, list[int]] = {}
-    for t in transitions:
-        rev.setdefault(t.dst, []).append(t.src)
-    live = {s for s in range(num_states) if comp_of[s] in accepting}
-    queue = deque(live)
-    while queue:
-        v = queue.popleft()
-        for u in rev.get(v, ()):
-            if u not in live:
-                live.add(u)
-                queue.append(u)
+    live = coreachable(
+        num_states, edges, [s for s in range(num_states) if comp_of[s] in accepting]
+    )
     if len(live) == num_states:
         return num_states, init, tuple(transitions)
     keep = sorted(live | {init})
@@ -475,15 +533,6 @@ def _live_slice(num_states, init, transitions, num_acc_sets):
         if t.src in live and t.dst in live
     )
     return len(keep), renumber[init], kept
-
-
-def _action_dominates(strong: str, weak: str, inf: bool) -> bool:
-    # Where a run is worth its least observation (sup), an increment beats
-    # a skip; where it is worth its largest counter value (inf), a skip
-    # beats an increment.  Resets compare to nothing but themselves.
-    if strong == weak:
-        return True
-    return (strong, weak) == (("", "i") if inf else ("i", ""))
 
 
 def prune_dominated(aut: CounterAutomaton, inf: bool = False) -> CounterAutomaton:
@@ -509,7 +558,7 @@ def prune_dominated(aut: CounterAutomaton, inf: bool = False) -> CounterAutomato
         dominated = any(
             s != t
             and s.cube.subsumes(t.cube)
-            and all(_action_dominates(x, y, inf) for x, y in zip(s.actions, t.actions))
+            and all(action_dominates(x, y, inf) for x, y in zip(s.actions, t.actions))
             for s in siblings
         )
         if not dominated:

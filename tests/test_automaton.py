@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,8 @@ from cltlbound.automaton import (
     CounterAutomaton,
     Cube,
     Transition,
+    _accepts,
+    _unfold,
     capped_unfolding,
     synchronized_product,
     to_dot,
@@ -14,6 +17,7 @@ from cltlbound.automaton import (
 )
 from cltlbound.cegar import run_value
 from cltlbound.emptiness import find_accepting_lasso
+from cltlbound.graphs import accepting_components
 from cltlbound.words import ABOVE_CAP, NO_RUN, parse_lasso
 
 from corpus import naive_accepts, random_automaton, random_lasso, word_model
@@ -142,6 +146,28 @@ def test_capped_unfolding_agrees_with_value_on_lasso():
     with pytest.raises(ValueError):
         capped_unfolding(block_counter(), -1)
 
+
+
+def test_early_exit_agrees_with_the_whole_unfolding():
+    # value_on_lasso's threshold tests stop at the first accepting cycle
+    # they meet; on the same rows, the accepting components of the whole
+    # unfolding give the same answer at every threshold.
+    rng = random.Random(47)
+    accepted = 0
+    for _ in range(300):
+        aut = random_automaton(rng, max_states=8, max_acc=3, max_counters=3)
+        succ, _, num_slots = replace(aut, init=0)._rows
+        rows = {
+            s: [(dst, sum(1 << a for a in acc), ops) for dst, acc, ops, _ in out]
+            for s, out in succ.items()
+        }
+        full = (1 << aut.num_acc_sets) - 1
+        for t in range(4):
+            num_configs, edges = _unfold(succ, 0, num_slots, t)
+            whole = bool(accepting_components(num_configs, edges, aut.num_acc_sets)[1])
+            assert _accepts(rows, num_slots, t, full) == whole, (aut, t)
+            accepted += whole
+    assert accepted > 100
 
 def test_product_shifts_acceptance_sets():
     a = block_counter()
