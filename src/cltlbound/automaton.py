@@ -7,22 +7,24 @@ actions per transition: "" (skip), "i" (increment), "or" (observe the
 value, then reset) and "r" (reset).
 
 A threshold test asks whether some accepting run observes every counter
-at t or more.  One unfolding engine answers it: configurations pair a
-node with counter values capped at t, fed by two front ends.
-The model front end reads a whole automaton (`capped_unfolding`, which
-the sup search runs on the formula × model product) and builds every
-configuration, since the search reads a witness off the graph.  The
-same engine, with counters bounded instead of capped, keeps the runs
-whose every counter stays at n or below (`bounded_unfolding`, which the
-inf search runs on the product of a U<= automaton): a run's value is
-then its largest counter value.  The lasso front end (`value_on_lasso`)
-reads an automaton, or a formula's `translate.Tableau` translated only as
-far as the word reaches, along one lasso word; its threshold tests stop
-at the first accepting cycle they meet (`_accepts`).
+at t or more.  One engine answers it (`_accepts`): configurations pair a
+node with counter values capped at t, and the test explores them depth
+first as it generates them and stops at the first accepting cycle it
+meets.  With counters bounded instead of capped, the same engine keeps
+the runs whose every counter stays at t or below: a U<= automaton's run
+is worth its largest counter value.  Two front ends feed it.  The model
+front end reads a whole automaton state by state
+(`emptiness.find_accepting_lasso`, which the sup and inf searches run on
+the formula × model product) and threads a witness lasso through the
+accepting component the test stops in.  The lasso front end
+(`value_on_lasso`) reads an automaton, or a formula's
+`translate.Tableau` translated only as far as the word reaches, along
+one lasso word.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -139,24 +141,31 @@ class CounterAutomaton:
         return [t for t in self._by_source.get(state, ()) if t.cube.matches(letter)]
 
     @cached_property
-    def _rows(self):
-        """The model front end of `capped_unfolding`, built once."""
+    def _transition_set(self) -> frozenset:
+        """Every transition, for `emptiness.check_lasso_run`."""
+        return frozenset(self.transitions)
+
+    @cached_property
+    def _capped_rows(self):
+        """The model front end of a capped threshold test, built once."""
         return _model_rows(self, bounded=False)
 
     @cached_property
     def _bounded_rows(self):
-        """The model front end of `bounded_unfolding`, built once."""
+        """The model front end of a bounded threshold test, built once."""
         return _model_rows(self, bounded=True)
 
 
 def _model_rows(aut: CounterAutomaton, bounded: bool):
-    """The model front end: nodes are the states, rows come in `by_source`
-    order."""
+    """The model front end: nodes are the states, and each transition is a
+    row labelled by itself, in `by_source` order.  Returns the rows by
+    source state and the number of counters the test tracks."""
     num_slots, ops = _counter_ops((tr.actions for tr in aut.transitions), bounded)
     succ: dict[int, list[tuple]] = {}
     for tr in aut.transitions:
-        succ.setdefault(tr.src, []).append((tr.dst, tr.acc, ops(tr.actions), tr))
-    return succ, aut.init, num_slots
+        mask = sum(1 << a for a in tr.acc)
+        succ.setdefault(tr.src, []).append((tr.dst, mask, ops(tr.actions), tr))
+    return succ, num_slots
 
 
 def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAutomaton:
@@ -232,11 +241,11 @@ def _counter_ops(action_rows, bounded: bool = False):
     return len(slot), ops
 
 
-# The model front end feeds `_unfold` (succ, init, num_slots): succ maps a
-# state to the rows of the transitions leaving it, each row (dst state,
-# acceptance sets, compiled counter ops, transition).  The lasso front end
-# is `_lasso_graph`; `value_on_lasso` compiles the live part of its graph
-# into the rows `_accepts` reads.
+# Both front ends feed `_accepts` the rows leaving each node: (dst node,
+# acceptance bitmask, compiled counter ops, label).  The model front end's
+# nodes are states and its labels transitions (`_model_rows`); the lasso
+# front end's are the nodes and edges of `_lasso_graph`, whose live part
+# `value_on_lasso` compiles.
 
 
 def action_dominates(strong: str, weak: str, inf: bool) -> bool:
@@ -308,34 +317,58 @@ def _lasso_graph(source, word: LassoWord) -> tuple[int, list[tuple]]:
     return len(order), edges
 
 
-def _unfold(
+def _accepts(
     succ: dict[int, list[tuple]],
     init: int,
     num_slots: int,
     t: int,
+    full: int,
     bounded: bool = False,
-) -> tuple[int, list[tuple]]:
-    """The unfolding engine, whole, behind the model front end.
+    edges: list | None = None,
+) -> tuple[tuple | None, int]:
+    """The threshold test: does the unfolding at t hold an accepting cycle?
 
     A configuration pairs a node with the tracked counter values capped at
     t (larger values behave identically for a threshold test), and an edge
     that observes a value below t is dropped.  At t = 0 every observation
-    passes, so no counter is tracked.  Bounded, an edge that would
-    increment a counter past t is dropped instead, at t = 0 too.  Returns
-    the number of configurations and the edges (src, dst, acceptance sets,
-    transition).  Configurations are numbered in BFS order from the
-    initial one, and the edges come out source by source in that order,
-    each source's in row order, so the first edge into a configuration is
-    its BFS parent.
+    passes and the values stay 0.  Bounded, an edge that would increment a
+    counter past t is dropped instead, at t = 0 too.
+
+    The unfolding is explored depth first from (init, 0, ..., 0) as it is
+    generated, by Couvreur's SCC-based emptiness check ("On-the-fly
+    verification of linear temporal logic", FM'99; see also Renault et
+    al., LPAR 2013).  succ rows are (dst node, acceptance bitmask, counter
+    ops, label), and full is the mask of every set.  Each root of a
+    component still on the stack carries the sets met inside the
+    component, and the set of the edge that entered it, which joins the
+    component only when an edge back into a live configuration merges it
+    with an older root.  The search stops at the first merge covering
+    every set; with no sets, at the first cycle.  Finished components are
+    marked dead and never merged.
+
+    Returns (found, configurations explored), which on a failed test is
+    the whole unfolding.  found is None or (stem, root, component): the
+    labels of the rows that entered the DFS frames down to the accepting
+    component's root, the root's index, and the indices of the
+    component's configurations (the live ones from the root on).  When
+    edges is a list, it receives every kept edge explored as (src, dst,
+    acceptance bitmask, label); the component's edges cover every set.
     """
-    track = bool(t or bounded)
-    start = (init, (0,) * num_slots if track else ())
+    start = (init, (0,) * num_slots)
     index = {start: 0}
-    order = [start]
-    edges = []
-    for s, (node, vals) in enumerate(order):
-        for dst, acc, ops, tr in succ.get(node, ()):
-            if track and ops:
+    dead: set[int] = set()
+    live = [0]  # configurations of unfinished components, in order
+    roots = [0]  # index of each unfinished component's root
+    sets = [0]  # acceptance sets met inside each of those components
+    entry = [0]  # acceptance sets of the edge entering each root
+    # A frame: configuration, its index, its rows left, the label entering it.
+    todo = [(start, 0, iter(succ.get(init, ())), None)]
+    while todo:
+        v, s, rows, _ = todo[-1]
+        vals = v[1]
+        for dst, mask, ops, label in rows:
+            if ops:
+                # The counter step, inline: it runs once per edge.
                 new = list(vals)
                 passed = True
                 for c, ch in ops:
@@ -352,120 +385,44 @@ def _unfold(
                         break
                 if not passed:
                     continue
-                tgt = (dst, tuple(new))
-            else:
-                tgt = (dst, vals)
-            d = index.get(tgt)
-            if d is None:
-                d = index[tgt] = len(order)
-                order.append(tgt)
-            edges.append((s, d, acc, tr))
-    return len(order), edges
-
-
-def _accepts(succ: dict[int, list[tuple]], num_slots: int, t: int, full: int) -> bool:
-    """A threshold test with early exit: does the capped unfolding at t
-    hold an accepting cycle?
-
-    The unfolding is explored depth first from node 0 as it is generated,
-    by Couvreur's SCC-based emptiness check ("On-the-fly verification of
-    linear temporal logic", FM'99; see also Renault et al., LPAR 2013).
-    succ rows are (dst node, acceptance bitmask, counter ops), and full is
-    the mask of every set.  Each root of a component still on the stack
-    carries the sets met inside the component, and the set of the edge
-    that entered it, which joins the component only when an edge back
-    into a live configuration merges it with an older root.  The search
-    stops at the first merge covering every set; with no sets, at the
-    first cycle.  Finished components are marked dead and never merged.
-    """
-    start = (0, (0,) * num_slots)
-    index = {start: 0}
-    dead = set()
-    live = [start]  # configurations of unfinished components, in order
-    roots = [0]  # DFS index of each unfinished component's root
-    sets = [0]  # acceptance sets met inside each of those components
-    entry = [0]  # acceptance sets of the edge entering each root
-    todo = [(start, iter(succ.get(0, ())))]
-    while todo:
-        v, rows = todo[-1]
-        vals = v[1]
-        for dst, mask, ops in rows:
-            if ops:
-                # The capped step of `_unfold`, inline for the same reason:
-                # it runs once per edge.
-                new = list(vals)
-                passed = True
-                for c, ch in ops:
-                    if ch == "i":
-                        if new[c] < t:
-                            new[c] += 1
-                    elif ch == "r":
-                        new[c] = 0
-                    elif new[c] < t:  # "o"
-                        passed = False
-                        break
-                if not passed:
-                    continue
                 w = (dst, tuple(new))
             else:
                 w = (dst, vals)
             i = index.get(w)
             if i is None:
-                index[w] = len(index)
-                live.append(w)
-                roots.append(index[w])
+                i = index[w] = len(index)
+                if edges is not None:
+                    edges.append((s, i, mask, label))
+                live.append(i)
+                roots.append(i)
                 sets.append(0)
                 entry.append(mask)
-                todo.append((w, iter(succ.get(dst, ()))))
+                todo.append((w, i, iter(succ.get(dst, ())), label))
                 break
-            if w in dead:
+            if edges is not None:
+                edges.append((s, i, mask, label))
+            if i in dead:
                 continue
             while roots[-1] > i:
                 roots.pop()
                 mask |= sets.pop() | entry.pop()
             sets[-1] |= mask
             if sets[-1] == full:
-                return True
+                root = roots[-1]
+                stem = [f[3] for f in todo[1:] if f[1] <= root]
+                return (stem, root, set(live[bisect_left(live, root):])), len(index)
         else:
             todo.pop()
-            if roots[-1] == index[v]:
+            if roots[-1] == s:
                 roots.pop()
                 sets.pop()
                 entry.pop()
                 while True:
                     u = live.pop()
                     dead.add(u)
-                    if u == v:
+                    if u == s:
                         break
-    return False
-
-
-def capped_unfolding(aut: CounterAutomaton, t: int) -> tuple[int, list[tuple]]:
-    """The runs of aut whose every counter observation is >= t, as a graph
-    whose acceptance alone decides them.
-
-    Returns (number of configurations, edges) from the unfolding engine;
-    each edge (src, dst, acceptance sets, transition) is labelled by the
-    transition of aut it copies, so a path through the graph is a run of
-    aut.  At t = 0 the graph is aut's reachable part.  The counter ops are
-    compiled once per automaton and shared by every threshold.
-    """
-    if t < 0:
-        raise ValueError("threshold must be nonnegative")
-    return _unfold(*aut._rows, t)
-
-
-def bounded_unfolding(aut: CounterAutomaton, n: int) -> tuple[int, list[tuple]]:
-    """The runs of aut whose every counter stays at n or below, as a graph
-    whose acceptance alone decides them.
-
-    Same output as `capped_unfolding`; a configuration pairs a state with
-    the values of the incremented counters, and every edge that would push
-    one past n is dropped.  Observations play no part.
-    """
-    if n < 0:
-        raise ValueError("bound must be nonnegative")
-    return _unfold(*aut._bounded_rows, n, bounded=True)
+    return None, len(index)
 
 
 def value_on_lasso(aut, word: LassoWord, cap: int):
@@ -497,14 +454,14 @@ def value_on_lasso(aut, word: LassoWord, cap: int):
     kept = [e for e in edges if e[1] in live]  # its source is live too
     num_slots, ops = _counter_ops(e[3] for e in kept)
     succ: dict[int, list[tuple]] = {}
-    for s, d, acc, actions in kept:
-        mask = sum(1 << a for a in acc)
-        succ.setdefault(s, []).append((d, mask, ops(actions)))
+    for e in kept:
+        mask = sum(1 << a for a in e[2])
+        succ.setdefault(e[0], []).append((e[1], mask, ops(e[3]), e))
     full = (1 << aut.num_acc_sets) - 1
 
     def reaches(t: int) -> bool:
         """Is there an accepting run whose every observation is >= t?"""
-        return _accepts(succ, num_slots, t, full)
+        return _accepts(succ, 0, num_slots, t, full)[0] is not None
 
     if not reaches(1):
         return 0

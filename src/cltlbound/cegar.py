@@ -2,12 +2,14 @@
 
 The sup side translates the R> formula once and products it with the
 model once.  Each pass then asks whether some model word has a value
-above a threshold n: the product's capped unfolding at n + 1 has an
-accepting lasso exactly when one does, and that lasso, read back as a run
-of the product, has a run value that is a lower bound on the sup.  The
-threshold gallops (doubling past each value found) until a pass comes back
-empty, then bisects between the best value found and that threshold; the
-best value is the sup.  The best value starts at -1, the sup when the
+above a threshold n: the threshold test at n + 1 finds an accepting
+lasso of the product exactly when one does, and that lasso's run value
+is a lower bound on the sup.  The threshold gallops (doubling past each
+value found) until a pass comes back empty, then bisects between the
+best value found and that threshold; the best value is the sup.  The
+first pass looks for a run that observes no counter first, a word of
+infinite value, where the test at 1 may find a run worth just 1.  The
+best value starts at -1, the sup when the
 product accepts no model word: an empty test at n = 0 makes the bisection
 test n = -1, which asks whether the product accepts any word at all.
 A U<= formula goes through its R> dual: a word fails phi[n] exactly when
@@ -33,18 +35,19 @@ cutoff at or above the default only caps the work.
 The inf side also translates once and products once.  The U<= automaton
 counts, per occurrence, the failures of its left operand (see
 `translate`), and a word's value is the least n for which some accepting
-run keeps every counter at n or below.  So the inf is the least n whose
-bounded unfolding of the product has an accepting lasso.  First comes a
+run keeps every counter at n or below.  So the inf is the least n at
+which the threshold test with counters bounded by n finds an accepting
+lasso of the product.  First comes a
 Streett check on the product itself: a run keeps its counters bounded iff
 each counter it increments infinitely often it also resets infinitely
 often, and `graphs.bounded_components` decides that by SCC refinement.
 No surviving component proves `infinite-inf` exactly, with no cutoff.
 Otherwise the check returns a lasso whose loop resets every counter it
 increments, so its counters stay at or below some U, and the bounded
-unfolding at U is nonempty.  That is why the search terminates:
-n gallops 0, 1, 2, 4, ... below U until an unfolding is nonempty, then
+test at U succeeds.  That is why the search terminates:
+n gallops 0, 1, 2, 4, ... below U until a test succeeds, then
 bisects between the last empty n and the least value found.  A user
-cutoff caps n; an empty unfolding at the cutoff ends the search with
+cutoff caps n; an empty test at the cutoff ends the search with
 `cutoff-reached` (the inf is finite, and above the cutoff).
 """
 
@@ -53,14 +56,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .automaton import (
-    CounterAutomaton,
-    LassoRun,
-    bounded_unfolding,
-    capped_unfolding,
-    synchronized_product,
-)
-from .emptiness import check_lasso_run, find_accepting_lasso, find_bounded_lasso
+from .automaton import CounterAutomaton, LassoRun, synchronized_product
+from .emptiness import check_lasso_run, find_accepting_lasso, find_bounded_lasso, reachable_part
 from .formula import (
     COST_LE,
     LTL,
@@ -149,9 +146,12 @@ def _pruned(phi: Formula) -> CounterAutomaton:
     )
 
 
-def _reachable_states(model: CounterAutomaton) -> int:
-    """The model states reachable from its initial state."""
-    return capped_unfolding(model, 0)[0]
+def _unobserving(product: CounterAutomaton) -> CounterAutomaton:
+    """product minus every transition that observes a counter: its
+    accepting runs are the product's runs of infinite value."""
+    return replace(product, transitions=tuple(
+        tr for tr in product.transitions if not any("o" in a for a in tr.actions)
+    ))
 
 
 def _fish_word(model: CounterAutomaton) -> LassoWord | None:
@@ -185,7 +185,7 @@ def compute_sup_bound(
 
 def _sup_direct(model, phi, cutoff):
     aut = _pruned(phi)
-    sound = aut.num_states * _reachable_states(model)
+    sound = aut.num_states * reachable_part(model)[0]
     limit = sound if cutoff is None else cutoff
     product = synchronized_product(aut, model)
     trace: list[IterationStats] = []
@@ -193,18 +193,23 @@ def _sup_direct(model, phi, cutoff):
     ceiling = None  # least n shown to bound every value, once one is
     n = 0
     while True:
-        # Is there a model word of value > n?  The unfolding keeps the
-        # runs of the product whose every observation reaches n + 1.
-        unfolded = capped_unfolding(product, n + 1)
-        hit = find_accepting_lasso(product, unfolded)
+        # Is there a model word of value > n?  The test keeps the runs of
+        # the product whose every observation reaches n + 1.  The first
+        # row looks for a run that observes nothing first: its value is
+        # infinite, where a run found at n + 1 may be worth just n + 1.
+        explored: list[int] = []
+        hit = None
+        if n == 0:
+            hit = find_accepting_lasso(_unobserving(product), explored=explored)
+        if hit is None:
+            hit = find_accepting_lasso(product, n + 1, explored=explored)
         p = None
         if hit is not None:
             p = run_value(hit[0], product)
             if p <= n:
                 raise RuntimeError(f"run of value {p} accepted at threshold {n + 1}")
         trace.append(IterationStats(
-            "search", n, p, aut.num_states, unfolded[0], len(unfolded[1]),
-            None if hit is None else hit[1],
+            "search", n, p, aut.num_states, *explored, None if hit is None else hit[1]
         ))
         if hit is None:
             ceiling = n
@@ -237,8 +242,8 @@ def compute_inf_bound(
     """inf of the value of phi over the model's language.
 
     Translates phi once, products it with the model, runs the Streett
-    check and then gallops over the product's bounded unfolding (see the
-    module docstring).  No cutoff is needed; a user `cutoff` caps the
+    check and then gallops over bounded threshold tests of the product
+    (see the module docstring).  No cutoff is needed; a user `cutoff` caps the
     thresholds tried.
     """
     if model.num_counters:
@@ -249,26 +254,25 @@ def compute_inf_bound(
         raise FragmentError("inf bounds apply to the U<= fragment")
     aut = _pruned(phi)
     product = synchronized_product(aut, model)
-    unfolded = capped_unfolding(product, 0)
-    hit = find_bounded_lasso(product, unfolded)
+    hit = find_bounded_lasso(product)
     hi, word = (None, None) if hit is None else (run_peak(hit[0], product), hit[1])
     trace = [IterationStats(
-        "streett", None, hi, aut.num_states, unfolded[0], len(unfolded[1]), word
+        "streett", None, hi, aut.num_states, product.num_states,
+        len(product.transitions), word,
     )]
     if hit is None:
         return BoundResult("infinite-inf", None, None, cutoff, tuple(trace))
-    # The least nonempty n lies in (lo, hi]: the unfolding at lo is empty
+    # The least nonempty n lies in (lo, hi]: the test at lo is empty
     # (lo = -1 says nothing yet) and a run of value hi is known.
     lo, n = -1, 0
     while lo + 1 < hi:
         if cutoff is not None and lo >= cutoff:
             return BoundResult("cutoff-reached", None, None, cutoff, tuple(trace))
-        unfolded = bounded_unfolding(product, n)
-        hit = find_accepting_lasso(product, unfolded)
+        explored = []
+        hit = find_accepting_lasso(product, n, bounded=True, explored=explored)
         p = None if hit is None else run_peak(hit[0], product)
         trace.append(IterationStats(
-            "search", n, p, aut.num_states, unfolded[0], len(unfolded[1]),
-            None if hit is None else hit[1],
+            "search", n, p, aut.num_states, *explored, None if hit is None else hit[1]
         ))
         if hit is None:
             lo = n

@@ -1,66 +1,88 @@
-"""Emptiness and witness search over a capped unfolding.
+"""Emptiness and witness search on a whole counter automaton.
 
-A counter automaton's runs whose every counter observation is at least t
-form a graph, `capped_unfolding(aut, t)`; at t = 0 counters play no part
-and the graph is the automaton's reachable part, read as a generalized
-Buchi automaton.  That graph has an accepting run iff some SCC contains,
-for every acceptance set, an internal edge of that set.  The returned
-witness is a lasso run of the automaton itself: shortest stem into the
-accepting SCC discovered first, then a loop threading one required edge
-per acceptance set.  The search is deterministic for a fixed transition
-order.
+`find_accepting_lasso(aut, t)` runs the threshold test of
+`automaton._accepts` on aut: is there an accepting run whose every
+counter observation is at least t?  At t = 0 counters play no part and
+aut is read as a generalized Buchi automaton; with bounded=True the test
+asks instead for a run whose every counter stays at t or below.  The test
+explores configurations depth first from the initial one and stops at
+the first accepting cycle.  Its witness is a lasso run of aut itself:
+the DFS path into the accepting component's root, then a loop threading
+one edge per acceptance set.  The search is deterministic for a fixed
+transition order.
 
-`find_bounded_lasso` answers the Streett question on the same graph:
-is there an accepting run whose counters stay bounded?  Its lasso's loop
-also threads one reset edge per counter the loop may increment.
+`find_bounded_lasso` answers the Streett question on aut's reachable
+part (`reachable_part`): is there an accepting run whose counters stay
+bounded?  Its lasso's stem is a shortest path into the component it
+picks, and its loop also threads one reset edge per counter the loop may
+increment.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .automaton import CounterAutomaton, LassoRun, capped_unfolding
-from .graphs import accepting_components, bounded_components
+from .automaton import CounterAutomaton, LassoRun, _accepts
+from .graphs import accepting_components  # noqa: F401  kept importable here for bench/tracing.py
+from .graphs import bounded_components
 from .words import LassoWord
 
 
 def find_accepting_lasso(
-    aut: CounterAutomaton, unfolded: tuple[int, list[tuple]] | None = None
+    aut: CounterAutomaton, t: int = 0, bounded: bool = False, explored: list | None = None
 ) -> tuple[LassoRun, LassoWord] | None:
     """A lasso run of aut plus the word it reads, or None when there is none.
 
-    The search runs over `unfolded`, which must be `capped_unfolding(aut,
-    t)` for some t, so that a run found observes every counter at t or
-    more, or `bounded_unfolding(aut, n)`, so that its counters stay at n or
-    below; by default it is `capped_unfolding(aut, 0)` and the search
-    ignores counters.
+    The run found observes every counter at t or more, or with bounded=True
+    keeps every counter at t or below; at the default t = 0 the search
+    ignores counters.  When explored is a list, it receives the numbers of
+    configurations and edges the search explored.
     """
-    num_configs, edges = capped_unfolding(aut, 0) if unfolded is None else unfolded
-    comp_of, accepting = accepting_components(num_configs, edges, aut.num_acc_sets)
-    # Configurations are numbered in BFS order: enter the accepting SCC
-    # discovered earliest.
-    entry = next((c for c in range(num_configs) if comp_of[c] in accepting), None)
-    if entry is None:
+    if t < 0:
+        raise ValueError("threshold must be nonnegative")
+    succ, num_slots = aut._bounded_rows if bounded else aut._capped_rows
+    full = (1 << aut.num_acc_sets) - 1
+    edges: list[tuple] = []
+    found, configs = _accepts(succ, aut.init, num_slots, t, full, bounded, edges)
+    if explored is not None:
+        explored[:] = (configs, len(edges))
+    if found is None:
         return None
-    target = comp_of[entry]
-    inside = [e for e in edges if comp_of[e[0]] == target and comp_of[e[1]] == target]
-    return _lasso(edges, entry, inside, _acceptance_wants(aut))
+    stem, root, comp = found
+    inside = [e for e in edges if e[0] in comp and e[1] in comp]
+    return _lasso(stem, root, inside, _acceptance_wants(aut))
 
 
-def find_bounded_lasso(
-    aut: CounterAutomaton, unfolded: tuple[int, list[tuple]] | None = None
-) -> tuple[LassoRun, LassoWord] | None:
+def reachable_part(aut: CounterAutomaton) -> tuple[int, list[tuple]]:
+    """The states of aut reachable from its initial state, numbered in BFS
+    order from it, and the edges (src, dst, acceptance sets, transition)
+    leaving them, source by source in that order.  A product is numbered
+    this way already, so its edges are its transitions."""
+    index = {aut.init: 0}
+    order = [aut.init]
+    edges = []
+    by_source = aut.by_source()
+    for s, state in enumerate(order):
+        for tr in by_source.get(state, ()):
+            d = index.get(tr.dst)
+            if d is None:
+                d = index[tr.dst] = len(order)
+                order.append(tr.dst)
+            edges.append((s, d, tr.acc, tr))
+    return len(order), edges
+
+
+def find_bounded_lasso(aut: CounterAutomaton) -> tuple[LassoRun, LassoWord] | None:
     """A lasso run of aut whose loop resets every counter it increments,
     plus the word it reads; None when no accepting run of aut keeps its
     counters bounded.
 
-    `unfolded` must be `capped_unfolding(aut, 0)` (the default): the
-    Streett check (`graphs.bounded_components`) runs on it.  The loop
-    stays inside the surviving component entered first in BFS order and
-    threads, besides one edge per acceptance set, one reset edge of each
-    counter the component increments.
+    The Streett check (`graphs.bounded_components`) runs on aut's
+    reachable part.  The loop stays inside the surviving component entered
+    first in BFS order and threads, besides one edge per acceptance set,
+    one reset edge of each counter the component increments.
     """
-    _, edges = capped_unfolding(aut, 0) if unfolded is None else unfolded
+    _, edges = reachable_part(aut)
     marks = [_counter_marks(e[3].actions) for e in edges]
     good = bounded_components(edges, aut.num_acc_sets, marks)
     if not good:
@@ -75,7 +97,15 @@ def find_bounded_lasso(
         for c in range(aut.num_counters)
         if incs >> c & 1
     ]
-    return _lasso(edges, entry, [edges[k] for k in comp], wants)
+    # The stem is the BFS path: the first edge into a state discovered it.
+    parent: dict[int, tuple] = {}
+    for e in edges:
+        parent.setdefault(e[1], e)
+    stem, c = [], entry
+    while c != 0:
+        stem.append(parent[c][3])
+        c = parent[c][0]
+    return _lasso(stem[::-1], entry, [edges[k] for k in comp], wants)
 
 
 def _counter_marks(actions: tuple[str, ...]) -> tuple[int, int]:
@@ -90,28 +120,18 @@ def _counter_marks(actions: tuple[str, ...]) -> tuple[int, int]:
 
 
 def _acceptance_wants(aut: CounterAutomaton) -> list:
-    return [lambda e, i=i: i in e[2] for i in range(aut.num_acc_sets)]
+    return [lambda e, i=i: i in e[3].acc for i in range(aut.num_acc_sets)]
 
 
-def _lasso(edges, entry, inside, wants) -> tuple[LassoRun, LassoWord]:
-    """The lasso through entry: the BFS stem into it, then a loop inside
-    the component whose edges are `inside`, threading one edge that
-    satisfies each of `wants` (or any one edge back to entry)."""
-    # The first edge into a configuration is the one that discovered it.
-    parent: dict[int, tuple] = {}
-    for e in edges:
-        parent.setdefault(e[1], e)
+def _lasso(stem, entry: int, inside: list[tuple], wants) -> tuple[LassoRun, LassoWord]:
+    """The lasso run whose stem is the transitions stem, ending at node
+    entry, and whose loop is a cycle through entry inside the component
+    whose edges (src, dst, acceptance, transition) are `inside`, threading
+    one edge that satisfies each of `wants` (or any one edge back to
+    entry); and the word it reads."""
     by_src: dict[int, list[tuple]] = {}
     for e in inside:
         by_src.setdefault(e[0], []).append(e)
-    stem: list[tuple] = []
-    c = entry
-    while c != 0:
-        e = parent[c]
-        stem.append(e)
-        c = e[0]
-    stem.reverse()
-
     loop: list[tuple] = []
     cur = entry
     for want in wants:
@@ -122,24 +142,28 @@ def _lasso(edges, entry, inside, wants) -> tuple[LassoRun, LassoWord]:
         cur = path[-1][1]
     if cur != entry or not loop:
         loop.extend(_shortest_via(cur, lambda e: e[1] == entry, by_src))
-    run = LassoRun(tuple(e[3] for e in stem), tuple(e[3] for e in loop))
+    run = LassoRun(tuple(stem), tuple(e[3] for e in loop))
     return run, word_of_run(run)
 
 
 def _shortest_via(start: int, want, inside: dict) -> list[tuple]:
-    """Shortest nonempty edge path from start, staying inside the SCC,
-    whose final edge satisfies want."""
-    visited = {start}
-    queue = deque([(start, [])])
+    """Shortest nonempty edge path from start, staying inside the
+    component, whose final edge satisfies want."""
+    parent: dict[int, tuple | None] = {start: None}  # the edge reaching each node
+    queue = deque([start])
     while queue:
-        c, path = queue.popleft()
+        c = queue.popleft()
         for e in inside.get(c, ()):
             if want(e):
-                return path + [e]
-            if e[1] not in visited:
-                visited.add(e[1])
-                queue.append((e[1], path + [e]))
-    raise RuntimeError("accepting SCC stopped covering what the loop needs")
+                path = [e]
+                while path[-1][0] != start:
+                    path.append(parent[path[-1][0]])
+                path.reverse()
+                return path
+            if e[1] not in parent:
+                parent[e[1]] = e
+                queue.append(e[1])
+    raise RuntimeError("accepting component stopped covering what the loop needs")
 
 
 def word_of_run(run: LassoRun) -> LassoWord:
@@ -167,7 +191,7 @@ def check_lasso_run(aut: CounterAutomaton, run: LassoRun, word: LassoWord | None
     loop_start = run.loop[0].src
     if run.loop[-1].dst != loop_start:
         raise ValueError("loop does not close")
-    known = set(aut.transitions)
+    known = aut._transition_set
     for t in seq:
         if t not in known:
             raise ValueError(f"transition not in the automaton: {t}")

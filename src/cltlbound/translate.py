@@ -35,9 +35,9 @@ counter pair.  A copy demanded again while one is running merges into it
 by set semantics, and the merge is exact: both copies wait for the same
 first r, and the older copy's count, which includes the younger's
 failures, is the larger.  Such an automaton is read with bounded
-counters: a run's value is the largest counter value it reaches
-(`automaton.bounded_unfolding`), where an R> automaton's is its least
-observation (`automaton.capped_unfolding`).
+counters: a run's value is the largest counter value it reaches, where
+an R> automaton's is its least observation (both readings are threshold
+tests of `automaton._accepts`).
 
 There is one tableau per formula, a `Tableau`, and it is built on demand:
 `successors(state, letter)` collapses the epsilon paths of one state under

@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import random
 
-from cltlbound.automaton import (
-    CounterAutomaton,
-    Cube,
-    Transition,
-    capped_unfolding,
-    synchronized_product,
-)
+from cltlbound.automaton import CounterAutomaton, Cube, Transition, synchronized_product
 from cltlbound.cegar import BoundResult, IterationStats, run_value
 from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.formula import (
@@ -36,6 +30,7 @@ from cltlbound.formula import (
     instantiate,
     negate_dual,
 )
+from cltlbound.graphs import accepting_components
 from cltlbound.oracle import eval_ltl_on_lasso
 from cltlbound.translate import build_counter_automaton, prune_dominated
 from cltlbound.words import ABOVE_CAP, LassoWord
@@ -236,6 +231,60 @@ def naive_accepts(aut: CounterAutomaton, word: LassoWord) -> bool:
     return naive_has_accepting_cycle(reach, edges, aut.num_acc_sets)
 
 
+def whole_unfolding(aut: CounterAutomaton, t: int, bounded: bool = False) -> tuple[int, list[tuple]]:
+    """The unfolding a threshold test of aut at t explores, built whole.
+
+    A configuration pairs a state with the values of the tracked counters,
+    capped at t: the observed ones, or with bounded=True the incremented
+    ones; at t = 0 a capped unfolding tracks none.  An edge that observes a
+    value below t is dropped, or, bounded, an edge that would increment a
+    counter past t.  Returns the number of configurations and the edges
+    (src, dst, acceptance sets, transition), numbered in BFS order.  This
+    was the model front end's threshold test before it ran on the fly
+    (`automaton._accepts`), and tests compare the two.
+    """
+    key = "i" if bounded else "o"
+    tracked = sorted({
+        c for tr in aut.transitions for c, acts in enumerate(tr.actions) if key in acts
+    }) if t or bounded else []
+    by_src = {}
+    for tr in aut.transitions:
+        by_src.setdefault(tr.src, []).append(tr)
+    start = (aut.init, (0,) * len(tracked))
+    index = {start: 0}
+    order = [start]
+    edges = []
+    for s, (state, vals) in enumerate(order):
+        for tr in by_src.get(state, ()):
+            new = list(vals)
+            passed = True
+            for k, c in enumerate(tracked):
+                act = tr.actions[c]
+                if act == "i":
+                    if new[k] < t:
+                        new[k] += 1
+                    elif bounded:
+                        passed = False
+                if "o" in act and not bounded and new[k] < t:
+                    passed = False
+                if "r" in act:
+                    new[k] = 0
+            if not passed:
+                continue
+            tgt = (tr.dst, tuple(new))
+            if tgt not in index:
+                index[tgt] = len(order)
+                order.append(tgt)
+            edges.append((s, index[tgt], tr.acc, tr))
+    return len(order), edges
+
+
+def whole_unfolding_accepts(aut: CounterAutomaton, t: int, bounded: bool = False) -> bool:
+    """Does `whole_unfolding(aut, t, bounded)` hold an accepting component?"""
+    num_configs, edges = whole_unfolding(aut, t, bounded)
+    return bool(accepting_components(num_configs, edges, aut.num_acc_sets)[1])
+
+
 def brute_eval(phi: Formula, word: LassoWord, pos: int = 0, fuel: int | None = None) -> bool:
     """Bounded-window LTL evaluation; the window exceeds one full period
     past the prefix, so verdicts are stable on a lasso."""
@@ -356,7 +405,7 @@ def instantiation_inf(model: CounterAutomaton, phi: Formula, cutoff: int | None 
                 limit = 1
             else:
                 sizing = pruned(negate_dual(phi))
-                reachable = capped_unfolding(model, 0)[0]
+                reachable = whole_unfolding(model, 0)[0]
                 limit = max(1, sizing.num_states * reachable * (1 + product.num_acc_sets))
         if word is not None:
             return BoundResult("finite", n, word, limit, tuple(trace))

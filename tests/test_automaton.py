@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -8,19 +7,22 @@ from cltlbound.automaton import (
     CounterAutomaton,
     Cube,
     Transition,
-    _accepts,
-    _unfold,
-    capped_unfolding,
     synchronized_product,
     to_dot,
     value_on_lasso,
 )
-from cltlbound.cegar import run_value
-from cltlbound.emptiness import find_accepting_lasso
-from cltlbound.graphs import accepting_components
+from cltlbound.cegar import run_peak, run_value
+from cltlbound.emptiness import check_lasso_run, find_accepting_lasso
 from cltlbound.words import ABOVE_CAP, NO_RUN, parse_lasso
 
-from corpus import naive_accepts, random_automaton, random_lasso, word_model
+from corpus import (
+    naive_accepts,
+    random_automaton,
+    random_lasso,
+    whole_unfolding,
+    whole_unfolding_accepts,
+    word_model,
+)
 
 
 def cube(text):
@@ -136,7 +138,7 @@ def test_capped_unfolding_agrees_with_value_on_lasso():
         value = value_on_lasso(aut, word, cap)
         product = synchronized_product(aut, word_model(word, ("a", "b")))
         for t in range(cap + 1):
-            hit = find_accepting_lasso(product, capped_unfolding(product, t))
+            hit = find_accepting_lasso(product, t)
             reaches = value is ABOVE_CAP or (value is not NO_RUN and value >= t)
             assert (hit is not None) == reaches, (aut, word, t, value)
             if hit is not None:
@@ -144,30 +146,37 @@ def test_capped_unfolding_agrees_with_value_on_lasso():
                 nonempty += t > 0
     assert nonempty > 50
     with pytest.raises(ValueError):
-        capped_unfolding(block_counter(), -1)
-
+        find_accepting_lasso(block_counter(), -1)
 
 
 def test_early_exit_agrees_with_the_whole_unfolding():
-    # value_on_lasso's threshold tests stop at the first accepting cycle
-    # they meet; on the same rows, the accepting components of the whole
-    # unfolding give the same answer at every threshold.
+    # The threshold test stops at the first accepting cycle it meets; the
+    # accepting components of the whole unfolding give the same answer at
+    # every threshold, capped and bounded.  A lasso found is a run of the
+    # automaton that passes the test; a failed test explored the whole
+    # unfolding.
     rng = random.Random(47)
     accepted = 0
     for _ in range(300):
         aut = random_automaton(rng, max_states=8, max_acc=3, max_counters=3)
-        succ, _, num_slots = replace(aut, init=0)._rows
-        rows = {
-            s: [(dst, sum(1 << a for a in acc), ops) for dst, acc, ops, _ in out]
-            for s, out in succ.items()
-        }
-        full = (1 << aut.num_acc_sets) - 1
-        for t in range(4):
-            num_configs, edges = _unfold(succ, 0, num_slots, t)
-            whole = bool(accepting_components(num_configs, edges, aut.num_acc_sets)[1])
-            assert _accepts(rows, num_slots, t, full) == whole, (aut, t)
-            accepted += whole
-    assert accepted > 100
+        for bounded in (False, True):
+            for t in range(4):
+                explored = []
+                hit = find_accepting_lasso(aut, t, bounded, explored)
+                whole = whole_unfolding_accepts(aut, t, bounded)
+                assert (hit is not None) == whole, (aut, t, bounded)
+                if hit is None:
+                    num_configs, edges = whole_unfolding(aut, t, bounded)
+                    assert explored == [num_configs, len(edges)], (aut, t, bounded)
+                    continue
+                run, word = hit
+                check_lasso_run(aut, run, word)
+                if bounded:
+                    assert run_peak(run, aut) <= t, (aut, t, run)
+                else:
+                    assert run_value(run, aut) >= t, (aut, t, run)
+                accepted += 1
+    assert accepted > 200
 
 def test_product_shifts_acceptance_sets():
     a = block_counter()

@@ -5,7 +5,12 @@ import pytest
 
 import cltlbound.cli
 import cltlbound.oracle
+from cltlbound.automaton import synchronized_product
+from cltlbound.cegar import _pruned, run_value
 from cltlbound.cli import main
+from cltlbound.emptiness import find_accepting_lasso
+from cltlbound.formula import parse_formula
+from cltlbound.model import load_model
 
 ROOT = Path(__file__).resolve().parent.parent
 L3 = str(ROOT / "models" / "L3.model")
@@ -111,15 +116,15 @@ def test_readme_trace_rows(capsys):
         for r in data["trace"]
     ]
     assert rows == [
-        ("search", 0, 1, 3, 29, 66),
-        ("search", 2, 3, 3, 44, 79),
-        ("search", 6, 7, 3, 62, 93),
+        ("search", 0, 1, 3, 12, 13),
+        ("search", 2, 3, 3, 14, 15),
+        ("search", 6, 7, 3, 18, 19),
         ("search", 14, None, 3, 62, 82),
         ("search", 10, None, 3, 58, 78),
         ("search", 8, None, 3, 56, 76),
         ("search", 7, None, 3, 55, 76),
     ]
-    assert data["trace"][0]["word"] == "{a} {a} | {a} {} {a} {a}"
+    assert data["trace"][0]["word"] == "{a} {a} | {a} {a} {a} {a} {a} {a} {} {a} {a}"
     assert data["bound"] == 8
     # and the inf example on three_leading_a
     _, data = run_json(
@@ -138,6 +143,24 @@ def test_readme_trace_rows(capsys):
         ("search", 2, None, 2, 3, 2, None),
     ]
     assert (data["bound"], data["cutoff"]) == (3, None)
+
+
+def test_sup_looks_for_a_word_of_infinite_value_first(capsys):
+    # G> a over every word: the test at threshold 1 finds a lasso worth
+    # exactly 1, yet a^w observes no counter and is worth infinity.  The
+    # n = 0 row looks for a run that observes nothing first, so the search
+    # answers `unbounded` after one row instead of galloping to the cutoff.
+    phi = parse_formula("G> a")
+    product = synchronized_product(_pruned(phi), load_model(UNIVERSAL))
+    run, _ = find_accepting_lasso(product, 1)
+    assert run_value(run, product) == 1
+    code, data = run_json(
+        capsys, "-f", "G> a", "-m", UNIVERSAL, "--mode", "sup",
+        "--trace", "--witness", "--oracle-check",
+    )
+    assert (code, data["outcome"], data["iterations"]) == (2, "unbounded", 1)
+    assert [(r["n"], r["p"]) for r in data["trace"]] == [(0, "infinite")]
+    assert (data["witness"], data["oracle"]) == ("| {a}", "ok")
 
 
 def test_cutoffs_count_reachable_model_states(tmp_path, capsys):

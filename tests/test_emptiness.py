@@ -2,20 +2,13 @@ import random
 
 import pytest
 
-from cltlbound import emptiness
-from cltlbound.automaton import (
-    TOP_CUBE,
-    CounterAutomaton,
-    LassoRun,
-    Transition,
-    bounded_unfolding,
-    capped_unfolding,
-)
+from cltlbound.automaton import TOP_CUBE, CounterAutomaton, LassoRun, Transition
 from cltlbound.cegar import run_peak
 from cltlbound.emptiness import (
     check_lasso_run,
     find_accepting_lasso,
     find_bounded_lasso,
+    reachable_part,
     word_of_run,
 )
 
@@ -125,20 +118,15 @@ def test_agrees_with_naive_decision():
     assert found > 30 and empty > 30
 
 
-def test_search_covers_only_reachable_states(monkeypatch):
-    # one reachable state among 100000 declared: the SCC pass sees one node
-    sizes = []
-    real = emptiness.accepting_components
-
-    def counting(num_nodes, edges, num_acc_sets):
-        sizes.append(num_nodes)
-        return real(num_nodes, edges, num_acc_sets)
-
-    monkeypatch.setattr(emptiness, "accepting_components", counting)
+def test_search_covers_only_reachable_states():
+    # one reachable state among 100000 declared: the search explores one
+    # configuration and its one edge
     aut = simple([Transition(0, cube("a"), (), frozenset({0}), 0)], 100000)
-    run, word = find_accepting_lasso(aut)
+    explored = []
+    run, word = find_accepting_lasso(aut, explored=explored)
     check_lasso_run(aut, run, word)
-    assert sizes == [1]
+    assert explored == [1, 1]
+    assert reachable_part(aut)[0] == 1
 
 
 def test_streett_check_agrees_with_a_deep_bounded_unfolding():
@@ -152,10 +140,10 @@ def test_streett_check_agrees_with_a_deep_bounded_unfolding():
     found = empty = 0
     for _ in range(300):
         aut = random_automaton(rng, max_states=5, max_acc=2, max_counters=2)
-        configs = capped_unfolding(aut, 0)[0]
+        configs = reachable_part(aut)[0]
         depth = configs * (aut.num_acc_sets + aut.num_counters + 3)
         hit = find_bounded_lasso(aut)
-        deep = find_accepting_lasso(aut, bounded_unfolding(aut, depth))
+        deep = find_accepting_lasso(aut, depth, bounded=True)
         assert (hit is None) == (deep is None), aut
         if hit is None:
             empty += find_accepting_lasso(aut) is not None

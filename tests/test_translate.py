@@ -4,7 +4,6 @@ import pytest
 
 from cltlbound.automaton import (
     TOP_CUBE,
-    bounded_unfolding,
     synchronized_product,
     value_on_lasso,
 )
@@ -203,7 +202,7 @@ def least_bound(aut, word, cap):
     the word; ABOVE_CAP when none up to cap does."""
     product = synchronized_product(aut, word_model(word, ("a", "b")))
     for n in range(cap + 1):
-        if find_accepting_lasso(product, bounded_unfolding(product, n)) is not None:
+        if find_accepting_lasso(product, n, bounded=True) is not None:
             return n
     return ABOVE_CAP
 
