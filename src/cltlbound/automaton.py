@@ -248,39 +248,54 @@ def _counter_ops(action_rows, bounded: bool = False):
 # `value_on_lasso` compiles.
 
 
-def action_dominates(strong: str, weak: str, inf: bool) -> bool:
-    """Can one counter action replace another without lowering any value?
+def undominated(rows, inf: bool, covers=None) -> list:
+    """The payloads of the rows no sibling dominates, in order.
 
-    Where a run is worth its least observation (sup), an increment beats a
-    skip; where it is worth its largest counter value (inf), a skip beats
-    an increment.  Resets and observations compare to nothing but
-    themselves."""
-    if strong == weak:
-        return True
-    return (strong, weak) == (("", "i") if inf else ("i", ""))
+    rows are distinct (group, actions, payload) triples.  A row dominates
+    another of its group when it can replace it without lowering any value:
+    its actions are at least as strong on every counter and, when covers is
+    given, covers(its payload, the other's) holds.  Where a run is worth
+    its least observation (sup, inf False), an increment beats a skip;
+    where it is worth its largest counter value (inf), a skip beats an
+    increment.  Resets and observations compare to nothing but themselves.
+    So each actions tuple is read once as its actions with the increments
+    blanked, which must be equal, and the mask of its increments, which
+    must contain the other row's (sup) or lie inside it (inf).
+    `translate.prune_dominated` covers with cube subsumption; the rows of
+    one letter (`_letter_rows`) all match it, so they compare no cube.
+    """
+    if len(rows) < 2:
+        return [payload for _, _, payload in rows]
+    codes: dict[tuple, tuple] = {}
+    siblings: dict[tuple, list[tuple]] = {}
+    entries = []
+    for group, actions, payload in rows:
+        code = codes.get(actions)
+        if code is None:
+            incs = sum(1 << c for c, a in enumerate(actions) if a == "i")
+            code = codes[actions] = (tuple("" if a == "i" else a for a in actions), incs)
+        entry = ((group, code[0]), code[1], payload)
+        entries.append(entry)
+        siblings.setdefault(entry[0], []).append(entry)
+    kept = []
+    for entry in entries:
+        key, incs, payload = entry
+        if not any(
+            other is not entry
+            and not (other[1] & ~incs if inf else incs & ~other[1])
+            and (covers is None or covers(other[2], payload))
+            for other in siblings[key]
+        ):
+            kept.append(payload)
+    return kept
 
 
 def _letter_rows(transitions) -> list[tuple]:
     """The rows (dst, acceptance sets, actions) of the transitions enabled
-    under one letter, each once, minus the rows another row dominates: same
-    dst and acceptance sets, and counter actions at least as strong under
-    the least-observation value (`action_dominates`).  Both rows match the
-    letter, so unlike `translate.prune_dominated` no cube is compared."""
-    rows = list(dict.fromkeys((t.dst, t.acc, t.actions) for t in transitions))
-    if len(rows) < 2:
-        return rows
-    groups: dict[tuple, list[tuple]] = {}
-    for row in rows:
-        groups.setdefault(row[:2], []).append(row[2])
-    return [
-        row
-        for row in rows
-        if not any(
-            other != row[2]
-            and all(action_dominates(x, y, False) for x, y in zip(other, row[2]))
-            for other in groups[row[:2]]
-        )
-    ]
+    under one letter, each once, minus the rows another row with the same
+    dst and acceptance sets dominates under the least-observation value."""
+    rows = dict.fromkeys((t.dst, t.acc, t.actions) for t in transitions)
+    return undominated([(row[:2], row[2], row) for row in rows], inf=False)
 
 
 def _lasso_graph(source, word: LassoWord) -> tuple[int, list[tuple]]:

@@ -48,14 +48,33 @@ every letter, and removes the states that cannot reach an accepting cycle.
 only for the (state, letter) pairs the word reaches: the on-the-fly
 construction of Gerth, Peled, Vardi and Wolper ("Simple on-the-fly
 automatic verification of linear temporal logic", 1995).
+
+A Tableau interns its members.  Each formula a set can hold gets a small
+integer id, and a set is an int whose bit i says that member i is in it.
+The labelled formula's subformulas, with both polarities of each literal,
+are numbered when the Tableau is made; X psi, the continuation of a
+running R> copy and a member moved onto its partner counter are numbered
+when first reached.  What a rewrite needs of a member is worked out once
+per id: its kind, its occurrence label, the bit of its opposite literal,
+and its rewrite alternatives as masks of member ids with the step's
+counter action and postponed Until.  Dropping the sets a letter falsifies,
+spotting a contradiction, finding the running copy of an occurrence and
+recognising a reduced set are each one AND of two ints.
+
+The pick order rests on two more values per member: the mask of the
+strict subformulas of its unflagged form (a member on its partner counter
+read as the occurrence itself), and its rank, `formula.sort_key`.  One OR
+over the masks of a set's non-reduced members covers every member that
+sits inside another; the lowest rank among the others is rewritten next.
+Nothing is cached at module level: every memo lives on its Tableau, one
+per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .automaton import CounterAutomaton, Cube, Transition, action_dominates
+from .automaton import CounterAutomaton, Cube, Transition, undominated
 from .formula import (
     MIXED,
     And,
@@ -71,17 +90,15 @@ from .formula import (
     TrueF,
     Until,
     _cached_hash,
+    children,
     classify_fragment,
     cost_operator_count,
     label_counters,
     propositions,
     sort_key,
-    subformulas,
     until_subformulas,
 )
 from .graphs import accepting_components, coreachable
-
-StateSet = frozenset
 
 
 @dataclass(frozen=True)
@@ -98,175 +115,23 @@ class Carry:
 Carry.__hash__ = _cached_hash  # hashed as often as the formula nodes
 
 
-@dataclass(frozen=True)
-class EpsilonEdge:
-    """One rewrite step: source set to target set, with the counter action
-    it performs, the Until it postpones (if any), and the counters whose
-    windows the step abandons (re-demanded occurrences handing over to
-    their partner)."""
-
-    source: StateSet
-    target: StateSet
-    counter: int | None
-    action: str
-    postponed: Formula | None
-    resets: tuple[int, ...] = ()
+# Member kinds.  The ones from _AND on are rewritten; the others are reduced.
+_TRUE, _FALSE, _LIT, _NEXT, _CARRY, _AND, _OR, _UNTIL, _RELEASE, _COST_REL, _COST_UNTIL = (
+    range(11)
+)
+_KIND = {
+    TrueF: _TRUE, FalseF: _FALSE, Lit: _LIT, Next: _NEXT, Carry: _CARRY,
+    And: _AND, Or: _OR, Until: _UNTIL, Release: _RELEASE,
+    CostRelease: _COST_REL, CostUntil: _COST_UNTIL,
+}
 
 
-def _occ(f: CostRelease) -> int:
-    return abs(f.counter)
-
-
-@lru_cache(maxsize=65536)
-def _flip(f: CostRelease) -> CostRelease:
-    return CostRelease(f.left, f.right, -f.counter)
-
-
-def _unflag(f: Formula) -> Formula:
-    if isinstance(f, CostRelease) and f.counter is not None and f.counter < 0:
-        return _flip(f)
-    return f
-
-
-def normalize_state(members) -> StateSet | None:
-    """Drop top, reject sets holding bottom or a contradictory literal pair."""
-    out = set()
-    pos, neg = set(), set()
-    for f in members:
-        if isinstance(f, TrueF):
-            continue
-        if isinstance(f, FalseF):
-            return None
-        if isinstance(f, Lit):
-            (pos if f.positive else neg).add(f.name)
-        out.add(f)
-    if pos & neg:
-        return None
-    return frozenset(out)
-
-
-def _is_reduced(phi) -> bool:
-    return isinstance(phi, (Lit, Next, Carry))
-
-
-def is_reduced_state(state: StateSet) -> bool:
-    return all(_is_reduced(f) for f in state)
-
-
-@lru_cache(maxsize=65536)
-def _subformula_set(f: Formula) -> frozenset:
-    return frozenset(subformulas(f))
-
-
-def _pick(state: StateSet) -> Formula | None:
-    """The member to rewrite next: maximal under the subformula order among
-    the non-reduced members, ties broken by a fixed total order.  Members
-    on their partner counter compare as the occurrence itself."""
-    candidates = [f for f in state if not _is_reduced(f)]
-    if not candidates:
-        return None
-    maximal = [
-        f
-        for f in candidates
-        if not any(
-            g is not f and _unflag(f) in _subformula_set(_unflag(g))
-            for g in candidates
-        )
-    ]
-    return min(maximal, key=sort_key)
-
-
-def reduce_state(state: StateSet) -> list[EpsilonEdge]:
-    """The epsilon steps rewriting the picked member; [] when reduced.
-
-    Targets that normalize away (contradictions) are not emitted.  A step
-    whose additions demand an R> occurrence that is already running merges
-    the copies: the member flips to its partner counter and the step
-    records a reset of the abandoned one.
-    """
-    psi = _pick(state)
-    if psi is None:
-        return []
-    rest = set(state)
-    rest.discard(psi)
-
-    def edge(adds, counter=None, action="", postponed=None):
-        members = set(rest)
-        resets = []
-        for a in adds:
-            if isinstance(a, CostRelease) and a.counter is not None:
-                running = next(
-                    (
-                        g
-                        for g in members
-                        if isinstance(g, CostRelease)
-                        and g.counter is not None
-                        and _occ(g) == _occ(a)
-                    ),
-                    None,
-                )
-                if running is not None:
-                    members.discard(running)
-                    members.add(_flip(running))
-                    resets.append(running.counter)
-                    continue
-                if any(
-                    isinstance(g, Carry) and _occ(g.body) == _occ(a)
-                    for g in members
-                ):
-                    raise RuntimeError(
-                        f"occurrence {_occ(a)} re-demanded after it already "
-                        "reduced on this epsilon path"
-                    )
-            members.add(a)
-        target = normalize_state(members)
-        if target is None:
-            return None
-        return EpsilonEdge(
-            state, target, counter, action, postponed, tuple(sorted(resets))
-        )
-
-    if isinstance(psi, And):
-        raw = [edge({psi.left, psi.right})]
-    elif isinstance(psi, Or):
-        raw = [edge({psi.left}), edge({psi.right})]
-    elif isinstance(psi, Until):
-        raw = [
-            edge({psi.right}),
-            edge({psi.left, Next(psi)}, postponed=psi),
-        ]
-    elif isinstance(psi, Release):
-        raw = [
-            edge({psi.left, psi.right}),
-            edge({psi.right, Next(psi)}),
-        ]
-    elif isinstance(psi, CostRelease):
-        if psi.counter is None:
-            raise ValueError("R> needs a counter label before reduction")
-        raw = [
-            edge({psi.left, psi.right}, counter=psi.counter, action="or"),
-            edge({psi.left, psi.right, Carry(psi)}, counter=psi.counter, action="i"),
-            edge({psi.right, Carry(psi)}),
-        ]
-    elif isinstance(psi, CostUntil):
-        if psi.counter is None:
-            raise ValueError("U<= needs a counter label before reduction")
-        raw = [
-            edge({psi.right}, counter=psi.counter, action="r"),
-            edge({psi.left, Next(psi)}, postponed=psi),
-            edge({Next(psi)}, counter=psi.counter, action="i", postponed=psi),
-        ]
-    else:
-        raise TypeError(f"unexpected member {psi!r}")
-    return [e for e in raw if e is not None]
-
-
-def _cube_of(state: StateSet) -> Cube:
-    pos, neg = [], []
-    for f in state:
-        if isinstance(f, Lit):
-            (pos if f.positive else neg).append(f.name)
-    return Cube(frozenset(pos), frozenset(neg))
+def _bits(mask: int):
+    """The ids of the members of a set, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _paired_occurrences(phi: Formula) -> frozenset:
@@ -277,7 +142,7 @@ def _paired_occurrences(phi: Formula) -> frozenset:
 
     def walk(f: Formula, multi: bool) -> None:
         if isinstance(f, CostRelease) and multi and f.counter is not None:
-            out.add(_occ(f))
+            out.add(f.counter)
         if isinstance(f, Until):
             walk(f.left, True)
             walk(f.right, multi)
@@ -295,40 +160,6 @@ def _paired_occurrences(phi: Formula) -> frozenset:
 
     walk(phi, False)
     return frozenset(out)
-
-
-def _step_letter(endpoint: StateSet):
-    """Cross one letter: unwrap X and continuation members into the next
-    obligations.  A continuation meeting a fresh X demand of the same
-    occurrence merges onto the partner counter; the abandoned counter is
-    reset on the crossing transition."""
-    carried = set()
-    conts: dict[int, CostRelease] = {}
-    spawns: dict[int, CostRelease] = {}
-    for f in endpoint:
-        if isinstance(f, Carry):
-            body = f.body
-            if _occ(body) in conts:
-                raise RuntimeError("two copies of one occurrence carried at once")
-            conts[_occ(body)] = body
-        elif isinstance(f, Next):
-            op = f.operand
-            if isinstance(op, CostRelease) and op.counter is not None:
-                if op.counter < 0:
-                    raise RuntimeError("X can only demand an occurrence afresh")
-                spawns[_occ(op)] = op
-            else:
-                carried.add(op)
-    resets = []
-    for label, body in conts.items():
-        if label in spawns:
-            carried.add(_flip(body))
-            resets.append(body.counter)
-            del spawns[label]
-        else:
-            carried.add(body)
-    carried.update(spawns.values())
-    return carried, tuple(resets)
 
 
 class Tableau:
@@ -364,25 +195,259 @@ class Tableau:
         self.ap = propositions(phi)
         self._props = frozenset(self.ap)
         self.init = 0
+        # The interned members, one entry per id in each list (see above).
+        self._ids: dict = {}
+        self._forms: list = []
+        self._kind: list[int] = []
+        self._arg: list[int] = []  # the operand of X, the body of a Carry
+        self._label: list[int] = []  # signed label of an R> member, else 0
+        self._opp: list[int] = []  # bit of the opposite literal, else 0
+        self._unflagged: list[int] = []
+        self._strict: list[int] = []
+        self._rank: list = []
+        self._templates: list = []
+        self._partners: dict[int, int] = {}
+        self._nonreduced = 0
+        self._occ_bits: dict[int, int] = {}  # the R> members of an occurrence
+        self._carry_bits: dict[int, int] = {}  # its Carry members
+        self._literals: dict[str, tuple[int, int]] = {}  # bits of p and !p
         # An unsatisfiable formula keeps one state, None, with no successors.
-        init = normalize_state({phi})
-        self._sets: list[StateSet | None] = [init]
-        self._index: dict[StateSet | None, int] = {init: 0}
-        self._reduced: dict[StateSet, list[EpsilonEdge]] = {}
-        self._closures: dict[frozenset | None, dict] = {}
+        init = self._normalize([self._intern(phi)])
+        self._sets: list[int | None] = [init]
+        self._index: dict[int | None, int] = {init: 0}
+        self._reduced: dict[int, list] = {}
+        self._closures: dict[frozenset | None, tuple[int, dict]] = {}
         # The same reduced endpoint shows up under many states and under
         # many action combinations, so its letter crossing and cube are
         # computed once; likewise the acceptance sets per combination of
         # postponements.
-        self._crossings: dict[StateSet, tuple] = {}
-        self._accs: dict[frozenset, frozenset] = {
-            frozenset(): frozenset(range(self.num_acc_sets))
-        }
+        self._crossings: dict[int, tuple] = {}
+        self._accs: dict[int, frozenset] = {}
 
     @property
     def num_states(self) -> int:
         """The number of states reached so far."""
         return len(self._sets)
+
+    # -- interning ---------------------------------------------------------
+
+    def _intern(self, f) -> int:
+        """The id of member f, numbering f and its parts on first sight."""
+        got = self._ids.get(f)
+        if got is not None:
+            return got
+        kind = _KIND[type(f)]
+        if kind == _LIT:
+            pos = self._new(Lit(f.name), kind, -1, 0)
+            neg = self._new(Lit(f.name, False), kind, -1, 0)
+            self._opp[pos], self._opp[neg] = 1 << neg, 1 << pos
+            self._literals[f.name] = (1 << pos, 1 << neg)
+            return pos if f.positive else neg
+        parts = [self._intern(p) for p in ((f.body,) if kind == _CARRY else children(f))]
+        strict = 0
+        for p in parts:
+            strict |= 1 << p | self._strict[p]
+        i = self._new(f, kind, parts[0] if kind in (_NEXT, _CARRY) else -1, strict)
+        if kind == _COST_REL:
+            occ = abs(f.counter)
+            self._label[i] = f.counter
+            self._occ_bits[occ] = self._occ_bits.get(occ, 0) | 1 << i
+            if f.counter < 0:
+                self._unflagged[i] = 1 << self._partner(i)
+        elif kind == _CARRY and self._label[parts[0]]:
+            occ = abs(self._label[parts[0]])
+            self._carry_bits[occ] = self._carry_bits.get(occ, 0) | 1 << i
+        if kind >= _AND:
+            self._nonreduced |= 1 << i
+            self._rank[i] = sort_key(f)
+        return i
+
+    def _new(self, f, kind: int, arg: int, strict: int) -> int:
+        i = len(self._forms)
+        self._ids[f] = i
+        self._forms.append(f)
+        self._kind.append(kind)
+        self._arg.append(arg)
+        self._label.append(0)
+        self._opp.append(0)
+        self._unflagged.append(1 << i)
+        self._strict.append(strict)
+        self._rank.append(None)
+        self._templates.append(None)
+        return i
+
+    def _partner(self, i: int) -> int:
+        """The id of R> member i moved onto its other counter."""
+        got = self._partners.get(i)
+        if got is None:
+            f = self._forms[i]
+            got = self._partners[i] = self._intern(CostRelease(f.left, f.right, -f.counter))
+        return got
+
+    def _normalize(self, ids) -> int | None:
+        """The set of the given members without top; None when it holds
+        bottom or a contradictory literal pair."""
+        mask = 0
+        for i in ids:
+            kind = self._kind[i]
+            if kind == _FALSE:
+                return None
+            if kind != _TRUE:
+                mask |= 1 << i
+        if any(mask & self._opp[i] for i in ids):
+            return None
+        return mask
+
+    def _members(self, state: int) -> frozenset:
+        """The formulas of a set, for tests and debugging."""
+        return frozenset(self._forms[i] for i in _bits(state))
+
+    # -- epsilon steps -----------------------------------------------------
+
+    def _pick(self, state: int) -> int | None:
+        """The member to rewrite next: maximal under the subformula order among
+        the non-reduced members, ties broken by a fixed total order.  Members
+        on their partner counter compare as the occurrence itself."""
+        candidates = list(_bits(state & self._nonreduced))
+        if not candidates:
+            return None
+        covered = 0
+        for i in candidates:
+            covered |= self._strict[i]
+        return min(
+            (i for i in candidates if not self._unflagged[i] & covered),
+            key=self._rank.__getitem__,
+        )
+
+    def _rewrites(self, psi: int) -> tuple:
+        """The rewrite alternatives of member psi, built on first use: (mask of
+        the added members but R> ones, added R> members, mask of the added
+        literals' opposites, the step's counter action, its postponement as
+        an acceptance-set bit).  Alternatives adding bottom are left out."""
+        got = self._templates[psi]
+        if got is not None:
+            return got
+        f, kind = self._forms[psi], self._kind[psi]
+        left, right = f.left, f.right
+        if kind == _AND:
+            alts = [((left, right), None, "", None)]
+        elif kind == _OR:
+            alts = [((left,), None, "", None), ((right,), None, "", None)]
+        elif kind == _UNTIL:
+            alts = [((right,), None, "", None), ((left, Next(f)), None, "", f)]
+        elif kind == _RELEASE:
+            alts = [((left, right), None, "", None), ((right, Next(f)), None, "", None)]
+        elif kind == _COST_REL:
+            alts = [
+                ((left, right), f.counter, "or", None),
+                ((left, right, Carry(f)), f.counter, "i", None),
+                ((right, Carry(f)), None, "", None),
+            ]
+        else:
+            alts = [
+                ((right,), f.counter, "r", None),
+                ((left, Next(f)), None, "", f),
+                ((Next(f),), f.counter, "i", f),
+            ]
+        out = []
+        for adds, counter, action, postponed in alts:
+            plain = opp = 0
+            demands = []
+            for i in map(self._intern, adds):
+                if self._kind[i] == _FALSE:
+                    break
+                if self._label[i]:
+                    demands.append(i)
+                elif self._kind[i] != _TRUE:
+                    plain |= 1 << i
+                    opp |= self._opp[i]
+            else:
+                step = () if counter is None else ((counter, action),)
+                mark = 0 if postponed is None else 1 << self._acc_of[postponed]
+                out.append((plain, tuple(demands), opp, step, mark))
+        got = self._templates[psi] = tuple(out)
+        return got
+
+    def _reduce(self, state: int) -> list[tuple]:
+        """The epsilon steps rewriting the picked member, as (target, counter
+        actions, postponement bit); [] when reduced.
+
+        Targets that are contradictory are not emitted.  A step whose
+        additions demand an R> occurrence that is already running merges
+        the copies: the member flips to its partner counter and the step
+        resets the abandoned one.
+        """
+        psi = self._pick(state)
+        if psi is None:
+            return []
+        rest = state ^ 1 << psi
+        out = []
+        for plain, demands, opp, step, mark in self._rewrites(psi):
+            members = rest
+            resets = []
+            for a in demands:
+                occ = abs(self._label[a])
+                running = members & self._occ_bits[occ]
+                if running:
+                    r = running.bit_length() - 1
+                    members ^= running | 1 << self._partner(r)
+                    resets.append(self._label[r])
+                elif members & self._carry_bits.get(occ, 0):
+                    raise RuntimeError(
+                        f"occurrence {occ} re-demanded after it already "
+                        "reduced on this epsilon path"
+                    )
+                else:
+                    members |= 1 << a
+            target = members | plain
+            if target & opp:
+                continue
+            if resets:
+                step = tuple((c, "r") for c in sorted(resets)) + step
+            out.append((target, step, mark))
+        return out
+
+    def _closure(self, state: int, falsified: int, memo: dict):
+        """All (reduced endpoint, accumulated actions, postponed untils) of
+        the maximal epsilon paths out of state whose endpoint holds no
+        falsified literal.  actions is a sorted tuple of (signed counter,
+        action) pairs; each counter may act at most once per path."""
+        got = memo.get(state)
+        if got is not None:
+            return got
+        if state & falsified:
+            memo[state] = ()
+            return ()
+        edges = self._reduced.get(state)
+        if edges is None:
+            edges = self._reduced[state] = self._reduce(state)
+        if not edges:
+            # No edges means either a reduced endpoint or a state whose every
+            # rewrite was contradictory; the latter branch just dies.
+            out = () if state & self._nonreduced else ((state, (), 0),)
+        else:
+            seen = set()
+            acc = []
+            for target, step, mark in edges:
+                for endpoint, actions, marks in self._closure(target, falsified, memo):
+                    if step:
+                        combined = actions + step
+                        if len(combined) > 1:
+                            labels = {c for c, _ in combined}
+                            if len(labels) != len(combined):
+                                raise RuntimeError(
+                                    "a counter acted twice on one epsilon path"
+                                )
+                        actions = tuple(sorted(combined))
+                    item = (endpoint, actions, marks | mark)
+                    if item not in seen:
+                        seen.add(item)
+                        acc.append(item)
+            out = tuple(acc)
+        memo[state] = out
+        return out
+
+    # -- letter steps ------------------------------------------------------
 
     def successors(self, state: int, letter: frozenset | None) -> list[Transition]:
         members = self._sets[state]
@@ -390,15 +455,16 @@ class Tableau:
             return []
         if letter is not None:
             letter &= self._props
-        memo = self._closures.setdefault(letter, {})
+        got = self._closures.get(letter)
+        if got is None:
+            got = self._closures[letter] = (self._falsified(letter), {})
+        falsified, memo = got
         out: list[Transition] = []
         seen = set()
-        for endpoint, actions, marks in self._closure(members, letter, memo):
+        for endpoint, actions, marks in self._closure(members, falsified, memo):
             got = self._crossings.get(endpoint)
             if got is None:
-                carried, crossing = _step_letter(endpoint)
-                got = (normalize_state(carried), _cube_of(endpoint), crossing)
-                self._crossings[endpoint] = got
+                got = self._crossings[endpoint] = self._cross(endpoint)
             target, cube, crossing = got
             if target is None:
                 continue
@@ -411,18 +477,67 @@ class Tableau:
                 out.append(tr)
         return out
 
-    def _state_id(self, members: StateSet) -> int:
+    def _falsified(self, letter: frozenset | None) -> int:
+        """The mask of the literals the letter falsifies."""
+        out = 0
+        if letter is not None:
+            for name, (pos, neg) in self._literals.items():
+                out |= neg if name in letter else pos
+        return out
+
+    def _cross(self, endpoint: int):
+        """Cross one letter from a reduced endpoint: its cube, and the set
+        of the next obligations, unwrapping X and continuation members.  A
+        continuation meeting a fresh X demand of the same occurrence merges
+        onto the partner counter; the abandoned counter is reset on the
+        crossing transition.  Returns (target or None, cube, resets)."""
+        carried = []
+        conts: dict[int, int] = {}
+        spawns: dict[int, int] = {}
+        pos, neg = [], []
+        for i in _bits(endpoint):
+            kind = self._kind[i]
+            if kind == _LIT:
+                f = self._forms[i]
+                (pos if f.positive else neg).append(f.name)
+            elif kind == _CARRY:
+                occ = abs(self._label[self._arg[i]])
+                if occ in conts:
+                    raise RuntimeError("two copies of one occurrence carried at once")
+                conts[occ] = self._arg[i]
+            else:
+                op = self._arg[i]
+                label = self._label[op]
+                if label < 0:
+                    raise RuntimeError("X can only demand an occurrence afresh")
+                if label:
+                    spawns[label] = op
+                else:
+                    carried.append(op)
+        resets = []
+        for occ, body in conts.items():
+            if spawns.pop(occ, None) is not None:
+                carried.append(self._partner(body))
+                resets.append(self._label[body])
+            else:
+                carried.append(body)
+        carried += spawns.values()
+        cube = Cube(frozenset(pos), frozenset(neg))
+        return self._normalize(carried), cube, tuple(resets)
+
+    def _state_id(self, members: int) -> int:
         got = self._index.get(members)
         if got is None:
             got = self._index[members] = len(self._sets)
             self._sets.append(members)
         return got
 
-    def _acc(self, marks: frozenset) -> frozenset:
+    def _acc(self, marks: int) -> frozenset:
         got = self._accs.get(marks)
         if got is None:
-            got = self._accs[frozenset()].difference(self._acc_of[u] for u in marks)
-            self._accs[marks] = got
+            got = self._accs[marks] = frozenset(
+                i for i in range(self.num_acc_sets) if not marks >> i & 1
+            )
         return got
 
     def _action_row(self, actions, crossing) -> tuple[str, ...]:
@@ -445,53 +560,6 @@ class Tableau:
                 "which was not sized for overlap"
             ) from None
         return tuple(row)
-
-    def _closure(self, state: StateSet, letter: frozenset | None, memo: dict):
-        """All (reduced endpoint, accumulated actions, postponed untils) of
-        the maximal epsilon paths out of state whose endpoint's cube
-        matches letter.  actions is a sorted tuple of (signed counter,
-        action) pairs; each counter may act at most once per path."""
-        got = memo.get(state)
-        if got is not None:
-            return got
-        if letter is not None and any(
-            isinstance(f, Lit) and (f.name in letter) != f.positive for f in state
-        ):
-            memo[state] = ()
-            return ()
-        edges = self._reduced.get(state)
-        if edges is None:
-            edges = self._reduced[state] = reduce_state(state)
-        if not edges:
-            # No edges means either a reduced endpoint or a state whose every
-            # rewrite was contradictory; the latter branch just dies.
-            out = ((state, (), frozenset()),) if is_reduced_state(state) else ()
-        else:
-            seen = set()
-            acc = []
-            for e in edges:
-                step = tuple((c, "r") for c in e.resets)
-                if e.counter is not None:
-                    step += ((e.counter, e.action),)
-                for endpoint, actions, marks in self._closure(e.target, letter, memo):
-                    if step:
-                        combined = actions + step
-                        if len(combined) > 1:
-                            labels = {c for c, _ in combined}
-                            if len(labels) != len(combined):
-                                raise RuntimeError(
-                                    "a counter acted twice on one epsilon path"
-                                )
-                        actions = tuple(sorted(combined))
-                    if e.postponed is not None:
-                        marks = marks | {e.postponed}
-                    item = (endpoint, actions, marks)
-                    if item not in seen:
-                        seen.add(item)
-                        acc.append(item)
-            out = tuple(acc)
-        memo[state] = out
-        return out
 
 
 def build_counter_automaton(phi: Formula) -> CounterAutomaton:
@@ -543,26 +611,11 @@ def prune_dominated(aut: CounterAutomaton, inf: bool = False) -> CounterAutomato
     automaton.  The sup rule would change a U<= automaton's values: on
     `a U<= b` it drops the skip edge {a, X} in favour of the increment
     edge {X}, whose cube is wider, and every a before b then costs 1."""
-    deduped: list[Transition] = []
-    seen = set()
-    for t in aut.transitions:
-        if t not in seen:
-            seen.add(t)
-            deduped.append(t)
-    groups: dict[tuple, list[Transition]] = {}
-    for t in deduped:
-        groups.setdefault((t.src, t.dst, t.acc), []).append(t)
-    kept = []
-    for t in deduped:
-        siblings = groups[(t.src, t.dst, t.acc)]
-        dominated = any(
-            s != t
-            and s.cube.subsumes(t.cube)
-            and all(action_dominates(x, y, inf) for x, y in zip(s.actions, t.actions))
-            for s in siblings
-        )
-        if not dominated:
-            kept.append(t)
+    kept = undominated(
+        [((t.src, t.dst, t.acc), t.actions, t) for t in dict.fromkeys(aut.transitions)],
+        inf,
+        lambda s, t: s.cube.subsumes(t.cube),
+    )
     if len(kept) == len(aut.transitions):
         return aut
     return CounterAutomaton(

@@ -4,19 +4,27 @@ Value mode's `--oracle-check` runs `automaton.value_on_lasso` on the
 formula's Tableau, which translates only the (state, letter) pairs the
 word reaches; criterion 3 keeps testing the whole automaton.  These tests
 check that both readings give the same value and that the lazy one stays
-inside what the word reaches.
+inside what the word reaches, that the interned Tableau explores exactly
+what the frozenset reference in `corpus.py` explores, and its pick order.
 """
 
 import random
 
 from cltlbound.automaton import value_on_lasso
 from cltlbound.cegar import _pruned
-from cltlbound.formula import cost_operator_count, negate_dual, parse_formula
+from cltlbound.formula import (
+    CostRelease,
+    cost_operator_count,
+    label_counters,
+    negate_dual,
+    parse_formula,
+    sort_key,
+)
 from cltlbound.oracle import value_sup
 from cltlbound.translate import Tableau, build_counter_automaton
 from cltlbound.words import NO_RUN, parse_lasso
 
-from corpus import random_formula, random_lasso
+from corpus import ReferenceTableau, random_formula, random_lasso
 
 
 def test_lazy_route_agrees_with_the_automaton_on_the_criterion_3_stream():
@@ -80,3 +88,60 @@ def test_the_word_reads_only_what_it_reaches():
     assert explored == [3, 3]
     assert build_counter_automaton(dual).num_states == 118
 
+
+
+def explore(tab, letters):
+    """Every transition of tab, state by state in number order, under each
+    of the letters in turn, and the number of states reached."""
+    out = []
+    state = 0
+    while state < tab.num_states:
+        out += [tab.successors(state, letter) for letter in letters]
+        state += 1
+    return out, tab.num_states
+
+
+def test_interned_tableau_agrees_with_the_frozenset_reference():
+    # Seeded formulas of all three fragments, with criterion 3's rule of
+    # at most four cost operators, each explored whole over every letter
+    # at once (None) and over each letter of {a, b}, on one Tableau, so
+    # the letters share its memos.
+    rng = random.Random(12)
+    letters = [None, frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
+    handoffs = 0
+    for fragment in ("LTL", "CostGT", "CostLE"):
+        for i in range(40):
+            phi = random_formula(rng, depth=4, props=("a", "b"), fragment=fragment)
+            while cost_operator_count(phi) > 4:
+                phi = random_formula(rng, depth=4, props=("a", "b"), fragment=fragment)
+            got = explore(Tableau(phi), letters)
+            want = explore(ReferenceTableau(phi), letters)
+            assert got == want, (fragment, i, str(phi))
+            if fragment == "CostGT":
+                handoffs += any("r" in t.actions for row in got[0] for t in row)
+    # R> resets only on a hand-off to the partner counter: the merges of
+    # re-demanded occurrences are covered too.
+    assert handoffs == 12
+
+
+def test_pick_rewrites_enclosing_members_first_then_by_rank():
+    # Case 1: the partner-counter copy of occurrence 1 beside a member that
+    # contains occurrence 1.  The copy ranks lower, but it compares as the
+    # occurrence itself, which the enclosing member contains.
+    phi = label_counters(parse_formula("G (b | G> a)"))
+    enclosing = phi.right
+    occurrence = enclosing.right
+    partner = CostRelease(occurrence.left, occurrence.right, -occurrence.counter)
+    assert sort_key(partner) < sort_key(enclosing)
+    tab = Tableau(phi)
+    state = tab._normalize([tab._intern(partner), tab._intern(enclosing)])
+    assert tab._pick(state) == tab._intern(enclosing)
+    # Case 2: two maximal members; the smaller sort_key goes first, though
+    # it was numbered later.
+    phi = parse_formula("((a | b) U b) & (a U b)")
+    big, small = phi.left, phi.right
+    assert sort_key(small) < sort_key(big)
+    tab = Tableau(phi)
+    assert tab._intern(small) > tab._intern(big)
+    state = tab._normalize([tab._intern(big), tab._intern(small)])
+    assert tab._pick(state) == tab._intern(small)

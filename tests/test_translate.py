@@ -10,22 +10,14 @@ from cltlbound.automaton import (
 from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.formula import (
     TRUE,
-    CostRelease,
     FragmentError,
     Lit,
     Next,
     cost_operator_count,
-    label_counters,
     parse_formula,
 )
 from cltlbound.oracle import value_inf
-from cltlbound.translate import (
-    build_counter_automaton,
-    is_reduced_state,
-    normalize_state,
-    prune_dominated,
-    reduce_state,
-)
+from cltlbound.translate import Tableau, build_counter_automaton, prune_dominated
 from cltlbound.words import ABOVE_CAP, NO_RUN, parse_lasso
 
 from corpus import random_formula, random_lasso, word_model
@@ -36,55 +28,60 @@ def build(text):
 
 
 # -- state handling ---------------------------------------------------------
+#
+# A Tableau's sets are ints over its interned members; `_normalize` builds
+# one from member ids and `_members` reads it back as formulas.
+
+
+def state(tab, *members):
+    return tab._normalize([tab._intern(f) for f in members])
+
+
+def initial(tab):
+    return tab._sets[tab.init]
 
 
 def test_normalize_state():
     a, na = Lit("a"), Lit("a", False)
-    assert normalize_state({TRUE, a}) == frozenset({a})
-    assert normalize_state({a, na}) is None
-    assert normalize_state({parse_formula("false"), a}) is None
-    assert normalize_state(set()) == frozenset()
+    tab = Tableau(a)
+    assert tab._members(state(tab, TRUE, a)) == frozenset({a})
+    assert state(tab, a, na) is None
+    assert state(tab, parse_formula("false"), a) is None
+    assert state(tab) == 0
 
 
 def test_reduced_states():
-    assert is_reduced_state(frozenset({Lit("a"), Next(Lit("b"))}))
-    assert not is_reduced_state(frozenset({parse_formula("a U b")}))
+    tab = Tableau(parse_formula("a U b"))
+    assert not state(tab, Lit("a"), Next(Lit("b"))) & tab._nonreduced
+    assert initial(tab) & tab._nonreduced
 
 
 def test_reduce_or_splits():
-    state = normalize_state({parse_formula("a | b")})
-    edges = reduce_state(state)
+    tab = Tableau(parse_formula("a | b"))
+    edges = tab._reduce(initial(tab))
     assert len(edges) == 2
-    assert {e.action for e in edges} == {""}
+    assert {step for _, step, _ in edges} == {()}
 
 
 def test_reduce_until_marks_postponement():
-    phi = parse_formula("a U b")
-    edges = reduce_state(frozenset({phi}))
-    marks = {e.postponed for e in edges}
-    assert marks == {None, phi}
+    tab = Tableau(parse_formula("a U b"))
+    marks = {mark for _, _, mark in tab._reduce(initial(tab))}
+    assert marks == {0, 1}  # 1: the bit of a U b's acceptance set
 
 
 def test_reduce_cost_release_actions():
-    phi = label_counters(parse_formula("G> a"))
-    edges = reduce_state(frozenset({phi}))
-    assert sorted((e.action, e.counter) for e in edges) == [
-        ("", None),
-        ("i", 1),
-        ("or", 1),
-    ]
-    with pytest.raises(ValueError):
-        reduce_state(frozenset({CostRelease(TRUE, Lit("a"))}))
+    # The Tableau labels its formula: G> a is occurrence 1.
+    tab = Tableau(parse_formula("G> a"))
+    edges = tab._reduce(initial(tab))
+    assert sorted(step for _, step, _ in edges) == [(), ((1, "i"),), ((1, "or"),)]
     # F<= a: a with a reset, or X(F<= a) with an increment, postponing;
     # the skip rewrite {false, X(F<= a)} is contradictory
-    psi = label_counters(parse_formula("F<= a"))
-    edges = reduce_state(frozenset({psi}))
+    tab = Tableau(parse_formula("F<= a"))
+    edges = tab._reduce(initial(tab))
     assert sorted(
-        (e.action, e.counter, e.postponed is not None, sorted(map(str, e.target)))
-        for e in edges
-    ) == [("i", 1, True, ["X (F<= a)"]), ("r", 1, False, ["a"])]
-    with pytest.raises(ValueError):
-        reduce_state(frozenset({parse_formula("F<= a")}))
+        (step, mark != 0, sorted(map(str, tab._members(target))))
+        for target, step, mark in edges
+    ) == [(((1, "i"),), True, ["X (F<= a)"]), (((1, "r"),), False, ["a"])]
 
 
 # -- whole translations -----------------------------------------------------
