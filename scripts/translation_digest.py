@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
-"""Print SHA-256 digests of a fixed set of formula translations.
+"""Print SHA-256 digests of a fixed set of formula translations, as the
+queries read them.
 
     python3 scripts/translation_digest.py
 
-Each translation is dumped canonically.  A whole automaton
-(`build_counter_automaton`) gives its header, its transitions in order,
-and the positions of the transitions `prune_dominated` keeps under the
-sup rule and under the inf rule.  A lazy `Tableau` read along one lasso
-word gives, for each (state, letter) pair the word reaches in
-breadth-first order, the transitions its `successors` returns and the
-rows the lasso front end keeps of them (`automaton._letter_rows`), then
-the number of states it reached.  One line per
-stream gives the stream's number of dumps and digest, and the last line the digest
-of all of them.  The streams, drawn by `tests/corpus.py` with criterion
-3's rule of redrawing formulas with more than four cost operators:
+Each translation is dumped canonically.  A whole automaton, as the sup
+and inf searches build it (`cegar._pruned`), gives its header and its
+transitions in order.  A lazy `Tableau` read along one lasso word, as
+value mode reads it, gives the word's lasso graph (its product with the
+word, `automaton._product_edges`): the number of nodes, the edges in
+order, and the number of tableau states reached.  One line per stream
+gives the stream's number of dumps and digest, and the last line the
+digest of all of them.  The streams, drawn by `tests/corpus.py` with
+criterion 3's rule of redrawing formulas with more than four cost
+operators:
 
 - `criterion-3`: the first 400 formula/word pairs of criterion 3's R>
   stream, each translated whole and read lazily along its word;
@@ -26,7 +26,8 @@ of all of them.  The streams, drawn by `tests/corpus.py` with criterion
 That is 1,400 whole translations and 900 lazy ones.  The script imports
 the package from the `src` directory next to it, so running the copy in
 another checkout compares the two trees' automata: equal digests mean
-identical automata, state numbering and transition order included.
+identical automata and lasso graphs, state numbering and edge order
+included.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from corpus import random_formula, random_lasso  # noqa: E402
 
-from cltlbound.automaton import _letter_rows  # noqa: E402
+from cltlbound.automaton import _product_edges, _word_rows  # noqa: E402
+from cltlbound.cegar import _pruned  # noqa: E402
 from cltlbound.formula import cost_operator_count, negate_dual  # noqa: E402
-from cltlbound.translate import Tableau, build_counter_automaton, prune_dominated  # noqa: E402
+from cltlbound.translate import Tableau  # noqa: E402
 
 PROPS = ("a", "b")
 
@@ -61,31 +63,20 @@ def _transition(t) -> str:
 
 
 def whole(phi) -> str:
-    aut = build_counter_automaton(phi)
+    aut = _pruned(phi)
     head = f"aut {aut.num_states} {aut.init} {aut.num_counters} {aut.num_acc_sets} {aut.ap}"
-    position = {t: i for i, t in enumerate(aut.transitions)}
-    kept = [
-        "kept " + " ".join(str(position[t]) for t in prune_dominated(aut, inf).transitions)
-        for inf in (False, True)
-    ]
-    return "\n".join([head, *map(_transition, aut.transitions), *kept])
+    return "\n".join([head, *map(_transition, aut.transitions)])
+
+
+def lasso_graph(tab, word):
+    return _product_edges(tab, 0, _word_rows(word, tab.ap))
 
 
 def lazy(phi, word) -> str:
     tab = Tableau(phi)
-    pre, total = len(word.prefix), len(word.prefix) + len(word.cycle)
-    order = [(tab.init, 0)]
-    seen = set(order)
-    lines = []
-    for state, pos in order:
-        succ = tab.successors(state, word.letter(pos))
-        lines.append(f"at {state} {pos}: " + "; ".join(map(_transition, succ)))
-        lines.append(f"rows {_letter_rows(succ)}")
-        nxt = pos + 1 if pos + 1 < total else pre
-        for t in succ:
-            if (t.dst, nxt) not in seen:
-                seen.add((t.dst, nxt))
-                order.append((t.dst, nxt))
+    num_nodes, edges = lasso_graph(tab, word)
+    lines = [f"nodes {num_nodes}"]
+    lines += [f"{e[0]} {e[1]} {sorted(e[2])} {','.join(e[3])}" for e in edges]
     lines.append(f"reached {tab.num_states}")
     return "\n".join(lines)
 

@@ -6,26 +6,28 @@ acceptance set is visited infinitely often.  A counter takes one of four
 actions per transition: "" (skip), "i" (increment), "or" (observe the
 value, then reset) and "r" (reset).
 
+One builder makes every product (`_product_edges`): a source that answers
+`successors(state, cube)`, a CounterAutomaton or a formula's
+`translate.Tableau`, paired with a whole model (`synchronized_product`)
+or with one lasso word, a one-path model (`value_on_lasso`).
+
 A threshold test asks whether some accepting run observes every counter
 at t or more.  One engine answers it (`_accepts`): configurations pair a
 node with counter values capped at t, and the test explores them depth
 first as it generates them and stops at the first accepting cycle it
 meets.  With counters bounded instead of capped, the same engine keeps
 the runs whose every counter stays at t or below: a U<= automaton's run
-is worth its largest counter value.  Two front ends feed it.  The model
-front end reads a whole automaton state by state
+is worth its largest counter value.  Two front ends feed it rows compiled
+alike (`_compile_rows`).  The model front end reads a whole automaton
 (`emptiness.find_accepting_lasso`, which the sup and inf searches run on
 the formula × model product) and threads a witness lasso through the
 accepting component the test stops in.  The lasso front end
-(`value_on_lasso`) reads an automaton, or a formula's
-`translate.Tableau` translated only as far as the word reaches, along
-one lasso word.
+(`value_on_lasso`) reads a source's product with one lasso word.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,6 +111,7 @@ class CounterAutomaton:
     ap: tuple[str, ...] = ()
 
     def __post_init__(self):
+        props = frozenset(self.ap)
         if self.num_states < 1:
             raise ValueError("automaton needs at least one state")
         if not 0 <= self.init < self.num_states:
@@ -123,6 +126,8 @@ class CounterAutomaton:
                     raise ValueError(f"bad counter action {a!r}")
             if any(not 0 <= i < self.num_acc_sets for i in t.acc):
                 raise ValueError(f"acceptance index out of range: {t}")
+            if not (t.cube.positive <= props and t.cube.negative <= props):
+                raise ValueError(f"cube proposition outside ap {self.ap}: {t}")
 
     def by_source(self) -> dict[int, list[Transition]]:
         return self._by_source
@@ -134,11 +139,15 @@ class CounterAutomaton:
             out.setdefault(t.src, []).append(t)
         return out
 
-    def successors(self, state: int, letter: frozenset) -> list[Transition]:
-        """The transitions leaving state whose cube matches letter.
-        `translate.Tableau` answers the same question without building the
-        automaton."""
-        return [t for t in self._by_source.get(state, ()) if t.cube.matches(letter)]
+    def successors(self, state: int, cube: Cube) -> list[Transition]:
+        """The transitions leaving state that a letter of cube can take,
+        narrowed to cube, as `translate.Tableau.successors` answers."""
+        out = []
+        for t in self._by_source.get(state, ()):
+            c = _narrow(t.cube, cube)
+            if c is not None:
+                out.append(t if c is t.cube else Transition(t.src, c, t.actions, t.acc, t.dst))
+        return out
 
     @cached_property
     def _transition_set(self) -> frozenset:
@@ -148,188 +157,185 @@ class CounterAutomaton:
     @cached_property
     def _capped_rows(self):
         """The model front end of a capped threshold test, built once."""
-        return _model_rows(self, bounded=False)
+        return _compile_rows(self._rows, bounded=False)
 
     @cached_property
     def _bounded_rows(self):
         """The model front end of a bounded threshold test, built once."""
-        return _model_rows(self, bounded=True)
+        return _compile_rows(self._rows, bounded=True)
+
+    @property
+    def _rows(self) -> list[tuple]:  # each transition labels its own row
+        return [(t.src, t.dst, t.acc, t.actions, t) for t in self.transitions]
 
 
-def _model_rows(aut: CounterAutomaton, bounded: bool):
-    """The model front end: nodes are the states, and each transition is a
-    row labelled by itself, in `by_source` order.  Returns the rows by
-    source state and the number of counters the test tracks."""
-    num_slots, ops = _counter_ops((tr.actions for tr in aut.transitions), bounded)
-    succ: dict[int, list[tuple]] = {}
-    for tr in aut.transitions:
-        mask = sum(1 << a for a in tr.acc)
-        succ.setdefault(tr.src, []).append((tr.dst, mask, ops(tr.actions), tr))
-    return succ, num_slots
+def _narrow(own: Cube, cube: Cube) -> Cube | None:
+    """own & cube, or None when they contradict.  Either one is returned
+    itself when it is the conjunction already: no cube is made for the
+    query true, nor for a query that fixes every proposition."""
+    if own is cube or own.subsumes(cube):
+        return cube
+    if cube.subsumes(own):
+        return own
+    return own.merge(cube)
+
+
+def _shared_cube(cubes) -> Cube:
+    """The literals every cube of a nonempty list holds."""
+    pos = frozenset.intersection(*(c.positive for c in cubes))
+    neg = frozenset.intersection(*(c.negative for c in cubes))
+    return Cube(pos, neg) if pos or neg else TOP_CUBE
+
+
+def _product_edges(source, init: int, rows: list[tuple]) -> tuple[int, list[tuple]]:
+    """The product of source with a model given as rows.
+
+    rows[q] is (shared, guarded) for model state q: its rows (cube, dst,
+    acceptance sets, actions), and a cube all their cubes imply.  Nodes are
+    the (source state, model state) pairs reachable from the initial pair,
+    in BFS order.  Source is asked once per (source state, shared cube
+    object), and each transition it returns (narrowed to the shared cube,
+    which changes no pair) is paired with each row, source-major, unless
+    their cubes contradict.  Returns the number of nodes and the edges
+    (src, dst, acceptance sets, actions, cube), the source's sets and
+    actions first.
+    """
+    start = (source.init, init)
+    index = {start: 0}
+    order = [start]
+    asked: dict[tuple, list[tuple]] = {}
+    edges = []
+    for s, (p, q) in enumerate(order):
+        shared, guarded = rows[q]
+        if not guarded:
+            continue
+        got = asked.get((p, id(shared)))  # rows keeps shared alive
+        if got is None:
+            got = asked[p, id(shared)] = [
+                (t.dst, t.cube, t.acc, t.actions) for t in source.successors(p, shared)
+            ]
+        for dst_a, cube_a, acc_a, actions_a in got:
+            for cube_b, dst_b, acc_b, actions_b in guarded:
+                cube = cube_a if cube_a is cube_b else cube_a.merge(cube_b)
+                if cube is None:
+                    continue
+                tgt = (dst_a, dst_b)
+                d = index.get(tgt)
+                if d is None:
+                    d = index[tgt] = len(order)
+                    order.append(tgt)
+                acc = acc_a | acc_b if acc_b else acc_a
+                edges.append((s, d, acc, actions_a + actions_b, cube))
+    return len(order), edges
 
 
 def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAutomaton:
     """Synchronous product; counters and acceptance sets are reindexed
     disjointly (b's shifted after a's).  States are numbered in BFS
-    discovery order from the initial pair."""
-    a_src = a.by_source()
-    b_src = b.by_source()
-    start = (a.init, b.init)
-    index = {start: 0}
-    order = [start]
-    queue = deque([start])
-    transitions = []
-    while queue:
-        pair = queue.popleft()
-        p, q = pair
-        s = index[pair]
-        for ta in a_src.get(p, ()):
-            for tb in b_src.get(q, ()):
-                cube = ta.cube.merge(tb.cube)
-                if cube is None:
-                    continue
-                tgt = (ta.dst, tb.dst)
-                if tgt not in index:
-                    index[tgt] = len(order)
-                    order.append(tgt)
-                    queue.append(tgt)
-                acc = frozenset(ta.acc) | frozenset(a.num_acc_sets + i for i in tb.acc)
-                transitions.append(
-                    Transition(s, cube, ta.actions + tb.actions, acc, index[tgt])
-                )
+    discovery order from the initial pair (`_product_edges`)."""
+    shift = a.num_acc_sets
+    by_source = b.by_source()
+    rows = []
+    shared_cubes: dict[Cube, Cube] = {}  # one object per value, for the source's memo
+    for q in range(b.num_states):
+        out = by_source.get(q, ())
+        guarded = [(t.cube, t.dst, frozenset(shift + i for i in t.acc), t.actions) for t in out]
+        shared = _shared_cube([t.cube for t in out]) if out else TOP_CUBE
+        rows.append((shared_cubes.setdefault(shared, shared), guarded))
+    num_states, edges = _product_edges(a, b.init, rows)
+    transitions = tuple(Transition(s, c, act, acc, d) for s, d, acc, act, c in edges)
     return CounterAutomaton(
-        num_states=len(order),
-        init=0,
-        num_counters=a.num_counters + b.num_counters,
-        num_acc_sets=a.num_acc_sets + b.num_acc_sets,
-        transitions=tuple(transitions),
-        ap=tuple(sorted(set(a.ap) | set(b.ap))),
+        num_states, 0, a.num_counters + b.num_counters, a.num_acc_sets + b.num_acc_sets,
+        transitions, tuple(sorted(set(a.ap) | set(b.ap))),
     )
 
 
-def _counter_ops(action_rows, bounded: bool = False):
-    """The number of counters a threshold test tracks, and a compiler of a
-    transition's actions into (slot, action char) ops on them.
+def _word_rows(word: LassoWord, ap) -> list[tuple]:
+    """A lasso word as a one-path model's rows: position p reads its
+    letter, as a cube fixing every proposition of ap, into the next."""
+    props = frozenset(ap)
+    letters = word.prefix + word.cycle
+    cubes: dict[frozenset, Cube] = {}  # by letter, and by its part over ap
+    rows = []
+    for pos, letter in enumerate(letters):
+        cube = cubes.get(letter)
+        if cube is None:
+            own = letter & props
+            cube = cubes[letter] = cubes.setdefault(own, Cube(own, props - own))
+        nxt = pos + 1 if pos + 1 < len(letters) else len(word.prefix)
+        rows.append((cube, ((cube, nxt, frozenset(), ()),)))
+    return rows
 
-    action_rows holds the actions of every transition the test can take.
-    Capped, only observed counters are tracked: a never-observed counter is
-    never tested.  A never-incremented one stays at 0, so its observations
-    fail at every positive threshold.  Bounded, only incremented counters
-    are tracked, since only an increment can push a counter past the
-    bound, and observations play no part.
+
+def _compile_rows(rows: list[tuple], bounded: bool):
+    """What `_accepts` reads of rows (src, dst, acceptance sets, actions,
+    label): the rows leaving each node as (dst, acceptance bitmask, counter
+    ops, label), in order, and the number of counters tracked.  A counter
+    op is (slot, action char).  Capped, only observed counters are
+    tracked: a never-observed counter is never tested.  A never-incremented
+    one stays at 0, so its observations fail at every positive threshold.
+    Bounded, only incremented counters are tracked, since only an
+    increment can push a counter past the bound, and observations play no
+    part.
     """
     key = "i" if bounded else "o"
-    tracked = sorted(
-        {c for actions in action_rows for c, acts in enumerate(actions) if key in acts}
-    )
+    tracked = sorted({c for row in rows for c, acts in enumerate(row[3]) if key in acts})
     slot = {c: i for i, c in enumerate(tracked)}
     kept = "ir" if bounded else "ior"
     compiled: dict[tuple[str, ...], tuple[tuple[int, str], ...]] = {}
-
-    def ops(actions: tuple[str, ...]) -> tuple[tuple[int, str], ...]:
-        got = compiled.get(actions)
-        if got is None:
-            got = compiled[actions] = tuple(
+    succ: dict[int, list[tuple]] = {}
+    for src, dst, acc, actions, label in rows:
+        ops = compiled.get(actions)
+        if ops is None:
+            ops = compiled[actions] = tuple(
                 (slot[c], ch)
                 for c, acts in enumerate(actions)
                 if c in slot
                 for ch in acts
                 if ch in kept
             )
-        return got
-
-    return len(slot), ops
-
-
-# Both front ends feed `_accepts` the rows leaving each node: (dst node,
-# acceptance bitmask, compiled counter ops, label).  The model front end's
-# nodes are states and its labels transitions (`_model_rows`); the lasso
-# front end's are the nodes and edges of `_lasso_graph`, whose live part
-# `value_on_lasso` compiles.
+        succ.setdefault(src, []).append((dst, sum(1 << a for a in acc), ops, label))
+    return succ, len(slot)
 
 
-def undominated(rows, inf: bool, covers=None) -> list:
-    """The payloads of the rows no sibling dominates, in order.
+def undominated(transitions: list, inf: bool, same_cube: bool = False) -> list:
+    """The distinct transitions given, minus the ones a sibling dominates.
 
-    rows are distinct (group, actions, payload) triples.  A row dominates
-    another of its group when it can replace it without lowering any value:
-    its actions are at least as strong on every counter and, when covers is
-    given, covers(its payload, the other's) holds.  Where a run is worth
-    its least observation (sup, inf False), an increment beats a skip;
-    where it is worth its largest counter value (inf), a skip beats an
-    increment.  Resets and observations compare to nothing but themselves.
-    So each actions tuple is read once as its actions with the increments
-    blanked, which must be equal, and the mask of its increments, which
-    must contain the other row's (sup) or lie inside it (inf).
-    `translate.prune_dominated` covers with cube subsumption; the rows of
-    one letter (`_letter_rows`) all match it, so they compare no cube.
+    A transition dominates a sibling with the same endpoints and
+    acceptance sets when it can replace it without lowering any value: its
+    cube covers the sibling's (not compared when same_cube says that every
+    cube is one object) and its actions are at least as strong on every
+    counter.  Where a run is worth its least observation (sup, inf False),
+    an increment beats a skip; where it is worth its largest counter value
+    (inf), a skip beats an increment.  Resets and observations compare to
+    nothing but themselves.  So each actions tuple is read once as its
+    actions with the increments blanked, which must be equal, and the mask
+    of its increments, which must contain the other's (sup) or lie inside
+    it (inf).  `translate.Tableau.successors` is the one caller in a query.
     """
-    if len(rows) < 2:
-        return [payload for _, _, payload in rows]
+    if len(transitions) < 2:
+        return transitions
     codes: dict[tuple, tuple] = {}
     siblings: dict[tuple, list[tuple]] = {}
     entries = []
-    for group, actions, payload in rows:
-        code = codes.get(actions)
+    for t in transitions:
+        code = codes.get(t.actions)
         if code is None:
-            incs = sum(1 << c for c, a in enumerate(actions) if a == "i")
-            code = codes[actions] = (tuple("" if a == "i" else a for a in actions), incs)
-        entry = ((group, code[0]), code[1], payload)
+            incs = sum(1 << c for c, a in enumerate(t.actions) if a == "i")
+            code = codes[t.actions] = (tuple("" if a == "i" else a for a in t.actions), incs)
+        entry = ((t.src, t.dst, t.acc, code[0]), code[1], t)
         entries.append(entry)
         siblings.setdefault(entry[0], []).append(entry)
     kept = []
-    for entry in entries:
-        key, incs, payload = entry
+    for key, incs, t in entries:
         if not any(
-            other is not entry
-            and not (other[1] & ~incs if inf else incs & ~other[1])
-            and (covers is None or covers(other[2], payload))
-            for other in siblings[key]
+            other is not t
+            and not (more & ~incs if inf else incs & ~more)
+            and (same_cube or other.cube.subsumes(t.cube))
+            for _, more, other in siblings[key]
         ):
-            kept.append(payload)
+            kept.append(t)
     return kept
-
-
-def _letter_rows(transitions) -> list[tuple]:
-    """The rows (dst, acceptance sets, actions) of the transitions enabled
-    under one letter, each once, minus the rows another row with the same
-    dst and acceptance sets dominates under the least-observation value."""
-    rows = dict.fromkeys((t.dst, t.acc, t.actions) for t in transitions)
-    return undominated([(row[:2], row[2], row) for row in rows], inf=False)
-
-
-def _lasso_graph(source, word: LassoWord) -> tuple[int, list[tuple]]:
-    """The lasso front end: source read along one lasso word.
-
-    source is a CounterAutomaton or a `translate.Tableau`: anything with
-    `init`, `num_acc_sets` and `successors(state, letter)`.  Nodes are the
-    (state, position) pairs reachable from (init, 0), numbered in BFS
-    order, and source is asked only for the (state, letter) pairs they
-    hold, once each; a Tableau then translates only what the word reaches.
-    Returns the number of nodes and the edges (src, dst, acceptance sets,
-    actions), source by source, each source's in `_letter_rows` order.
-    """
-    pre, total = len(word.prefix), len(word.prefix) + len(word.cycle)
-    letters = [word.letter(p) for p in range(total)]
-    rows_of: dict[tuple, list[tuple]] = {}
-    start = (source.init, 0)
-    index = {start: 0}
-    order = [start]
-    edges = []
-    for s, (state, pos) in enumerate(order):
-        key = (state, letters[pos])
-        rows = rows_of.get(key)
-        if rows is None:
-            rows = rows_of[key] = _letter_rows(source.successors(*key))
-        nxt = pos + 1 if pos + 1 < total else pre
-        for dst, acc, actions in rows:
-            tgt = (dst, nxt)
-            d = index.get(tgt)
-            if d is None:
-                d = index[tgt] = len(order)
-                order.append(tgt)
-            edges.append((s, d, acc, actions))
-    return len(order), edges
 
 
 def _accepts(
@@ -444,10 +450,11 @@ def value_on_lasso(aut, word: LassoWord, cap: int):
     """Exact sup-semantics value of the automaton on the given lasso.
 
     aut is a CounterAutomaton, or a `translate.Tableau` read lazily along
-    the word (see `_lasso_graph`).  Returns NO_RUN when no accepting run
-    exists (the value is then 0 by the empty-sup convention), ABOVE_CAP
-    when every threshold up to cap is achievable (covers infinite values),
-    and the exact value otherwise.
+    the word: the lasso graph is aut's product with the word
+    (`_product_edges`).  Returns NO_RUN when no accepting run exists (the
+    value is then 0 by the empty-sup convention), ABOVE_CAP when every
+    threshold up to cap is achievable (covers infinite values), and the
+    exact value otherwise.
 
     Threshold 0 tests the lasso graph itself; every later test unfolds only
     the nodes from which an accepting component is reachable, since no
@@ -459,7 +466,7 @@ def value_on_lasso(aut, word: LassoWord, cap: int):
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    num_nodes, edges = _lasso_graph(aut, word)
+    num_nodes, edges = _product_edges(aut, 0, _word_rows(word, aut.ap))
     comp_of, accepting = accepting_components(num_nodes, edges, aut.num_acc_sets)
     if not accepting:
         return NO_RUN
@@ -467,11 +474,7 @@ def value_on_lasso(aut, word: LassoWord, cap: int):
         num_nodes, edges, [v for v in range(num_nodes) if comp_of[v] in accepting]
     )
     kept = [e for e in edges if e[1] in live]  # its source is live too
-    num_slots, ops = _counter_ops(e[3] for e in kept)
-    succ: dict[int, list[tuple]] = {}
-    for e in kept:
-        mask = sum(1 << a for a in e[2])
-        succ.setdefault(e[0], []).append((e[1], mask, ops(e[3]), e))
+    succ, num_slots = _compile_rows(kept, bounded=False)
     full = (1 << aut.num_acc_sets) - 1
 
     def reaches(t: int) -> bool:

@@ -68,7 +68,8 @@ from .formula import (
     instantiate,  # noqa: F401  kept importable here for bench/tracing.py
     negate_dual,
 )
-from .translate import build_counter_automaton, prune_dominated
+from .translate import build_counter_automaton
+from .translate import prune_dominated  # noqa: F401  kept importable here for bench/tracing.py
 from .words import LassoWord
 
 
@@ -141,9 +142,7 @@ def run_peak(run: LassoRun, aut: CounterAutomaton) -> int:
 
 
 def _pruned(phi: Formula) -> CounterAutomaton:
-    return prune_dominated(
-        build_counter_automaton(phi), inf=classify_fragment(phi) == COST_LE
-    )
+    return build_counter_automaton(phi)  # the translation prunes itself
 
 
 def _unobserving(product: CounterAutomaton) -> CounterAutomaton:

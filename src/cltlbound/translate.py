@@ -40,14 +40,15 @@ an R> automaton's is its least observation (both readings are threshold
 tests of `automaton._accepts`).
 
 There is one tableau per formula, a `Tableau`, and it is built on demand:
-`successors(state, letter)` collapses the epsilon paths of one state under
-one letter, and drops every set holding a literal the letter falsifies
-before rewriting it.  `build_counter_automaton` explores it whole, over
-every letter, and removes the states that cannot reach an accepting cycle.
-`automaton.value_on_lasso` reads it lazily along one lasso word, asking
-only for the (state, letter) pairs the word reaches: the on-the-fly
-construction of Gerth, Peled, Vardi and Wolper ("Simple on-the-fly
-automatic verification of linear temporal logic", 1995).
+`successors(state, cube)` collapses the epsilon paths of one state under
+the letters of a cube, drops every set holding a literal the cube
+falsifies before rewriting it, and drops the dominated transitions: it is
+the one dominance point.  `build_counter_automaton` explores it whole,
+under the cube true, and removes the states that cannot reach an
+accepting cycle.  `automaton.value_on_lasso` reads it lazily along one
+lasso word, asking only for the (state, letter) pairs the word reaches:
+the on-the-fly construction of Gerth, Peled, Vardi and Wolper ("Simple
+on-the-fly automatic verification of linear temporal logic", 1995).
 
 A Tableau interns its members.  Each formula a set can hold gets a small
 integer id, and a set is an int whose bit i says that member i is in it.
@@ -72,10 +73,11 @@ per query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .automaton import CounterAutomaton, Cube, Transition, undominated
+from .automaton import TOP_CUBE, CounterAutomaton, Cube, Transition, _narrow, undominated
 from .formula import (
+    COST_LE,
     MIXED,
     And,
     CostRelease,
@@ -165,23 +167,25 @@ def _paired_occurrences(phi: Formula) -> frozenset:
 class Tableau:
     """The tableau of one formula, built on demand.
 
-    `successors(state, letter)` returns the transitions leaving a state
-    whose cube matches the letter, and `letter=None` returns every one.
-    States are numbered in the order they are first reached, so exploring
-    the states in that order over all letters numbers them breadth-first
-    from the initial state 0, as `build_counter_automaton` does.
+    `successors(state, cube)` returns the transitions leaving a state that
+    a letter of the cube can take; the cube true returns every one.  States
+    are numbered in the order they are first reached, so exploring them in
+    that order under the cube true numbers them breadth-first from the
+    initial state 0, as `build_counter_automaton` does.
 
-    Under a letter the epsilon closure drops every set that holds a literal
-    the letter falsifies, before its rewrites are enumerated.  No literal
+    Under a cube the epsilon closure drops every set that holds a literal
+    the cube falsifies, before its rewrites are enumerated.  No literal
     ever leaves a set on an epsilon path, so every endpoint below such a
-    set would carry the literal in its cube: nothing matching the letter
-    is lost.  A word's reader thus builds only the part of the tableau the
+    set would carry the literal in its cube: nothing the cube allows is
+    lost.  A word's reader thus builds only the part of the tableau the
     word reaches.  All memos live on the object, one per query.
     """
 
     def __init__(self, phi: Formula):
-        if classify_fragment(phi) == MIXED:
+        fragment = classify_fragment(phi)
+        if fragment == MIXED:
             raise FragmentError("cannot translate a formula mixing U<= and R>")
+        self._inf = fragment == COST_LE  # its dominance rule
         phi = label_counters(phi)
         labels = cost_operator_count(phi)
         paired = _paired_occurrences(phi)
@@ -193,7 +197,6 @@ class Tableau:
         self._acc_of = {u: i for i, u in enumerate(untils)}
         self.num_acc_sets = len(untils)
         self.ap = propositions(phi)
-        self._props = frozenset(self.ap)
         self.init = 0
         # The interned members, one entry per id in each list (see above).
         self._ids: dict = {}
@@ -216,7 +219,7 @@ class Tableau:
         self._sets: list[int | None] = [init]
         self._index: dict[int | None, int] = {init: 0}
         self._reduced: dict[int, list] = {}
-        self._closures: dict[frozenset | None, tuple[int, dict]] = {}
+        self._closures: dict[int, dict] = {}  # one memo per falsified mask
         # The same reduced endpoint shows up under many states and under
         # many action combinations, so its letter crossing and cube are
         # computed once; likewise the acceptance sets per combination of
@@ -449,41 +452,38 @@ class Tableau:
 
     # -- letter steps ------------------------------------------------------
 
-    def successors(self, state: int, letter: frozenset | None) -> list[Transition]:
+    def successors(self, state: int, cube: Cube) -> list[Transition]:
+        """The transitions leaving state that a letter of cube can take, each
+        once and narrowed to cube, minus those a sibling dominates."""
         members = self._sets[state]
         if members is None:
             return []
-        if letter is not None:
-            letter &= self._props
-        got = self._closures.get(letter)
-        if got is None:
-            got = self._closures[letter] = (self._falsified(letter), {})
-        falsified, memo = got
+        lits = self._literals  # the bits of p and of !p, by p
+        falsified = 0
+        for p in cube.positive & lits.keys():
+            falsified |= lits[p][1]
+        for p in cube.negative & lits.keys():
+            falsified |= lits[p][0]
+        memo = self._closures.get(falsified)
+        if memo is None:
+            memo = self._closures[falsified] = {}
         out: list[Transition] = []
         seen = set()
         for endpoint, actions, marks in self._closure(members, falsified, memo):
             got = self._crossings.get(endpoint)
             if got is None:
                 got = self._crossings[endpoint] = self._cross(endpoint)
-            target, cube, crossing = got
+            target, own, crossing = got
             if target is None:
                 continue
             tr = Transition(
-                state, cube, self._action_row(actions, crossing),
+                state, _narrow(own, cube), self._action_row(actions, crossing),
                 self._acc(marks), self._state_id(target),
             )
             if tr not in seen:
                 seen.add(tr)
                 out.append(tr)
-        return out
-
-    def _falsified(self, letter: frozenset | None) -> int:
-        """The mask of the literals the letter falsifies."""
-        out = 0
-        if letter is not None:
-            for name, (pos, neg) in self._literals.items():
-                out |= neg if name in letter else pos
-        return out
+        return undominated(out, self._inf, all(t.cube is cube for t in out))
 
     def _cross(self, endpoint: int):
         """Cross one letter from a reduced endpoint: its cube, and the set
@@ -564,15 +564,15 @@ class Tableau:
 
 def build_counter_automaton(phi: Formula) -> CounterAutomaton:
     """Translate a U<=-fragment, R>-fragment or plain LTL formula to a
-    counter automaton: its `Tableau` explored over every letter, with the
-    states that cannot reach an accepting cycle removed.  The caller reads
-    an R> automaton with capped counters and a U<= automaton with bounded
-    ones (see above)."""
+    counter automaton: its `Tableau` explored whole, under the cube true,
+    pruned, with the states that cannot reach an accepting cycle removed.
+    The caller reads an R> automaton with capped counters and a U<=
+    automaton with bounded ones (see above)."""
     tab = Tableau(phi)
     transitions: list[Transition] = []
     state = 0
     while state < tab.num_states:
-        transitions += tab.successors(state, None)
+        transitions += tab.successors(state, TOP_CUBE)
         state += 1
     num_states, init, live_transitions = _live_slice(
         tab.num_states, tab.init, transitions, tab.num_acc_sets
@@ -610,19 +610,8 @@ def prune_dominated(aut: CounterAutomaton, inf: bool = False) -> CounterAutomato
     of an R> automaton, with inf True under the bounded reading of a U<=
     automaton.  The sup rule would change a U<= automaton's values: on
     `a U<= b` it drops the skip edge {a, X} in favour of the increment
-    edge {X}, whose cube is wider, and every a before b then costs 1."""
-    kept = undominated(
-        [((t.src, t.dst, t.acc), t.actions, t) for t in dict.fromkeys(aut.transitions)],
-        inf,
-        lambda s, t: s.cube.subsumes(t.cube),
-    )
-    if len(kept) == len(aut.transitions):
-        return aut
-    return CounterAutomaton(
-        aut.num_states,
-        aut.init,
-        aut.num_counters,
-        aut.num_acc_sets,
-        tuple(kept),
-        aut.ap,
-    )
+    edge {X}, whose cube is wider, and every a before b then costs 1.
+    `Tableau.successors` drops the same transitions state by state, so no
+    query calls this; tests prune automata built another way."""
+    kept = undominated(list(dict.fromkeys(aut.transitions)), inf)
+    return aut if len(kept) == len(aut.transitions) else replace(aut, transitions=tuple(kept))

@@ -46,9 +46,9 @@ from cltlbound.graphs import accepting_components
 from cltlbound.oracle import eval_ltl_on_lasso
 from cltlbound.translate import (
     Carry,
+    _live_slice,
     _paired_occurrences,
     build_counter_automaton,
-    prune_dominated,
 )
 from cltlbound.words import ABOVE_CAP, LassoWord
 
@@ -349,9 +349,6 @@ def instantiation_sup(model: CounterAutomaton, phi: Formula, cutoff: int | None 
     states x model states is `cutoff-reached`) and result shape as
     `compute_sup_bound`, which tests compare against it."""
 
-    def pruned(f):
-        return prune_dominated(build_counter_automaton(f))
-
     if classify_fragment(phi) == COST_LE:
         inner = instantiation_sup(model, negate_dual(phi), cutoff)
         if inner.outcome != "finite":
@@ -359,18 +356,18 @@ def instantiation_sup(model: CounterAutomaton, phi: Formula, cutoff: int | None 
         bound, word = inner.bound + 1, inner.witness
         if bound == 1:
             hit = find_accepting_lasso(
-                synchronized_product(pruned(negate_dual(instantiate(phi, 0))), model)
+                synchronized_product(build_counter_automaton(negate_dual(instantiate(phi, 0))), model)
             )
             bound, word = (0, word) if hit is None else (1, hit[1])
         return BoundResult("finite", bound, word, inner.cutoff, inner.trace)
 
-    sound = pruned(phi).num_states * model.num_states
+    sound = build_counter_automaton(phi).num_states * model.num_states
     limit = sound if cutoff is None else cutoff
     trace = []
     n = 0
     last_word = None
     while True:
-        aut = pruned(And(phi, instantiate(phi, n + 1)))
+        aut = build_counter_automaton(And(phi, instantiate(phi, n + 1)))
         product = synchronized_product(aut, model)
         hit = find_accepting_lasso(product)
         p = None if hit is None else max(run_value(hit[0], product), n + 1)
@@ -400,16 +397,13 @@ def instantiation_inf(model: CounterAutomaton, phi: Formula, cutoff: int | None 
     model states x (1 + the product's acceptance sets).  `compute_inf_bound`
     replaced this route, and tests compare against it."""
 
-    def pruned(f):
-        return prune_dominated(build_counter_automaton(f))
-
     trace = []
     limit = cutoff
     n = 0
     while True:
         if limit is not None and n >= limit:
             return BoundResult("infinite-inf", None, None, limit, tuple(trace))
-        aut = pruned(instantiate(phi, n))
+        aut = build_counter_automaton(instantiate(phi, n))
         product = synchronized_product(aut, model)
         hit = find_accepting_lasso(product)
         word = None if hit is None else hit[1]
@@ -421,7 +415,7 @@ def instantiation_inf(model: CounterAutomaton, phi: Formula, cutoff: int | None 
             if classify_fragment(phi) == LTL:
                 limit = 1
             else:
-                sizing = pruned(negate_dual(phi))
+                sizing = build_counter_automaton(negate_dual(phi))
                 reachable = whole_unfolding(model, 0)[0]
                 limit = max(1, sizing.num_states * reachable * (1 + product.num_acc_sets))
         if word is not None:
@@ -831,3 +825,20 @@ class ReferenceTableau:
             out = tuple(acc)
         memo[state] = out
         return out
+
+
+def reference_automaton(phi: Formula) -> CounterAutomaton:
+    """phi's automaton with no transition pruned: the ReferenceTableau
+    explored whole (every letter at once) and live-sliced as
+    `build_counter_automaton` slices, which returns it pruned.  Tests
+    prune it with `prune_dominated` and compare."""
+    tab = ReferenceTableau(phi)
+    transitions: list[Transition] = []
+    state = 0
+    while state < tab.num_states:
+        transitions += tab.successors(state, None)
+        state += 1
+    num_states, init, kept = _live_slice(
+        tab.num_states, tab.init, transitions, tab.num_acc_sets
+    )
+    return CounterAutomaton(num_states, init, tab.num_counters, tab.num_acc_sets, kept, tab.ap)

@@ -7,6 +7,7 @@ from cltlbound.automaton import (
     CounterAutomaton,
     Cube,
     Transition,
+    _shared_cube,
     synchronized_product,
     to_dot,
     value_on_lasso,
@@ -72,6 +73,16 @@ def test_validation():
         CounterAutomaton(1, 0, 0, 1, (Transition(0, TOP_CUBE, (), frozenset({1}), 0),))
 
 
+def test_cube_propositions_must_be_declared():
+    # A word is read as cubes fixing the automaton's declared propositions,
+    # so a cube on an undeclared one is rejected, not read as unconstrained.
+    t = Transition(0, cube("a&!b"), (), frozenset(), 0)
+    CounterAutomaton(1, 0, 0, 0, (t,), ap=("a", "b"))
+    for ap in ((), ("a",), ("b", "c")):
+        with pytest.raises(ValueError, match="outside ap"):
+            CounterAutomaton(1, 0, 0, 0, (t,), ap=ap)
+
+
 def block_counter():
     # counts a-run lengths, observed and reset at each !a
     return CounterAutomaton(
@@ -116,6 +127,53 @@ def test_product_against_membership_brute():
             assert naive_accepts(prod, w) == both
             checked += 1
     assert checked == 600
+
+
+def pair_every_transition(a, b):
+    """The product's transitions by pairing every transition of a with
+    every transition of b, source-major, over the pairs reachable in BFS
+    order from the initial pair."""
+    start = (a.init, b.init)
+    index = {start: 0}
+    order = [start]
+    out = []
+    for s, (p, q) in enumerate(order):
+        for ta in a.by_source().get(p, ()):
+            for tb in b.by_source().get(q, ()):
+                both = ta.cube.merge(tb.cube)
+                if both is None:
+                    continue
+                tgt = (ta.dst, tb.dst)
+                if tgt not in index:
+                    index[tgt] = len(order)
+                    order.append(tgt)
+                acc = ta.acc | {a.num_acc_sets + i for i in tb.acc}
+                out.append(Transition(s, both, ta.actions + tb.actions, acc, index[tgt]))
+    return tuple(out)
+
+
+def test_product_under_a_shared_literal_pairs_every_transition():
+    # State 0's rows share the literal a, so the product asks the source
+    # for its transitions under the cube a, which is neither true nor
+    # either row's whole guard.  Narrowing them to a changes no pair.
+    model = CounterAutomaton(
+        2, 0, 0, 1,
+        (
+            Transition(0, cube("a&b"), (), frozenset({0}), 1),
+            Transition(0, cube("a&!b"), (), frozenset(), 0),
+            Transition(1, TOP_CUBE, (), frozenset(), 0),
+        ),
+        ap=("a", "b"),
+    )
+    assert _shared_cube([t.cube for t in model.by_source()[0]]) == cube("a")
+    rng = random.Random(53)
+    paired = 0
+    for _ in range(100):
+        aut = random_automaton(rng, max_states=5, max_acc=2, max_counters=2)
+        prod = synchronized_product(aut, model)
+        assert prod.transitions == pair_every_transition(aut, model), aut
+        paired += len(prod.transitions)
+    assert paired > 500
 
 
 def test_capped_unfolding_agrees_with_value_on_lasso():

@@ -50,6 +50,15 @@ def test_sup_unbounded_exit_two(capsys):
         assert data["witness"]
 
 
+def test_undeclared_formula_propositions_are_unconstrained(capsys):
+    # L3 declares only a, so c is free at every step: the witness sets it
+    # everywhere and G> c holds with no observation, an infinite value.
+    code, data = run_json(capsys, "-f", "G> c", "-m", L3, "--mode", "sup", "--witness")
+    assert code == 2
+    assert data["outcome"] == "unbounded"
+    assert data["witness"] == "| {a,c} {a,c} {a,c} {c}"
+
+
 def test_inf_infinite_exit_three(capsys):
     code, data = run_json(capsys, "-f", "F<= !a", "-m", A_ONLY, "--mode", "inf")
     assert code == 3

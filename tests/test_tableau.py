@@ -5,15 +5,18 @@ formula's Tableau, which translates only the (state, letter) pairs the
 word reaches; criterion 3 keeps testing the whole automaton.  These tests
 check that both readings give the same value and that the lazy one stays
 inside what the word reaches, that the interned Tableau explores exactly
-what the frozenset reference in `corpus.py` explores, and its pick order.
+what the frozenset reference in `corpus.py` explores, pruned as the
+reference's transitions prune, and its pick order.
 """
 
 import random
 
-from cltlbound.automaton import value_on_lasso
+from cltlbound.automaton import TOP_CUBE, Cube, Transition, undominated, value_on_lasso
 from cltlbound.cegar import _pruned
 from cltlbound.formula import (
+    COST_LE,
     CostRelease,
+    classify_fragment,
     cost_operator_count,
     label_counters,
     negate_dual,
@@ -90,32 +93,62 @@ def test_the_word_reads_only_what_it_reaches():
 
 
 
-def explore(tab, letters):
-    """Every transition of tab, state by state in number order, under each
-    of the letters in turn, and the number of states reached."""
+# The letters each state is explored under: None stands for every letter
+# at once, the query cube true.
+LETTERS = [None, frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
+
+
+def letter_cube(letter):
+    """The query cube of a letter over {a, b}."""
+    return TOP_CUBE if letter is None else Cube(letter, frozenset("ab") - letter)
+
+
+def reference_successors(ref, state, letter, inf):
+    """What `Tableau.successors` should return, from the reference's
+    transitions under the letter: each cube conjoined with the query cube,
+    each transition once, minus the ones a sibling dominates under the
+    formula's rule."""
+    cube = letter_cube(letter)
+    narrowed = dict.fromkeys(
+        Transition(t.src, t.cube.merge(cube), t.actions, t.acc, t.dst)
+        for t in ref.successors(state, letter)
+    )
+    return undominated(list(narrowed), inf)
+
+
+def explore(successors, num_states):
+    """Every answer of successors, state by state in number order, under
+    each of the LETTERS in turn, and the number of states reached."""
     out = []
     state = 0
-    while state < tab.num_states:
-        out += [tab.successors(state, letter) for letter in letters]
+    while state < num_states():
+        out += [successors(state, letter) for letter in LETTERS]
         state += 1
-    return out, tab.num_states
+    return out, num_states()
 
 
 def test_interned_tableau_agrees_with_the_frozenset_reference():
     # Seeded formulas of all three fragments, with criterion 3's rule of
     # at most four cost operators, each explored whole over every letter
-    # at once (None) and over each letter of {a, b}, on one Tableau, so
-    # the letters share its memos.
+    # at once (the cube true) and over each letter of {a, b}, on one
+    # Tableau, so the letters share its memos.
     rng = random.Random(12)
-    letters = [None, frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
     handoffs = 0
     for fragment in ("LTL", "CostGT", "CostLE"):
         for i in range(40):
             phi = random_formula(rng, depth=4, props=("a", "b"), fragment=fragment)
             while cost_operator_count(phi) > 4:
                 phi = random_formula(rng, depth=4, props=("a", "b"), fragment=fragment)
-            got = explore(Tableau(phi), letters)
-            want = explore(ReferenceTableau(phi), letters)
+            tab, ref = Tableau(phi), ReferenceTableau(phi)
+            inf = classify_fragment(phi) == COST_LE
+            got = explore(
+                lambda s, letter: tab.successors(s, letter_cube(letter)),
+                lambda: tab.num_states,
+            )
+            want = explore(
+                lambda s, letter: reference_successors(ref, s, letter, inf),
+                lambda: ref.num_states,
+            )
             assert got == want, (fragment, i, str(phi))
             if fragment == "CostGT":
                 handoffs += any("r" in t.actions for row in got[0] for t in row)

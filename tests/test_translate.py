@@ -20,7 +20,7 @@ from cltlbound.oracle import value_inf
 from cltlbound.translate import Tableau, build_counter_automaton, prune_dominated
 from cltlbound.words import ABOVE_CAP, NO_RUN, parse_lasso
 
-from corpus import random_formula, random_lasso, word_model
+from corpus import random_formula, random_lasso, reference_automaton, word_model
 
 
 def build(text):
@@ -88,13 +88,16 @@ def test_reduce_cost_release_actions():
 
 
 def test_worked_example_unpruned_and_pruned():
-    aut = build("F (p & G> !q)")
+    # Unpruned, from the reference tableau; the translation prunes itself,
+    # exactly as pruning the whole automaton does.
+    aut = reference_automaton(parse_formula("F (p & G> !q)"))
     assert aut.num_states == 3
     assert len(aut.transitions) == 8
     assert aut.num_counters == 1
     assert aut.num_acc_sets == 1
 
-    pruned = prune_dominated(aut)
+    pruned = build("F (p & G> !q)")
+    assert pruned == prune_dominated(aut)
     assert pruned.num_states == 3
     assert len(pruned.transitions) == 6
     non_acc = [t for t in pruned.transitions if not t.acc]
@@ -170,8 +173,9 @@ def test_pruning_preserves_values():
     agreed = 0
     for _ in range(150):
         phi = random_formula(rng, 3, ("a", "b"), "CostGT")
-        aut = build_counter_automaton(phi)
-        pruned = prune_dominated(aut)
+        aut = reference_automaton(phi)
+        pruned = build_counter_automaton(phi)
+        assert pruned == prune_dominated(aut), str(phi)
         assert len(pruned.transitions) <= len(aut.transitions)
         for _ in range(3):
             w = random_lasso(rng, ("a", "b"), 4, 4)
@@ -182,7 +186,7 @@ def test_pruning_preserves_values():
 
 def test_prune_keeps_one_of_equal_twins():
     # two identical transitions must not eliminate each other
-    aut = build("F (p & G> !q)")
+    aut = reference_automaton(parse_formula("F (p & G> !q)"))
     doubled = aut.__class__(
         num_states=aut.num_states,
         init=aut.init,
@@ -217,7 +221,7 @@ def test_le_translation_value_agrees_with_oracle():
         word = random_lasso(rng, props=("a", "b"))
         if cost_operator_count(phi) > 4:
             continue
-        aut = prune_dominated(build_counter_automaton(phi), inf=True)
+        aut = build_counter_automaton(phi)  # pruned under the inf rule
         want = value_inf(phi, word, cap)
         assert least_bound(aut, word, cap) == want, (str(phi), str(word))
         values.append(want)
@@ -228,9 +232,11 @@ def test_le_translation_value_agrees_with_oracle():
 def test_le_pruning_keeps_the_skip_edge():
     # On a U<= b the increment edge {X} (cube true) subsumes the skip edge
     # {a, X} (cube a).  Under the sup rule the increment wins and every a
-    # before b costs 1; under the inf rule the skip edge stays.
-    aut = build("a U<= b")
-    pruned = prune_dominated(aut, inf=True)
+    # before b costs 1; under the inf rule, the translation's, the skip
+    # edge stays.
+    aut = reference_automaton(parse_formula("a U<= b"))
+    pruned = build("a U<= b")
+    assert pruned == prune_dominated(aut, inf=True)
     assert any(t.cube.to_text() == "a" and t.actions == ("",) for t in pruned.transitions)
     word = parse_lasso("{a} {a} | {b}")
     assert value_inf(parse_formula("a U<= b"), word, 4) == 0
