@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from functools import cache
 from typing import Any
 
 from . import oracle
@@ -82,6 +83,7 @@ def _human(val) -> str:
     return str(val)
 
 
+@cache  # built once per process: parse_args keeps no state on it
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cltlbound",
