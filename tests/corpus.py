@@ -830,8 +830,8 @@ class ReferenceTableau:
 def reference_automaton(phi: Formula) -> CounterAutomaton:
     """phi's automaton with no transition pruned: the ReferenceTableau
     explored whole (every letter at once) and live-sliced as
-    `build_counter_automaton` slices, which returns it pruned.  Tests
-    prune it with `prune_dominated` and compare."""
+    `build_counter_automaton` slices.  The build prunes as it goes; tests
+    prune this one with `prune_dominated` and compare."""
     tab = ReferenceTableau(phi)
     transitions: list[Transition] = []
     state = 0
