@@ -8,16 +8,24 @@ every field of its `--json` report except `seconds`, which differs from
 run to run.  The queries are the README examples, four queries over L3
 with a user `--cutoff` below the sound one, 8 sup formulas over every
 fixture model and 3 inf formulas over every fixture, all but the README
-examples with `--witness --trace --oracle-check`, then 4 formulas in
-value mode with `--oracle-check`, each on words of value 0, 1 and above
-the default cap, and last the first 20 pairs of each value-corpus stream
-(the R> stream of criterion 3 and the U<= stream of criterion 1, drawn
-by `tests/corpus.py` with criterion 3's rule of redrawing formulas with
-more than four cost operators) in value mode at cap 10 with
-`--oracle-check`.  The script imports the package from the `src`
-directory next to it and runs from the repository root, so running the
-copy in another checkout and diffing the two outputs compares the two
-trees' behaviour query by query.
+examples with `--witness --trace --oracle-check`, then value mode with
+`--oracle-check`:
+
+- 4 formulas, each on words of value 0, 1 and above the default cap;
+- `G> a` on a^m | {} {a} (value m - 1) and `F<= b` on a^m | {b} (value
+  m) at caps 50 and 200, with m putting each value just below, at and
+  just above the cap: the automaton route's check starts from the
+  oracle's value, and these lie far from 1, where a search with no
+  guess starts;
+- the first 20 pairs of each value-corpus stream (the R> stream of
+  criterion 3 and the U<= stream of criterion 1, drawn by
+  `tests/corpus.py` with criterion 3's rule of redrawing formulas with
+  more than four cost operators) at cap 10.
+
+The script imports the package from the `src` directory next to it and
+runs from the repository root, so running the copy in another checkout
+and diffing the two outputs compares the two trees' behaviour query by
+query.
 """
 
 from __future__ import annotations
@@ -65,6 +73,21 @@ VALUE_WORDS = {  # words of value 0, 1 and above the default cap
     "G> a": ["| {}", "{a} {a} | {}", "| {a}"],
     "G (F<= !a)": ["| {}", "{a} | {}", "| {a}"],
 }
+# Values just below, at and just above each cap: value m - 1 for G> a on
+# a^m | {} {a}, and m for F<= b on a^m | {b}.
+LARGE_CAPS = (50, 200)
+
+
+def large_value_queries() -> list[list[str]]:
+    out = []
+    for cap in LARGE_CAPS:
+        for phi, word, shift in [("G> a", "| {} {a}", 1), ("F<= b", "| {b}", 0)]:
+            for value in (cap - 1, cap, cap + 1):
+                text = "{a} " * (value + shift) + word
+                out.append(["--mode", "value", "-f", phi, "--word", text,
+                            "--cutoff", str(cap), "--oracle-check"])
+    return out
+
 
 # (fragment, seed) of the two value-corpus streams, the pairs taken from
 # each and their cap.
@@ -96,7 +119,7 @@ def queries() -> list[list[str]]:
         out += [["--mode", "inf", "-f", phi, "-m", m, *FLAGS] for m in models]
     for phi, words in VALUE_WORDS.items():
         out += [["--mode", "value", "-f", phi, "--word", w, "--oracle-check"] for w in words]
-    return out + corpus_queries()
+    return out + large_value_queries() + corpus_queries()
 
 
 def report(argv: list[str]) -> dict:

@@ -283,6 +283,7 @@ def _compile_rows(rows: list[tuple], bounded: bool):
     slot = {c: i for i, c in enumerate(tracked)}
     kept = "ir" if bounded else "ior"
     compiled: dict[tuple[str, ...], tuple[tuple[int, str], ...]] = {}
+    masks: dict[frozenset, int] = {}  # the sets are few, and mostly shared
     succ: dict[int, list[tuple]] = {}
     for src, dst, acc, actions, label in rows:
         ops = compiled.get(actions)
@@ -294,7 +295,10 @@ def _compile_rows(rows: list[tuple], bounded: bool):
                 for ch in acts
                 if ch in kept
             )
-        succ.setdefault(src, []).append((dst, sum(1 << a for a in acc), ops, label))
+        mask = masks.get(acc)
+        if mask is None:
+            mask = masks[acc] = sum(1 << a for a in acc)
+        succ.setdefault(src, []).append((dst, mask, ops, label))
     return succ, len(slot)
 
 
@@ -446,7 +450,7 @@ def _accepts(
     return None, len(index)
 
 
-def value_on_lasso(aut, word: LassoWord, cap: int):
+def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
     """Exact sup-semantics value of the automaton on the given lasso.
 
     aut is a CounterAutomaton, or a `translate.Tableau` read lazily along
@@ -458,11 +462,16 @@ def value_on_lasso(aut, word: LassoWord, cap: int):
 
     Threshold 0 tests the lasso graph itself; every later test unfolds only
     the nodes from which an accepting component is reachable, since no
-    accepting run passes through the others.  After thresholds 0 and 1 the
-    cap itself is tested.  Thresholds are monotone, so a pass there answers
-    ABOVE_CAP (every infinite value) after three tests.  Otherwise the
-    largest achievable threshold is found by doubling from 1 and then
-    bisecting the bracket.
+    accepting run passes through the others.  Thresholds are monotone, so
+    the search narrows a bracket: the highest threshold known to pass and
+    the lowest known to fail.  guess, the answer the caller expects (an
+    int, ABOVE_CAP or NO_RUN), picks the first tests: a finite g >= 1
+    tests g and g + 1, ABOVE_CAP tests cap, and 0, a negative int or
+    NO_RUN tests 1.  A right guess is confirmed by those at most two
+    tests.  After them, or with no guess, 1 and then cap are tested, and
+    the largest achievable threshold is found by doubling from the lowest
+    pass and then bisecting the bracket.  Every test is made from the
+    bracket, so the answer is the same whatever the guess.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -477,29 +486,32 @@ def value_on_lasso(aut, word: LassoWord, cap: int):
     succ, num_slots = _compile_rows(kept, bounded=False)
     full = (1 << aut.num_acc_sets) - 1
 
-    def reaches(t: int) -> bool:
-        """Is there an accepting run whose every observation is >= t?"""
-        return _accepts(succ, 0, num_slots, t, full)[0] is not None
-
-    if not reaches(1):
-        return 0
-    if cap == 1 or reaches(cap):
-        return ABOVE_CAP
-    lo = 1  # highest threshold known to pass; cap is known to fail
-    while True:
-        hi = min(lo * 2, cap)
-        if hi == cap or not reaches(hi):
-            break
-        lo = hi
-    best, a, b = lo, lo + 1, hi - 1
-    while a <= b:
-        mid = (a + b) // 2
-        if reaches(mid):
-            best = mid
-            a = mid + 1
+    if guess is None:
+        first: tuple[int, ...] = ()
+    elif guess is ABOVE_CAP:
+        first = (cap,)
+    elif guess is NO_RUN or guess < 1:
+        first = (1,)
+    else:
+        first = (min(guess, cap), min(guess + 1, cap))
+    # The highest threshold known to pass, and the lowest known to fail
+    # (cap + 1 until the cap is tested).
+    lo, hi = 0, cap + 1
+    probes = iter(first)
+    while hi - lo > 1:
+        t = next((g for g in probes if lo < g < hi), None)
+        if t is None:
+            if lo == 0:
+                t = 1
+            elif hi > cap:
+                t = cap
+            else:
+                t = lo * 2 if lo * 2 < hi else (lo + hi) // 2
+        if _accepts(succ, 0, num_slots, t, full)[0] is not None:
+            lo = t
         else:
-            b = mid - 1
-    return best
+            hi = t
+    return ABOVE_CAP if lo == cap else lo
 
 
 def to_dot(aut: CounterAutomaton) -> str:

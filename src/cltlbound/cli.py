@@ -180,21 +180,21 @@ def _check_bound(mode: str, phi, result: BoundResult) -> str:
 
 def _check_value(phi, frag: str, word, cap: int, val) -> str:
     # The formula's tableau is read along the word only, never built whole.
+    # The automaton route is handed the oracle's value as its guess: two
+    # threshold tests confirm a right one, and a wrong one only starts the
+    # search, whose answer does not depend on it.
     if frag == LTL:
-        side = value_on_lasso(Tableau(phi), word, 1)
-        if val == 0:
-            ok = side is ABOVE_CAP
-        else:
-            ok = side is NO_RUN
-        return "ok" if ok else f"mismatch: automaton route says {side!r}"
+        expect = ABOVE_CAP if val == 0 else NO_RUN
+        side = value_on_lasso(Tableau(phi), word, 1, expect)
+        return "ok" if side is expect else f"mismatch: automaton route says {side!r}"
     if frag == COST_GT:
-        side = value_on_lasso(Tableau(phi), word, cap)
+        side = value_on_lasso(Tableau(phi), word, cap, val)
         side = 0 if side is NO_RUN else side  # the empty-sup convention
         expect = val
     else:
         # The dual value is the U<= value minus one, NO_RUN standing for -1.
-        side = value_on_lasso(Tableau(negate_dual(phi)), word, cap)
         expect = val if val is ABOVE_CAP else NO_RUN if val == 0 else val - 1
+        side = value_on_lasso(Tableau(negate_dual(phi)), word, cap, expect)
     if (side is ABOVE_CAP) != (expect is ABOVE_CAP) or (
         side is not ABOVE_CAP and side != expect
     ):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cltlbound.automaton
 from cltlbound.automaton import (
     TOP_CUBE,
     CounterAutomaton,
@@ -14,11 +15,14 @@ from cltlbound.automaton import (
 )
 from cltlbound.cegar import run_peak, run_value
 from cltlbound.emptiness import check_lasso_run, find_accepting_lasso
+from cltlbound.formula import cost_operator_count, negate_dual, parse_formula
+from cltlbound.translate import Tableau
 from cltlbound.words import ABOVE_CAP, NO_RUN, parse_lasso
 
 from corpus import (
     naive_accepts,
     random_automaton,
+    random_formula,
     random_lasso,
     whole_unfolding,
     whole_unfolding_accepts,
@@ -110,6 +114,67 @@ def test_value_on_lasso_block_counter():
 def test_value_on_lasso_needs_positive_cap():
     with pytest.raises(ValueError):
         value_on_lasso(block_counter(), parse_lasso("| {}"), 0)
+
+
+def guesses(value, cap):
+    """Right and wrong guesses around value and cap: the value itself, its
+    neighbours (NO_RUN counting as -1, ABOVE_CAP as cap), both ends of the
+    range and past them, and both markers."""
+    v = -1 if value is NO_RUN else cap if value is ABOVE_CAP else value
+    return [None, 0, 1, v - 1, v, v + 1, cap - 1, cap, cap + 5, -3, ABOVE_CAP, NO_RUN]
+
+
+def value_cap_pairs():
+    # The value-cap benchmark's shapes: G> a on a^m | {} {a} (value m - 1)
+    # and the R> dual of F<= b on a^m | {b} (value m - 1), m near 50 and 200.
+    g = Tableau(parse_formula("G> a"))
+    dual = Tableau(negate_dual(parse_formula("F<= b")))
+    for m in (48, 51, 199, 202):
+        run = "{a} " * m
+        yield g, parse_lasso(f"{run}| {{}} {{a}}")
+        yield dual, parse_lasso(f"{run}| {{b}}")
+
+
+def test_the_guess_never_changes_the_value():
+    # Every guess gives the value with no guess: the first 100 of
+    # criterion 3's R> pairs at small caps (values mostly 0, 1 or above
+    # the cap), and long words whose values lie near the cap, below, at
+    # and above it.
+    rng = random.Random(3)
+    cases = []
+    for _ in range(100):
+        phi = random_formula(rng, depth=4, props=("a", "b"), fragment="CostGT")
+        while cost_operator_count(phi) > 4:
+            phi = random_formula(rng, depth=4, props=("a", "b"), fragment="CostGT")
+        word = random_lasso(rng, props=("a", "b"))
+        tab = Tableau(phi)  # read again at each cap, from its memo
+        cases += [(tab, word, cap) for cap in (1, 2, 5, 10)]
+    for tab, word in value_cap_pairs():
+        m = len(word.prefix)
+        cases += [(tab, word, cap) for cap in (10, m - 2, m - 1, m, m + 1, 250)]
+    above_one = 0
+    for tab, word, cap in cases:
+        want = value_on_lasso(tab, word, cap)
+        above_one += isinstance(want, int) and want > 1
+        for guess in guesses(want, cap):
+            got = value_on_lasso(tab, word, cap, guess)
+            assert got == want, (str(word), cap, guess, got, want)
+    assert above_one == 26  # 24 of them on the long words
+
+
+def test_a_right_guess_costs_at_most_two_threshold_tests(monkeypatch):
+    calls = []
+    engine = cltlbound.automaton._accepts
+    monkeypatch.setattr(
+        cltlbound.automaton, "_accepts", lambda *args: calls.append(args[3]) or engine(*args)
+    )
+    for tab, word in value_cap_pairs():
+        m = len(word.prefix)
+        for cap in (10, m - 1, m, 250):
+            want = value_on_lasso(tab, word, cap)
+            calls.clear()
+            assert value_on_lasso(tab, word, cap, want) == want
+            assert calls == ([cap] if want is ABOVE_CAP else [want, want + 1]), (cap, calls)
 
 
 def test_product_against_membership_brute():

@@ -11,6 +11,7 @@ from cltlbound.cli import main
 from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.formula import parse_formula
 from cltlbound.model import load_model
+from cltlbound.words import ABOVE_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 L3 = str(ROOT / "models" / "L3.model")
@@ -255,6 +256,34 @@ def test_value_check_tells_u_le_zero_from_one(capsys, monkeypatch, word, wrong):
     )
     assert (code, data["value"]) == (4, wrong)
     assert data["oracle"].startswith("mismatch")
+
+
+# The check reads G> a as is, which is 198 on a^199 | {} {a} at cap 200,
+# and F<= b through its R> dual, which is 147 on a^148 | {b} at cap 150
+# (F<= b itself is 148).
+LARGE_VALUES = {
+    "value_sup": ("G> a", "{a} " * 199 + "| {} {a}", 200, "198"),
+    "value_inf": ("F<= b", "{a} " * 148 + "| {b}", 150, "147"),
+}
+
+
+@pytest.mark.parametrize(
+    "route, wrong, expect",
+    [("value_sup", 197, "197"), ("value_sup", 199, "199"), ("value_sup", 0, "0"),
+     ("value_sup", ABOVE_CAP, "AboveCap"), ("value_inf", 147, "146"),
+     ("value_inf", 149, "148")],
+)
+def test_value_check_catches_a_wrong_large_value(capsys, monkeypatch, route, wrong, expect):
+    # The oracle's value is the automaton route's first guess; a wrong
+    # guess near the true value must still end in the true value.
+    formula, word, cap, says = LARGE_VALUES[route]
+    monkeypatch.setattr(cltlbound.oracle, route, lambda phi, w, c: wrong)
+    code, data = run_json(
+        capsys, "-f", formula, "--mode", "value", "--word", word,
+        "--cutoff", str(cap), "--oracle-check",
+    )
+    assert code == 4
+    assert data["oracle"] == f"mismatch: automaton route says {says}, expected {expect}"
 
 
 def test_usage_errors_exit_one(capsys):
