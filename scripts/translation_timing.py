@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Time the translation of the heaviest criterion-1 formulas.
+
+    python3 scripts/translation_timing.py
+
+The pairs are drawn as criterion 1 draws them (`tests/corpus.py`, seed
+20260819, depth 4, props a and b, pairs numbered from 0, no redraw):
+pairs 90, 109 and 173 carry 5, 6 and 5 U<= operators, pair 195 carries
+10.  For pairs 90, 109 and 173 the script times the U<= formula two
+ways, and for pair 195 only the first:
+
+- lazily along the pair's word: a `Tableau` read as value mode reads it,
+  by building its product with the word (`automaton._product_edges`);
+  it prints the seconds, the tableau states reached and the lasso
+  graph's nodes and edges;
+- whole: `build_counter_automaton`, as the sup and inf searches build
+  it; it prints the seconds and the automaton's states and transitions
+  after live slicing.
+
+Each figure comes from one run in this process, so the first row also
+pays for warming up the interpreter.  The script imports the package
+from the `src` directory next to it, so running the copy in another
+checkout times that tree.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import sys
+import time
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+from corpus import random_formula, random_lasso  # noqa: E402
+
+from cltlbound.automaton import _product_edges, _word_rows  # noqa: E402
+from cltlbound.translate import Tableau, build_counter_automaton  # noqa: E402
+
+WHOLE_TOO = (90, 109, 173)
+LAZY_ONLY = (195,)
+
+
+def criterion_1_pairs(count: int) -> list:
+    """The first count (formula, word) pairs of criterion 1's stream."""
+    rng = random.Random(20260819)
+    out = []
+    for _ in range(count):
+        phi = random_formula(rng, depth=4, props=("a", "b"), fragment="CostLE")
+        out.append((phi, random_lasso(rng, props=("a", "b"))))
+    return out
+
+
+def lazy(phi, word) -> str:
+    start = time.perf_counter()
+    tab = Tableau(phi)
+    nodes, edges = _product_edges(tab, 0, _word_rows(word, tab.ap))
+    seconds = time.perf_counter() - start
+    return (
+        f"lazy  {seconds:7.2f} s  {tab.num_states:6d} tableau states  "
+        f"{nodes:6d} lasso nodes  {len(edges):7d} lasso edges"
+    )
+
+
+def whole(phi) -> str:
+    start = time.perf_counter()
+    aut = build_counter_automaton(phi)
+    seconds = time.perf_counter() - start
+    return (
+        f"whole {seconds:7.2f} s  {aut.num_states:6d} states          "
+        f"{len(aut.transitions):6d} transitions"
+    )
+
+
+def main() -> None:
+    pairs = criterion_1_pairs(max(WHOLE_TOO + LAZY_ONLY) + 1)
+    for i in WHOLE_TOO + LAZY_ONLY:
+        phi, word = pairs[i]
+        print(f"pair {i:3d} {lazy(phi, word)}", flush=True)
+        if i in WHOLE_TOO:
+            print(f"pair {i:3d} {whole(phi)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

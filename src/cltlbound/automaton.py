@@ -139,14 +139,15 @@ class CounterAutomaton:
             out.setdefault(t.src, []).append(t)
         return out
 
-    def successors(self, state: int, cube: Cube) -> list[Transition]:
-        """The transitions leaving state that a letter of cube can take,
-        narrowed to cube, as `translate.Tableau.successors` answers."""
+    def successors(self, state: int, cube: Cube) -> list[tuple]:
+        """The rows (dst, cube, acceptance sets, actions) of the transitions
+        leaving state that a letter of cube can take, narrowed to cube, as
+        `translate.Tableau.successors` answers."""
         out = []
         for t in self._by_source.get(state, ()):
             c = _narrow(t.cube, cube)
             if c is not None:
-                out.append(t if c is t.cube else Transition(t.src, c, t.actions, t.acc, t.dst))
+                out.append((t.dst, c, t.acc, t.actions))
         return out
 
     @cached_property
@@ -194,11 +195,11 @@ def _product_edges(source, init: int, rows: list[tuple]) -> tuple[int, list[tupl
     acceptance sets, actions), and a cube all their cubes imply.  Nodes are
     the (source state, model state) pairs reachable from the initial pair,
     in BFS order.  Source is asked once per (source state, shared cube
-    object), and each transition it returns (narrowed to the shared cube,
-    which changes no pair) is paired with each row, source-major, unless
-    their cubes contradict.  Returns the number of nodes and the edges
-    (src, dst, acceptance sets, actions, cube), the source's sets and
-    actions first.
+    object), and each row (dst, cube, acceptance sets, actions) it returns
+    (narrowed to the shared cube, which changes no pair) is paired with
+    each model row, source-major, unless their cubes contradict.  Returns
+    the number of nodes and the edges (src, dst, acceptance sets, actions,
+    cube), the source's sets and actions first.
     """
     start = (source.init, init)
     index = {start: 0}
@@ -211,9 +212,7 @@ def _product_edges(source, init: int, rows: list[tuple]) -> tuple[int, list[tupl
             continue
         got = asked.get((p, id(shared)))  # rows keeps shared alive
         if got is None:
-            got = asked[p, id(shared)] = [
-                (t.dst, t.cube, t.acc, t.actions) for t in source.successors(p, shared)
-            ]
+            got = asked[p, id(shared)] = source.successors(p, shared)
         for dst_a, cube_a, acc_a, actions_a in got:
             for cube_b, dst_b, acc_b, actions_b in guarded:
                 cube = cube_a if cube_a is cube_b else cube_a.merge(cube_b)
@@ -302,43 +301,64 @@ def _compile_rows(rows: list[tuple], bounded: bool):
     return succ, len(slot)
 
 
-def undominated(transitions: list, inf: bool, same_cube: bool = False) -> list:
-    """The distinct transitions given, minus the ones a sibling dominates.
+# A counter's action as a 2-bit code; a row of actions is the int whose
+# bits 2c and 2c + 1 hold counter c's code.
+ACTIONS = ("", "i", "or", "r")
+_ACTION_CODE = {a: code for code, a in enumerate(ACTIONS)}
 
-    A transition dominates a sibling with the same endpoints and
-    acceptance sets when it can replace it without lowering any value: its
-    cube covers the sibling's (not compared when same_cube says that every
-    cube is one object) and its actions are at least as strong on every
-    counter.  Where a run is worth its least observation (sup, inf False),
-    an increment beats a skip; where it is worth its largest counter value
-    (inf), a skip beats an increment.  Resets and observations compare to
-    nothing but themselves.  So each actions tuple is read once as its
-    actions with the increments blanked, which must be equal, and the mask
-    of its increments, which must contain the other's (sup) or lie inside
-    it (inf).  `translate.Tableau.successors` is the one caller in a query.
+
+def action_code(actions: tuple[str, ...]) -> int:
+    """The code of a row of actions."""
+    code = 0
+    for c, a in enumerate(actions):
+        code |= _ACTION_CODE[a] << 2 * c
+    return code
+
+
+def action_row(code: int, num_counters: int) -> tuple[str, ...]:
+    """The row of actions of a code."""
+    return tuple(ACTIONS[code >> 2 * c & 3] for c in range(num_counters))
+
+
+def undominated(rows: list, inf: bool, same_cube: bool = False) -> list:
+    """The distinct rows given, minus the ones a sibling dominates.
+
+    A row starts (endpoints, cube, acceptance, action code); whatever
+    follows is carried along.  A row dominates a sibling with the same
+    endpoints and acceptance when it can replace it without lowering any
+    value: its cube covers the sibling's (not compared when same_cube says
+    that every cube is one object) and its actions are at least as strong
+    on every counter.  Where a run is worth its least observation (sup,
+    inf False), an increment beats a skip; where it is worth its largest
+    counter value (inf), a skip beats an increment.  Resets and
+    observations compare to nothing but themselves.  So each code is read
+    as its actions with the increments blanked, which must be equal, and
+    the mask of its increments (the low bit of each slot coded 1), which
+    must contain the other's (sup) or lie inside it (inf).
+    `translate.Tableau.successors` is the one caller in a query;
+    `translate.prune_dominated` applies it to a whole automaton.
     """
-    if len(transitions) < 2:
-        return transitions
-    codes: dict[tuple, tuple] = {}
+    if len(rows) < 2:
+        return rows
+    slots = (max(row[3] for row in rows).bit_length() + 1) // 2
+    low = (4**slots - 1) // 3  # the low bit of every slot
     siblings: dict[tuple, list[tuple]] = {}
     entries = []
-    for t in transitions:
-        code = codes.get(t.actions)
-        if code is None:
-            incs = sum(1 << c for c, a in enumerate(t.actions) if a == "i")
-            code = codes[t.actions] = (tuple("" if a == "i" else a for a in t.actions), incs)
-        entry = ((t.src, t.dst, t.acc, code[0]), code[1], t)
-        entries.append(entry)
-        siblings.setdefault(entry[0], []).append(entry)
+    for row in rows:
+        code = row[3]
+        incs = code & ~(code >> 1) & low
+        key = (row[0], row[2], code ^ incs)
+        entries.append((key, incs, row))
+        siblings.setdefault(key, []).append((incs, row))
     kept = []
-    for key, incs, t in entries:
+    for key, incs, row in entries:
         if not any(
-            other is not t
+            other is not row
             and not (more & ~incs if inf else incs & ~more)
-            and (same_cube or other.cube.subsumes(t.cube))
-            for _, more, other in siblings[key]
+            and (same_cube or other[1].subsumes(row[1]))
+            for more, other in siblings[key]
         ):
-            kept.append(t)
+            kept.append(row)
     return kept
 
 

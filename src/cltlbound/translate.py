@@ -41,10 +41,10 @@ tests of `automaton._accepts`).
 
 There is one tableau per formula, a `Tableau`, and it is built on demand:
 `successors(state, cube)` collapses the epsilon paths of one state under
-the letters of a cube, drops every set holding a literal the cube
-falsifies before rewriting it, and drops the dominated transitions: it is
-the one dominance point.  `build_counter_automaton` explores it whole,
-under the cube true, and removes the states that cannot reach an
+the letters of a cube into rows (target, cube, acceptance sets, actions),
+each once, and drops the dominated rows: it is the one dominance point.
+`build_counter_automaton` explores it whole, under the cube true, makes
+the rows its transitions and removes the states that cannot reach an
 accepting cycle.  `automaton.value_on_lasso` reads it lazily along one
 lasso word, asking only for the (state, letter) pairs the word reaches:
 the on-the-fly construction of Gerth, Peled, Vardi and Wolper ("Simple
@@ -58,24 +58,57 @@ running R> copy and a member moved onto its partner counter are numbered
 when first reached.  What a rewrite needs of a member is worked out once
 per id: its kind, its occurrence label, the bit of its opposite literal,
 and its rewrite alternatives as masks of member ids with the step's
-counter action and postponed Until.  Dropping the sets a letter falsifies,
-spotting a contradiction, finding the running copy of an occurrence and
-recognising a reduced set are each one AND of two ints.
+counter action and postponed Until.  Dropping the rows a letter
+falsifies, spotting a contradiction, finding the running copy of an
+occurrence and splitting a set into its reduced and non-reduced parts are
+each one AND of two ints.
 
 The pick order rests on two more values per member: the mask of the
 strict subformulas of its unflagged form (a member on its partner counter
 read as the occurrence itself), and its rank, `formula.sort_key`.  One OR
 over the masks of a set's non-reduced members covers every member that
 sits inside another; the lowest rank among the others is rewritten next.
-Nothing is cached at module level: every memo lives on its Tableau, one
-per query.
+
+The epsilon closure is memoized on a set's obligations, its non-reduced
+members.  Literals, X and Carry members are never rewritten, and running
+R> copies are obligations themselves, so the rewrites of a set, the
+member each one picks included, depend on its obligations alone: each
+obligations set is reduced once, for every state and cube.  A closure
+item is (the reduced members added on the path, its counter actions, its
+postponement marks, the R> occurrences it demands afresh), and the
+closures are memoized per falsified mask, since a step adding a literal
+the cube falsifies is not taken.  `successors` joins the set's own
+reduced part to each item: it drops the items whose added literals
+contradict that part, and it checks the fresh demands against the part's
+Carry members.  No literal leaves a set on an epsilon path, so filtering
+at the end keeps exactly the paths that pruning along the way would
+keep.  Every state with the same obligations shares one closure per
+cube.
+
+Counter actions are ints with two bits per counter slot: skip 0, i 1,
+or 2 and r 3 (`automaton.ACTIONS`).  A step's slot is coded when the step
+is made, so combining steps is an OR and "a counter acted twice" is an
+AND with the step's slot mask.  Rows are deduplicated on int keys and
+compared for dominance on their codes; a code is decoded to its tuple of
+action strings once per distinct code.  Nothing is cached at module
+level: every memo lives on its Tableau, one per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .automaton import TOP_CUBE, CounterAutomaton, Cube, Transition, _narrow, undominated
+from .automaton import (
+    _ACTION_CODE,
+    TOP_CUBE,
+    CounterAutomaton,
+    Cube,
+    Transition,
+    _narrow,
+    action_code,
+    action_row,
+    undominated,
+)
 from .formula import (
     COST_LE,
     MIXED,
@@ -167,18 +200,32 @@ def _paired_occurrences(phi: Formula) -> frozenset:
 class Tableau:
     """The tableau of one formula, built on demand.
 
-    `successors(state, cube)` returns the transitions leaving a state that
-    a letter of the cube can take; the cube true returns every one.  States
-    are numbered in the order they are first reached, so exploring them in
-    that order under the cube true numbers them breadth-first from the
-    initial state 0, as `build_counter_automaton` does.
+    `successors(state, cube)` returns the rows (target, cube, acceptance
+    sets, actions) of the transitions leaving a state that a letter of the
+    cube can take; the cube true returns every one.  States are numbered
+    in the order they are first reached, so exploring them in that order
+    under the cube true numbers them breadth-first from the initial state
+    0, as `build_counter_automaton` does.
 
-    Under a cube the epsilon closure drops every set that holds a literal
-    the cube falsifies, before its rewrites are enumerated.  No literal
-    ever leaves a set on an epsilon path, so every endpoint below such a
-    set would carry the literal in its cube: nothing the cube allows is
-    lost.  A word's reader thus builds only the part of the tableau the
-    word reaches.  All memos live on the object, one per query.
+    Under a cube the closure skips every step that adds a literal the cube
+    falsifies, before the steps below it are enumerated, and a state whose
+    own literals the cube falsifies has no rows.  No literal ever leaves a
+    set on an epsilon path, so every endpoint below such a step would
+    carry the literal in its cube: nothing the cube allows is lost.  A
+    word's reader thus builds only the part of the tableau the word
+    reaches.  All memos live on the object, one per query.
+
+    Internal invariants raise RuntimeError.  "A counter acted twice" and
+    "re-demanded after it already reduced" are checked on every epsilon
+    path out of a set's obligations that the cube does not falsify,
+    including the paths whose literals contradict the set's own.  A
+    hand-off to a counter not sized for overlap fails when its step is
+    made: an epsilon step when its obligations are first reduced, a
+    crossing when a consistent target is first reached through it.  "An
+    observation cannot share a step with the hand-off" and the two
+    crossing checks ("two copies of one occurrence carried at once", "X
+    can only demand an occurrence afresh") fire on the rows that survive
+    both filters.
     """
 
     def __init__(self, phi: Formula):
@@ -205,6 +252,7 @@ class Tableau:
         self._arg: list[int] = []  # the operand of X, the body of a Carry
         self._label: list[int] = []  # signed label of an R> member, else 0
         self._opp: list[int] = []  # bit of the opposite literal, else 0
+        self._carried: list[int] = []  # bit of a Carry's R> occurrence, else 0
         self._unflagged: list[int] = []
         self._strict: list[int] = []
         self._rank: list = []
@@ -212,20 +260,21 @@ class Tableau:
         self._partners: dict[int, int] = {}
         self._nonreduced = 0
         self._occ_bits: dict[int, int] = {}  # the R> members of an occurrence
-        self._carry_bits: dict[int, int] = {}  # its Carry members
         self._literals: dict[str, tuple[int, int]] = {}  # bits of p and !p
         # An unsatisfiable formula keeps one state, None, with no successors.
         init = self._normalize([self._intern(phi)])
         self._sets: list[int | None] = [init]
         self._index: dict[int | None, int] = {init: 0}
-        self._reduced: dict[int, list] = {}
-        self._closures: dict[int, dict] = {}  # one memo per falsified mask
+        self._parts: dict[int, tuple] = {}  # by state id, see `_split`
+        self._reduced: dict[int, list] = {}  # by obligations
+        self._closures: dict[int, dict] = {}  # by falsified mask, then obligations
         # The same reduced endpoint shows up under many states and under
         # many action combinations, so its letter crossing and cube are
         # computed once; likewise the acceptance sets per combination of
-        # postponements.
+        # postponements and the action strings per code.
         self._crossings: dict[int, tuple] = {}
         self._accs: dict[int, frozenset] = {}
+        self._action_rows: dict[int, tuple[str, ...]] = {}
 
     @property
     def num_states(self) -> int:
@@ -258,8 +307,7 @@ class Tableau:
             if f.counter < 0:
                 self._unflagged[i] = 1 << self._partner(i)
         elif kind == _CARRY and self._label[parts[0]]:
-            occ = abs(self._label[parts[0]])
-            self._carry_bits[occ] = self._carry_bits.get(occ, 0) | 1 << i
+            self._carried[i] = 1 << abs(self._label[parts[0]])
         if kind >= _AND:
             self._nonreduced |= 1 << i
             self._rank[i] = sort_key(f)
@@ -273,6 +321,7 @@ class Tableau:
         self._arg.append(arg)
         self._label.append(0)
         self._opp.append(0)
+        self._carried.append(0)
         self._unflagged.append(1 << i)
         self._strict.append(strict)
         self._rank.append(None)
@@ -286,6 +335,16 @@ class Tableau:
             f = self._forms[i]
             got = self._partners[i] = self._intern(CostRelease(f.left, f.right, -f.counter))
         return got
+
+    def _shift(self, counter: int) -> int:
+        """The bit offset of a signed counter label's slot in an action code."""
+        try:
+            return 2 * self._slot[counter]
+        except KeyError:
+            raise RuntimeError(
+                f"window hand-off for occurrence {abs(counter)}, "
+                "which was not sized for overlap"
+            ) from None
 
     def _normalize(self, ids) -> int | None:
         """The set of the given members without top; None when it holds
@@ -307,11 +366,11 @@ class Tableau:
 
     # -- epsilon steps -----------------------------------------------------
 
-    def _pick(self, state: int) -> int | None:
+    def _pick(self, obligations: int) -> int | None:
         """The member to rewrite next: maximal under the subformula order among
-        the non-reduced members, ties broken by a fixed total order.  Members
-        on their partner counter compare as the occurrence itself."""
-        candidates = list(_bits(state & self._nonreduced))
+        a set's non-reduced members, ties broken by a fixed total order.
+        Members on their partner counter compare as the occurrence itself."""
+        candidates = list(_bits(obligations))
         if not candidates:
             return None
         covered = 0
@@ -324,9 +383,12 @@ class Tableau:
 
     def _rewrites(self, psi: int) -> tuple:
         """The rewrite alternatives of member psi, built on first use: (mask of
-        the added members but R> ones, added R> members, mask of the added
-        literals' opposites, the step's counter action, its postponement as
-        an acceptance-set bit).  Alternatives adding bottom are left out."""
+        the added non-reduced members but R> ones, the added R> members, mask
+        of the added reduced members, mask of their literals' opposites, the
+        occurrence bits of their Carry members, the step's counter action as
+        a code, the mask of the slot it acts on, its postponement as an
+        acceptance-set bit).  Alternatives adding bottom or a contradictory
+        literal pair are left out."""
         got = self._templates[psi]
         if got is not None:
             return got
@@ -354,152 +416,192 @@ class Tableau:
             ]
         out = []
         for adds, counter, action, postponed in alts:
-            plain = opp = 0
+            pending = added = opp = carried = 0
             demands = []
             for i in map(self._intern, adds):
                 if self._kind[i] == _FALSE:
                     break
                 if self._label[i]:
                     demands.append(i)
+                elif self._kind[i] >= _AND:
+                    pending |= 1 << i
                 elif self._kind[i] != _TRUE:
-                    plain |= 1 << i
+                    added |= 1 << i
                     opp |= self._opp[i]
+                    carried |= self._carried[i]
             else:
-                step = () if counter is None else ((counter, action),)
+                if added & opp:
+                    continue
+                code = slots = 0
+                if counter is not None:
+                    shift = self._shift(counter)
+                    code, slots = _ACTION_CODE[action] << shift, 3 << shift
                 mark = 0 if postponed is None else 1 << self._acc_of[postponed]
-                out.append((plain, tuple(demands), opp, step, mark))
+                out.append((pending, tuple(demands), added, opp, carried, code, slots, mark))
         got = self._templates[psi] = tuple(out)
         return got
 
-    def _reduce(self, state: int) -> list[tuple]:
-        """The epsilon steps rewriting the picked member, as (target, counter
-        actions, postponement bit); [] when reduced.
+    def _reduce(self, obligations: int) -> list[tuple]:
+        """The epsilon steps rewriting the picked member of a set's
+        obligations, as (target's obligations, added reduced members, their
+        literals' opposites, their Carry occurrences, action code, mask of
+        the slots acted on, postponement bit, occurrences demanded afresh).
 
-        Targets that are contradictory are not emitted.  A step whose
-        additions demand an R> occurrence that is already running merges
-        the copies: the member flips to its partner counter and the step
-        resets the abandoned one.
+        A step whose additions demand an R> occurrence that is already
+        running merges the copies: the member flips to its partner counter
+        and the step resets the abandoned one.  The partner may be numbered
+        here, growing the non-reduced mask; it is an R> member like the
+        running copy, so the target's obligations are the rest, the
+        demanded or flipped R> members and the added non-reduced members,
+        without reading that mask.
         """
-        psi = self._pick(state)
+        psi = self._pick(obligations)
         if psi is None:
             return []
-        rest = state ^ 1 << psi
+        rest = obligations ^ 1 << psi
         out = []
-        for plain, demands, opp, step, mark in self._rewrites(psi):
+        for pending, demands, added, opp, carried, code, slots, mark in self._rewrites(psi):
             members = rest
-            resets = []
+            fresh = 0
             for a in demands:
                 occ = abs(self._label[a])
                 running = members & self._occ_bits[occ]
                 if running:
                     r = running.bit_length() - 1
                     members ^= running | 1 << self._partner(r)
-                    resets.append(self._label[r])
-                elif members & self._carry_bits.get(occ, 0):
-                    raise RuntimeError(
-                        f"occurrence {occ} re-demanded after it already "
-                        "reduced on this epsilon path"
-                    )
+                    shift = self._shift(self._label[r])
+                    if slots >> shift & 3:
+                        raise RuntimeError("a counter acted twice on one epsilon path")
+                    code |= 3 << shift
+                    slots |= 3 << shift
                 else:
                     members |= 1 << a
-            target = members | plain
-            if target & opp:
-                continue
-            if resets:
-                step = tuple((c, "r") for c in sorted(resets)) + step
-            out.append((target, step, mark))
+                    fresh |= 1 << occ
+            out.append((members | pending, added, opp, carried, code, slots, mark, fresh))
         return out
 
-    def _closure(self, state: int, falsified: int, memo: dict):
-        """All (reduced endpoint, accumulated actions, postponed untils) of
-        the maximal epsilon paths out of state whose endpoint holds no
-        falsified literal.  actions is a sorted tuple of (signed counter,
-        action) pairs; each counter may act at most once per path."""
-        got = memo.get(state)
+    def _closure(self, obligations: int, falsified: int, memo: dict) -> tuple:
+        """All (added reduced members, action code, postponement marks,
+        occurrences demanded afresh) of the maximal epsilon paths out of a
+        set's obligations whose added literals agree and hold no falsified
+        literal, each once.  Each counter may act at most once per path,
+        and no occurrence may be demanded afresh below a step that added
+        its Carry member."""
+        got = memo.get(obligations)
         if got is not None:
             return got
-        if state & falsified:
-            memo[state] = ()
-            return ()
-        edges = self._reduced.get(state)
-        if edges is None:
-            edges = self._reduced[state] = self._reduce(state)
-        if not edges:
-            # No edges means either a reduced endpoint or a state whose every
-            # rewrite was contradictory; the latter branch just dies.
-            out = () if state & self._nonreduced else ((state, (), 0),)
+        if not obligations:
+            out: tuple = ((0, 0, 0, 0),)
         else:
+            edges = self._reduced.get(obligations)
+            if edges is None:
+                edges = self._reduced[obligations] = self._reduce(obligations)
             seen = set()
             acc = []
-            for target, step, mark in edges:
-                for endpoint, actions, marks in self._closure(target, falsified, memo):
-                    if step:
-                        combined = actions + step
-                        if len(combined) > 1:
-                            labels = {c for c, _ in combined}
-                            if len(labels) != len(combined):
-                                raise RuntimeError(
-                                    "a counter acted twice on one epsilon path"
-                                )
-                        actions = tuple(sorted(combined))
-                    item = (endpoint, actions, marks | mark)
+            for target, added, opp, carried, code, slots, mark, fresh in edges:
+                if added & falsified:
+                    continue
+                for more, later, marks, demanded in self._closure(target, falsified, memo):
+                    if demanded & carried:
+                        raise _redemanded(demanded & carried)
+                    if later & slots:
+                        raise RuntimeError("a counter acted twice on one epsilon path")
+                    if more & opp:
+                        continue
+                    item = (added | more, code | later, mark | marks, fresh | demanded)
                     if item not in seen:
                         seen.add(item)
                         acc.append(item)
             out = tuple(acc)
-        memo[state] = out
+        memo[obligations] = out
         return out
 
     # -- letter steps ------------------------------------------------------
 
-    def successors(self, state: int, cube: Cube) -> list[Transition]:
-        """The transitions leaving state that a letter of cube can take, each
-        once and narrowed to cube, minus those a sibling dominates."""
+    def _split(self, members: int) -> tuple:
+        """A set's own reduced part, its obligations, the opposites of its
+        literals and the occurrence bits of its Carry members."""
+        own = members & ~self._nonreduced
+        clash = carried = 0
+        for i in _bits(own):
+            clash |= self._opp[i]
+            carried |= self._carried[i]
+        return own, members ^ own, clash, carried
+
+    def successors(self, state: int, cube: Cube) -> list[tuple]:
+        """The rows (target, cube, acceptance sets, actions) of the
+        transitions leaving state that a letter of cube can take, each once
+        and narrowed to cube, minus those a sibling dominates."""
         members = self._sets[state]
         if members is None:
             return []
+        parts = self._parts.get(state)
+        if parts is None:
+            parts = self._parts[state] = self._split(members)
+        own, obligations, clash, carried = parts
         lits = self._literals  # the bits of p and of !p, by p
-        falsified = 0
+        falsified = asserted = 0
         for p in cube.positive & lits.keys():
+            asserted |= lits[p][0]
             falsified |= lits[p][1]
         for p in cube.negative & lits.keys():
+            asserted |= lits[p][1]
             falsified |= lits[p][0]
+        if own & falsified:
+            return []
         memo = self._closures.get(falsified)
         if memo is None:
             memo = self._closures[falsified] = {}
-        out: list[Transition] = []
+        rows = []
         seen = set()
-        for endpoint, actions, marks in self._closure(members, falsified, memo):
+        for added, code, marks, fresh in self._closure(obligations, falsified, memo):
+            if fresh & carried:
+                raise _redemanded(fresh & carried)
+            if added & clash:
+                continue
+            endpoint = own | added
             got = self._crossings.get(endpoint)
             if got is None:
                 got = self._crossings[endpoint] = self._cross(endpoint)
-            target, own, crossing = got
+            target, own_cube, literals, hand_off, low = got
             if target is None:
                 continue
-            tr = Transition(
-                state, _narrow(own, cube), self._action_row(actions, crossing),
-                self._acc(marks), self._state_id(target),
-            )
-            if tr not in seen:
-                seen.add(tr)
-                out.append(tr)
-        return undominated(out, self._inf, all(t.cube is cube for t in out))
+            if hand_off:
+                # A pending increment only ever fed the window being
+                # abandoned here, so the reset swallows it.
+                if code >> 1 & ~code & low:
+                    raise RuntimeError(
+                        "an observation cannot share a step with the hand-off"
+                    )
+                code |= hand_off
+            dst = self._state_id(target)
+            # The narrowed cube is the endpoint's literals and the cube's.
+            key = (dst, literals | asserted, marks, code)
+            if key not in seen:
+                seen.add(key)
+                rows.append((dst, _narrow(own_cube, cube), marks, code))
+        kept = undominated(rows, self._inf, all(row[1] is cube for row in rows))
+        return [(dst, c, self._acc(marks), self._actions(code)) for dst, c, marks, code in kept]
 
     def _cross(self, endpoint: int):
         """Cross one letter from a reduced endpoint: its cube, and the set
         of the next obligations, unwrapping X and continuation members.  A
         continuation meeting a fresh X demand of the same occurrence merges
         onto the partner counter; the abandoned counter is reset on the
-        crossing transition.  Returns (target or None, cube, resets)."""
+        crossing transition.  Returns (target or None, cube, mask of the
+        endpoint's literals, the resets' code and the low bit of each
+        reset slot)."""
         carried = []
         conts: dict[int, int] = {}
         spawns: dict[int, int] = {}
         pos, neg = [], []
+        literals = 0
         for i in _bits(endpoint):
             kind = self._kind[i]
             if kind == _LIT:
                 f = self._forms[i]
                 (pos if f.positive else neg).append(f.name)
+                literals |= 1 << i
             elif kind == _CARRY:
                 occ = abs(self._label[self._arg[i]])
                 if occ in conts:
@@ -522,8 +624,15 @@ class Tableau:
             else:
                 carried.append(body)
         carried += spawns.values()
+        target = self._normalize(carried)
+        hand_off = low = 0
+        if target is not None:
+            for counter in resets:
+                shift = self._shift(counter)
+                hand_off |= 3 << shift
+                low |= 1 << shift
         cube = Cube(frozenset(pos), frozenset(neg))
-        return self._normalize(carried), cube, tuple(resets)
+        return target, cube, literals, hand_off, low
 
     def _state_id(self, members: int) -> int:
         got = self._index.get(members)
@@ -540,26 +649,18 @@ class Tableau:
             )
         return got
 
-    def _action_row(self, actions, crossing) -> tuple[str, ...]:
-        row = [""] * self.num_counters
-        try:
-            for counter, act in actions:
-                row[self._slot[counter]] = act
-            for counter in crossing:
-                s = self._slot[counter]
-                # A pending increment only ever fed the window being
-                # abandoned here, so the reset swallows it.
-                if row[s] == "or":
-                    raise RuntimeError(
-                        "an observation cannot share a step with the hand-off"
-                    )
-                row[s] = "r"
-        except KeyError as k:
-            raise RuntimeError(
-                f"window hand-off for occurrence {abs(k.args[0])}, "
-                "which was not sized for overlap"
-            ) from None
-        return tuple(row)
+    def _actions(self, code: int) -> tuple[str, ...]:
+        got = self._action_rows.get(code)
+        if got is None:
+            got = self._action_rows[code] = action_row(code, self.num_counters)
+        return got
+
+
+def _redemanded(occs: int) -> RuntimeError:
+    return RuntimeError(
+        f"occurrence {occs.bit_length() - 1} re-demanded after it already "
+        "reduced on this epsilon path"
+    )
 
 
 def build_counter_automaton(phi: Formula) -> CounterAutomaton:
@@ -569,49 +670,55 @@ def build_counter_automaton(phi: Formula) -> CounterAutomaton:
     The caller reads an R> automaton with capped counters and a U<=
     automaton with bounded ones (see above)."""
     tab = Tableau(phi)
-    transitions: list[Transition] = []
+    rows = []
     state = 0
     while state < tab.num_states:
-        transitions += tab.successors(state, TOP_CUBE)
+        rows += [(state, *row) for row in tab.successors(state, TOP_CUBE)]
         state += 1
-    num_states, init, live_transitions = _live_slice(
-        tab.num_states, tab.init, transitions, tab.num_acc_sets
+    num_states, init, number = _live_slice(
+        tab.num_states, tab.init, [(s, d, acc) for s, d, _, acc, _ in rows], tab.num_acc_sets
+    )
+    transitions = tuple(
+        Transition(number[s], cube, actions, acc, number[d])
+        for s, d, cube, acc, actions in rows
+        if s in number and d in number
     )
     return CounterAutomaton(
-        num_states, init, tab.num_counters, tab.num_acc_sets, live_transitions, tab.ap
+        num_states, init, tab.num_counters, tab.num_acc_sets, transitions, tab.ap
     )
 
 
-def _live_slice(num_states, init, transitions, num_acc_sets):
+def _live_slice(num_states, init, edges, num_acc_sets):
     """Restrict to states from which an accepting cycle is reachable (plus
     the initial state); this never changes the language or the values.
-    Returns the renumbered (state count, initial state, transitions)."""
-    edges = [(t.src, t.dst, t.acc) for t in transitions]
+    edges are (src, dst, acceptance sets).  Returns the number of states
+    kept, the new initial state and the new number of each live state: an
+    edge stays when both its ends are live."""
     comp_of, accepting = accepting_components(num_states, edges, num_acc_sets)
     live = coreachable(
         num_states, edges, [s for s in range(num_states) if comp_of[s] in accepting]
     )
-    if len(live) == num_states:
-        return num_states, init, tuple(transitions)
     keep = sorted(live | {init})
-    renumber = {old: new for new, old in enumerate(keep)}
-    kept = tuple(
-        Transition(renumber[t.src], t.cube, t.actions, t.acc, renumber[t.dst])
-        for t in transitions
-        if t.src in live and t.dst in live
-    )
-    return len(keep), renumber[init], kept
+    new = {old: i for i, old in enumerate(keep)}
+    return len(keep), new[init], {s: new[s] for s in live}
 
 
 def prune_dominated(aut: CounterAutomaton, inf: bool = False) -> CounterAutomaton:
     """Drop transitions dominated by a sibling with the same endpoints and
     acceptance, a subsuming cube, and per-counter actions at least as
-    strong.  Values are preserved: with inf False under the capped reading
-    of an R> automaton, with inf True under the bounded reading of a U<=
-    automaton.  The sup rule would change a U<= automaton's values: on
-    `a U<= b` it drops the skip edge {a, X} in favour of the increment
-    edge {X}, whose cube is wider, and every a before b then costs 1.
-    `Tableau.successors` drops the same transitions state by state, so no
-    query calls this; tests prune automata built another way."""
-    kept = undominated(list(dict.fromkeys(aut.transitions)), inf)
-    return aut if len(kept) == len(aut.transitions) else replace(aut, transitions=tuple(kept))
+    strong (`automaton.undominated`).  Values are preserved: with inf
+    False under the capped reading of an R> automaton, with inf True under
+    the bounded reading of a U<= automaton.  The sup rule would change a
+    U<= automaton's values: on `a U<= b` it drops the skip edge {a, X} in
+    favour of the increment edge {X}, whose cube is wider, and every a
+    before b then costs 1.  `Tableau.successors` drops the same
+    transitions state by state, so no query calls this; tests prune
+    automata built another way."""
+    rows = [
+        ((t.src, t.dst), t.cube, t.acc, action_code(t.actions), t)
+        for t in dict.fromkeys(aut.transitions)
+    ]
+    kept = undominated(rows, inf)
+    if len(kept) == len(aut.transitions):
+        return aut
+    return replace(aut, transitions=tuple(row[4] for row in kept))

@@ -838,7 +838,12 @@ def reference_automaton(phi: Formula) -> CounterAutomaton:
     while state < tab.num_states:
         transitions += tab.successors(state, None)
         state += 1
-    num_states, init, kept = _live_slice(
-        tab.num_states, tab.init, transitions, tab.num_acc_sets
+    num_states, init, number = _live_slice(
+        tab.num_states, tab.init, [(t.src, t.dst, t.acc) for t in transitions], tab.num_acc_sets
+    )
+    kept = tuple(
+        Transition(number[t.src], t.cube, t.actions, t.acc, number[t.dst])
+        for t in transitions
+        if t.src in number and t.dst in number
     )
     return CounterAutomaton(num_states, init, tab.num_counters, tab.num_acc_sets, kept, tab.ap)
