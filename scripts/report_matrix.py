@@ -7,9 +7,10 @@ Each line holds the query's argv, its exit code, its standard error and
 every field of its `--json` report except `seconds`, which differs from
 run to run.  The queries are the README examples, four queries over L3
 with a user `--cutoff` below the sound one, 8 sup formulas over every
-fixture model and 3 inf formulas over every fixture, all but the README
-examples with `--witness --trace --oracle-check`, then value mode with
-`--oracle-check`:
+fixture model and 4 inf formulas over every fixture (the plain `F a` is
+among both, so each fixture's plain sup and inf show side by side), all
+but the README examples with `--witness --trace --oracle-check`, then
+value mode with `--oracle-check`:
 
 - 4 formulas, each on words of value 0, 1 and above the default cap;
 - `G> a` on a^m | {} {a} (value m - 1) and `F<= b` on a^m | {b} (value
@@ -65,7 +66,7 @@ SUP_FORMULAS = [
     "G (F<= !a)", "G> a", "G> !a", "F<= !a", "F a", "X (G> a)",
     "(F<= !a) | G a", "(G> a) & F (G> !a)",
 ]
-INF_FORMULAS = ["F<= a", "F<= !a", "a U<= b"]
+INF_FORMULAS = ["F<= a", "F<= !a", "a U<= b", "F a"]
 FLAGS = ["--witness", "--trace", "--oracle-check"]
 VALUE_WORDS = {  # words of value 0, 1 and above the default cap
     "F<= b": ["| {b}", "{} | {b}", "| {a}"],

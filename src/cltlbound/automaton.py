@@ -129,11 +129,8 @@ class CounterAutomaton:
             if not (t.cube.positive <= props and t.cube.negative <= props):
                 raise ValueError(f"cube proposition outside ap {self.ap}: {t}")
 
-    def by_source(self) -> dict[int, list[Transition]]:
-        return self._by_source
-
     @cached_property
-    def _by_source(self) -> dict[int, list[Transition]]:
+    def by_source(self) -> dict[int, list[Transition]]:
         out: dict[int, list[Transition]] = {}
         for t in self.transitions:
             out.setdefault(t.src, []).append(t)
@@ -141,14 +138,9 @@ class CounterAutomaton:
 
     def successors(self, state: int, cube: Cube) -> list[tuple]:
         """The rows (dst, cube, acceptance sets, actions) of the transitions
-        leaving state that a letter of cube can take, narrowed to cube, as
-        `translate.Tableau.successors` answers."""
-        out = []
-        for t in self._by_source.get(state, ()):
-            c = _narrow(t.cube, cube)
-            if c is not None:
-                out.append((t.dst, c, t.acc, t.actions))
-        return out
+        leaving state, cubes as built: `_product_edges` conjoins each with
+        the model's cubes, so the query cube is not applied here."""
+        return [(t.dst, t.cube, t.acc, t.actions) for t in self.by_source.get(state, ())]
 
     @cached_property
     def _transition_set(self) -> frozenset:
@@ -196,8 +188,9 @@ def _product_edges(source, init: int, rows: list[tuple]) -> tuple[int, list[tupl
     the (source state, model state) pairs reachable from the initial pair,
     in BFS order.  Source is asked once per (source state, shared cube
     object), and each row (dst, cube, acceptance sets, actions) it returns
-    (narrowed to the shared cube, which changes no pair) is paired with
-    each model row, source-major, unless their cubes contradict.  Returns
+    is paired with each model row, source-major, unless their cubes
+    contradict.  A source may, but need not, narrow its rows to the shared
+    cube or drop the rows that contradict it: that changes no pair.  Returns
     the number of nodes and the edges (src, dst, acceptance sets, actions,
     cube), the source's sets and actions first.
     """
@@ -233,7 +226,7 @@ def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAut
     disjointly (b's shifted after a's).  States are numbered in BFS
     discovery order from the initial pair (`_product_edges`)."""
     shift = a.num_acc_sets
-    by_source = b.by_source()
+    by_source = b.by_source
     rows = []
     shared_cubes: dict[Cube, Cube] = {}  # one object per value, for the source's memo
     for q in range(b.num_states):
@@ -320,26 +313,27 @@ def action_row(code: int, num_counters: int) -> tuple[str, ...]:
     return tuple(ACTIONS[code >> 2 * c & 3] for c in range(num_counters))
 
 
-def undominated(rows: list, inf: bool, same_cube: bool = False) -> list:
+def undominated(rows: list, inf: bool) -> list:
     """The distinct rows given, minus the ones a sibling dominates.
 
     A row starts (endpoints, cube, acceptance, action code); whatever
     follows is carried along.  A row dominates a sibling with the same
     endpoints and acceptance when it can replace it without lowering any
-    value: its cube covers the sibling's (not compared when same_cube says
-    that every cube is one object) and its actions are at least as strong
-    on every counter.  Where a run is worth its least observation (sup,
-    inf False), an increment beats a skip; where it is worth its largest
-    counter value (inf), a skip beats an increment.  Resets and
-    observations compare to nothing but themselves.  So each code is read
-    as its actions with the increments blanked, which must be equal, and
-    the mask of its increments (the low bit of each slot coded 1), which
-    must contain the other's (sup) or lie inside it (inf).
+    value: its cube covers the sibling's (not compared when every cube is
+    one object) and its actions are at least as strong on every counter.
+    Where a run is worth its least observation (sup, inf False), an
+    increment beats a skip; where it is worth its largest counter value
+    (inf), a skip beats an increment.  Resets and observations compare to
+    nothing but themselves.  So each code is read as its actions with the
+    increments blanked, which must be equal, and the mask of its
+    increments (the low bit of each slot coded 1), which must contain the
+    other's (sup) or lie inside it (inf).
     `translate.Tableau.successors` is the one caller in a query;
     `translate.prune_dominated` applies it to a whole automaton.
     """
     if len(rows) < 2:
         return rows
+    same_cube = all(row[1] is rows[0][1] for row in rows)
     slots = (max(row[3] for row in rows).bit_length() + 1) // 2
     low = (4**slots - 1) // 3  # the low bit of every slot
     siblings: dict[tuple, list[tuple]] = {}

@@ -14,7 +14,9 @@ product accepts no model word: an empty test at n = 0 makes the bisection
 test n = -1, which asks whether the product accepts any word at all.
 A U<= formula goes through its R> dual: a word fails phi[n] exactly when
 its dual value is n or more, so the U<= sup is the dual's sup plus one.
-R> and plain LTL read -1 as 0: a word no run accepts has value 0.
+A plain formula is a U<= formula without counters (value 0 where it holds,
+infinite elsewhere) and goes the same way.  R> reads -1 as 0: a word no
+run accepts has value 0.
 
 The default sup cutoff is formula automaton states × model states
 reachable from the model's initial state, which bounds the number of
@@ -59,8 +61,7 @@ from dataclasses import dataclass, replace
 from .automaton import CounterAutomaton, LassoRun, synchronized_product
 from .emptiness import check_lasso_run, find_accepting_lasso, find_bounded_lasso, reachable_part
 from .formula import (
-    COST_LE,
-    LTL,
+    COST_GT,
     MIXED,
     Formula,
     FragmentError,
@@ -99,46 +100,41 @@ class BoundResult:
         return sum(1 for row in self.trace if row.kind == "search" and row.n >= 0)
 
 
-def run_value(run: LassoRun, aut: CounterAutomaton) -> int | float:
-    """Value of an accepting run: its least counter observation, inf if none.
+def _read_run(run: LassoRun, aut: CounterAutomaton) -> tuple[int | float, int]:
+    """An accepting run's least counter observation (inf if none) and the
+    largest counter value it reaches.
 
-    Two passes over the loop suffice: a counter observed inside the loop
-    is also reset there, so its observations repeat from the second pass on.
+    Two passes over the loop suffice: a counter observed inside the loop is
+    also reset there, so its observations repeat from the second pass on,
+    and so do its values when the loop resets every counter it increments,
+    as the runs the inf search finds do.
     """
     check_lasso_run(aut, run)
     vals = [0] * aut.num_counters
-    best: int | float = math.inf
+    least: int | float = math.inf
+    peak = 0
     for t in run.stem + run.loop + run.loop:
         for c, acts in enumerate(t.actions):
             for a in acts:
                 if a == "i":
                     vals[c] += 1
+                    peak = max(peak, vals[c])
                 elif a == "r":
                     vals[c] = 0
                 else:
-                    best = min(best, vals[c])
-    return best
+                    least = min(least, vals[c])
+    return least, peak
+
+
+def run_value(run: LassoRun, aut: CounterAutomaton) -> int | float:
+    """Value of an accepting run: its least counter observation, inf if none."""
+    return _read_run(run, aut)[0]
 
 
 def run_peak(run: LassoRun, aut: CounterAutomaton) -> int:
     """Largest counter value an accepting run reaches: its value under the
-    bounded reading of a U<= automaton.
-
-    Two passes over the loop suffice when the loop resets every counter it
-    increments, as the runs the inf search finds do: from the second pass
-    on, the values repeat.
-    """
-    check_lasso_run(aut, run)
-    vals = [0] * aut.num_counters
-    peak = 0
-    for t in run.stem + run.loop + run.loop:
-        for c, act in enumerate(t.actions):
-            if act == "i":
-                vals[c] += 1
-                peak = max(peak, vals[c])
-            elif "r" in act:
-                vals[c] = 0
-    return peak
+    bounded reading of a U<= automaton."""
+    return _read_run(run, aut)[1]
 
 
 def _pruned(phi: Formula) -> CounterAutomaton:
@@ -163,8 +159,8 @@ def compute_sup_bound(
 ) -> BoundResult:
     """sup of the value of phi over the model's language.
 
-    Formulas in the U<= fragment are answered through the dual search;
-    plain LTL works too (the sup is then 0 or unbounded).  Once a word of
+    R> formulas are searched directly, U<= and plain formulas through the
+    dual search (a plain sup is 0 or unbounded).  Once a word of
     value above `cutoff` turns up (default: formula automaton states times
     reachable model states, see the module docstring) the sup is provably
     infinite.
@@ -176,7 +172,7 @@ def compute_sup_bound(
     frag = classify_fragment(phi)
     if frag == MIXED:
         raise FragmentError("cannot bound a formula mixing U<= and R>")
-    if frag == COST_LE:
+    if frag != COST_GT:
         return _sup_via_dual(model, phi, cutoff)
     r = _sup_direct(model, phi, cutoff)
     return replace(r, bound=0) if r.bound == -1 else r
@@ -249,7 +245,7 @@ def compute_inf_bound(
         raise ValueError("the model must not carry counters")
     if cutoff is not None and cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    if classify_fragment(phi) not in (LTL, COST_LE):
+    if classify_fragment(phi) in (COST_GT, MIXED):
         raise FragmentError("inf bounds apply to the U<= fragment")
     aut = _pruned(phi)
     product = synchronized_product(aut, model)

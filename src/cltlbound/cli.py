@@ -17,6 +17,7 @@ not taken for bad input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -30,7 +31,6 @@ from .cegar import BoundResult, _pruned, compute_inf_bound, compute_sup_bound
 from .formula import (
     COST_GT,
     COST_LE,
-    LTL,
     MIXED,
     FragmentError,
     classify_fragment,
@@ -127,52 +127,30 @@ def _build_parser() -> argparse.ArgumentParser:
 def _trace_rows(result: BoundResult) -> list[dict[str, Any]]:
     rows = []
     for row in result.trace:
-        p: Any = row.p
-        if isinstance(p, float) and math.isinf(p):
-            p = "infinite"
-        rows.append(
-            {
-                "kind": row.kind,
-                "n": row.n,
-                "p": p,
-                "automaton_states": row.automaton_states,
-                "product_states": row.product_states,
-                "product_transitions": row.product_transitions,
-                "word": None if row.word is None else str(row.word),
-            }
-        )
+        out = {field.name: getattr(row, field.name) for field in dataclasses.fields(row)}
+        if out["p"] == math.inf:
+            out["p"] = "infinite"
+        out["word"] = None if row.word is None else str(row.word)
+        rows.append(out)
     return rows
 
 
-def _check_bound(mode: str, phi, result: BoundResult) -> str:
-    frag = classify_fragment(phi)
+def _check_bound(phi, result: BoundResult) -> str:
     witness = result.witness
     if witness is None:
         # Empty model language, or infinite inf: nothing to evaluate.
         return "ok"
+    value = oracle.value_sup if classify_fragment(phi) == COST_GT else oracle.value_inf
     if result.outcome == "finite":
-        cap = result.bound + 2
-        if mode == "inf" or frag == COST_LE:
-            got = oracle.value_inf(phi, witness, cap)
-            want = result.bound
-        elif frag == COST_GT:
-            got = oracle.value_sup(phi, witness, cap)
-            want = result.bound
-        else:
-            # A 0 sup of a plain formula promises the witness falsifies it.
-            got = oracle.value_sup(phi, witness, 1)
-            want = 0
-        if got is ABOVE_CAP or got != want:
-            return f"mismatch: witness value {got!r}, expected {want}"
+        got = value(phi, witness, result.bound + 2)
+        if got != result.bound:
+            return f"mismatch: witness value {got!r}, expected {result.bound}"
         return "ok"
     # Unbounded, or a sup past a user cutoff: the last pass accepted the
     # witness at threshold n, which certifies a value beyond n on the
     # matching side.
     t = result.trace[-1].n + 1
-    if frag == COST_LE:
-        got = oracle.value_inf(phi, witness, t)
-    else:
-        got = oracle.value_sup(phi, witness, t)
+    got = value(phi, witness, t)
     if got is not ABOVE_CAP:
         return f"mismatch: witness value {got!r} below threshold {t}"
     return "ok"
@@ -183,21 +161,17 @@ def _check_value(phi, frag: str, word, cap: int, val) -> str:
     # The automaton route is handed the oracle's value as its guess: two
     # threshold tests confirm a right one, and a wrong one only starts the
     # search, whose answer does not depend on it.
-    if frag == LTL:
-        expect = ABOVE_CAP if val == 0 else NO_RUN
-        side = value_on_lasso(Tableau(phi), word, 1, expect)
-        return "ok" if side is expect else f"mismatch: automaton route says {side!r}"
     if frag == COST_GT:
         side = value_on_lasso(Tableau(phi), word, cap, val)
         side = 0 if side is NO_RUN else side  # the empty-sup convention
         expect = val
     else:
-        # The dual value is the U<= value minus one, NO_RUN standing for -1.
+        # The dual value is the U<= value minus one, NO_RUN standing for -1;
+        # a plain formula's infinite value is above every cap.
+        val = ABOVE_CAP if val == "infinite" else val
         expect = val if val is ABOVE_CAP else NO_RUN if val == 0 else val - 1
         side = value_on_lasso(Tableau(negate_dual(phi)), word, cap, expect)
-    if (side is ABOVE_CAP) != (expect is ABOVE_CAP) or (
-        side is not ABOVE_CAP and side != expect
-    ):
+    if side != expect:
         return f"mismatch: automaton route says {side!r}, expected {expect!r}"
     return "ok"
 
@@ -232,7 +206,7 @@ def _run_bound(args, phi) -> tuple[dict[str, Any], int]:
         result.outcome
     ]
     if args.oracle_check:
-        verdict = _check_bound(args.mode, phi, result)
+        verdict = _check_bound(phi, result)
         fields["oracle"] = verdict
         if verdict != "ok":
             code = 4
@@ -293,9 +267,10 @@ def main(argv: list[str] | None = None) -> int:
                 text = handle.read()
         phi = parse_formula(text)
         if args.dot is not None:
-            # inf searches a U<= automaton itself, sup and value its R> dual
-            le = classify_fragment(phi) == COST_LE
-            shown = negate_dual(phi) if le and args.mode != "inf" else phi
+            # inf searches a U<= or plain automaton itself, sup and value
+            # its R> dual; an R> formula is searched as it is
+            own = args.mode == "inf" or classify_fragment(phi) == COST_GT
+            shown = phi if own else negate_dual(phi)
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(to_dot(_pruned(shown)))
         if args.mode == "value":

@@ -61,7 +61,7 @@ def reachable_part(aut: CounterAutomaton) -> tuple[int, list[tuple]]:
     index = {aut.init: 0}
     order = [aut.init]
     edges = []
-    by_source = aut.by_source()
+    by_source = aut.by_source
     for s, state in enumerate(order):
         for tr in by_source.get(state, ()):
             d = index.get(tr.dst)

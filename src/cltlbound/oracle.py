@@ -131,6 +131,21 @@ def _sweep(pre: int, total: int, init, step) -> list:
     return x
 
 
+def _least_level(test, lo: int, hi: int) -> int | None:
+    """The least level in [lo, hi] at which test holds, found by bisection;
+    None when it fails at hi.  test must hold at every level above one
+    where it holds."""
+    if not test(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def value_inf(phi: Formula, word: LassoWord, cap: int):
     """Min-counting value: the least n with word |= phi[n], up to cap;
     ABOVE_CAP when none is satisfied up to it."""
@@ -138,39 +153,25 @@ def value_inf(phi: Formula, word: LassoWord, cap: int):
         raise ValueError("cap must be at least 1")
     if classify_fragment(phi) not in (LTL, COST_LE):
         raise FragmentError("value_inf takes a U<= (or plain LTL) formula")
-    hi = min(cap, word.positions())
-    if not eval_ltl_on_lasso(phi, word, hi):
-        return ABOVE_CAP
-    lo = 0  # the least satisfied level lies in [lo, hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if eval_ltl_on_lasso(phi, word, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    n = _least_level(
+        lambda n: eval_ltl_on_lasso(phi, word, n), 0, min(cap, word.positions())
+    )
+    return ABOVE_CAP if n is None else n
 
 
 def value_sup(phi: Formula, word: LassoWord, cap: int):
     """Max-counting value: the greatest n with word |= phi[n].
 
-    Satisfaction is downward closed in n, so a binary search finds the
-    largest satisfied level; ABOVE_CAP reports satisfaction at cap itself
-    (the value is cap or more, possibly infinite).
+    Satisfaction is downward closed in n, so the value is one less than
+    the least level from 1 on that fails: 0 when level 1 fails (whether
+    or not level 0 does), and ABOVE_CAP when none fails up to cap (the
+    value is cap or more, possibly infinite).
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if classify_fragment(phi) not in (LTL, COST_GT):
         raise FragmentError("value_sup takes an R> (or plain LTL) formula")
-    top = min(cap, word.positions())
-    if eval_ltl_on_lasso(phi, word, top):
-        return ABOVE_CAP
-    best, lo, hi = 0, 1, top - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if eval_ltl_on_lasso(phi, word, mid):
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
+    n = _least_level(
+        lambda n: not eval_ltl_on_lasso(phi, word, n), 1, min(cap, word.positions())
+    )
+    return ABOVE_CAP if n is None else n - 1

@@ -580,7 +580,7 @@ class Tableau:
             if key not in seen:
                 seen.add(key)
                 rows.append((dst, _narrow(own_cube, cube), marks, code))
-        kept = undominated(rows, self._inf, all(row[1] is cube for row in rows))
+        kept = undominated(rows, self._inf)
         return [(dst, c, self._acc(marks), self._actions(code)) for dst, c, marks, code in kept]
 
     def _cross(self, endpoint: int):

@@ -15,7 +15,7 @@ from cltlbound.automaton import CounterAutomaton, Cube, Transition, synchronized
 from cltlbound.cegar import BoundResult, IterationStats, run_value
 from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.formula import (
-    COST_LE,
+    COST_GT,
     FALSE,
     LTL,
     MIXED,
@@ -342,15 +342,15 @@ def instantiation_sup(model: CounterAutomaton, phi: Formula, cutoff: int | None 
     per threshold n, translate phi & phi[n+1] afresh, product it with the
     model and look for an accepting lasso; a found run raises n to its
     value (conjoining phi keeps phi's counters in the product), an empty
-    product certifies n.  A U<= formula goes through its R> dual, whose sup
-    is one less when it is at least 1; a dual sup of 0 covers U<= sups 0
-    and 1 alike, and one emptiness probe of not(phi[0]) against the model
-    separates them.  Same cutoff rule (a value past a cutoff below formula
-    states x model states is `cutoff-reached`) and result shape as
-    `compute_sup_bound`, which tests compare against it."""
+    product certifies n.  A U<= or plain formula goes through its R> dual,
+    whose sup is one less when it is at least 1; a dual sup of 0 covers
+    U<= sups 0 and 1 alike, and one emptiness probe of not(phi[0]) against
+    the model separates them.  Same cutoff rule (a value past a cutoff
+    below formula states x model states is `cutoff-reached`) and result
+    shape as `compute_sup_bound`, which tests compare against it."""
 
-    if classify_fragment(phi) == COST_LE:
-        inner = instantiation_sup(model, negate_dual(phi), cutoff)
+    if classify_fragment(phi) != COST_GT:
+        inner = _instantiation_sup_direct(model, negate_dual(phi), cutoff)
         if inner.outcome != "finite":
             return inner
         bound, word = inner.bound + 1, inner.witness
@@ -360,7 +360,10 @@ def instantiation_sup(model: CounterAutomaton, phi: Formula, cutoff: int | None 
             )
             bound, word = (0, word) if hit is None else (1, hit[1])
         return BoundResult("finite", bound, word, inner.cutoff, inner.trace)
+    return _instantiation_sup_direct(model, phi, cutoff)
 
+
+def _instantiation_sup_direct(model, phi, cutoff):
     sound = build_counter_automaton(phi).num_states * model.num_states
     limit = sound if cutoff is None else cutoff
     trace = []

@@ -203,8 +203,8 @@ def pair_every_transition(a, b):
     order = [start]
     out = []
     for s, (p, q) in enumerate(order):
-        for ta in a.by_source().get(p, ()):
-            for tb in b.by_source().get(q, ()):
+        for ta in a.by_source.get(p, ()):
+            for tb in b.by_source.get(q, ()):
                 both = ta.cube.merge(tb.cube)
                 if both is None:
                     continue
@@ -230,7 +230,7 @@ def test_product_under_a_shared_literal_pairs_every_transition():
         ),
         ap=("a", "b"),
     )
-    assert _shared_cube([t.cube for t in model.by_source()[0]]) == cube("a")
+    assert _shared_cube([t.cube for t in model.by_source[0]]) == cube("a")
     rng = random.Random(53)
     paired = 0
     for _ in range(100):

@@ -12,9 +12,11 @@ from cltlbound.cegar import (
     compute_sup_bound,
     run_value,
 )
+from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.formula import (
     COST_GT,
     COST_LE,
+    LTL,
     And,
     FragmentError,
     classify_fragment,
@@ -24,11 +26,18 @@ from cltlbound.formula import (
     parse_formula,
 )
 from cltlbound.model import load_model, parse_model
-from cltlbound.oracle import value_inf, value_sup
+from cltlbound.oracle import eval_ltl_on_lasso, value_inf, value_sup
 from cltlbound.translate import build_counter_automaton
 from cltlbound.words import ABOVE_CAP
 
-from corpus import instantiation_inf, instantiation_sup, random_automaton, random_formula
+from corpus import (
+    instantiation_inf,
+    instantiation_sup,
+    random_automaton,
+    random_formula,
+    random_lasso,
+    word_model,
+)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -219,18 +228,32 @@ def test_sup_agrees_with_instantiation_route():
 
 
 def test_sup_plain_ltl():
+    # A plain formula is worth 0 where it holds and infinite elsewhere, so
+    # its sup is unbounded once some model word fails it.
     r = compute_sup_bound(model(UNIVERSAL), parse_formula("F a"))
     assert r.outcome == "unbounded"
     r2 = compute_sup_bound(model(NO_A), parse_formula("F a"))
-    assert (r2.outcome, r2.bound) == ("finite", 0)
-    assert r2.witness is not None
+    assert r2.outcome == "unbounded"
+    assert not eval_ltl_on_lasso(parse_formula("F a"), r2.witness)
+    r3 = compute_sup_bound(model(NO_A), parse_formula("G !a"))
+    assert (r3.outcome, r3.bound) == ("finite", 0)
+    assert r3.witness is not None
+    r4 = compute_sup_bound(load_model(ROOT / "models" / "a_only.model"), parse_formula("F !a"))
+    assert r4.outcome == "unbounded"
+    # the instantiation route reads plain formulas the same way
+    for path in sorted((ROOT / "models").glob("*.model")):
+        m = load_model(path)
+        for text in ("F a", "G a", "F !a"):
+            got = compute_sup_bound(m, parse_formula(text))
+            want = instantiation_sup(m, parse_formula(text))
+            assert (got.outcome, got.bound) == (want.outcome, want.bound), (text, path.name)
 
 
 @pytest.mark.parametrize("search, text, fixture, bound", [
     (compute_sup_bound, "G (F<= !a)", "L0", 0),
     (compute_sup_bound, "G (F<= !a)", "L1", 1),
     (compute_sup_bound, "G> a", "L3", 2),
-    (compute_sup_bound, "F !a", "a_only", 0),
+    (compute_sup_bound, "G a", "a_only", 0),
     (compute_inf_bound, "F<= !a", "three_leading_a", 3),
 ])
 def test_one_translation_per_query(monkeypatch, search, text, fixture, bound):
@@ -394,3 +417,53 @@ def test_inf_agrees_with_instantiation_route():
             outcomes.add(got.bound if got.outcome == "finite" else got.outcome)
     # the corpus reaches infinite-inf and finite bounds 0 .. 3
     assert {"infinite-inf", 0, 1, 2, 3} <= outcomes, outcomes
+
+
+# -- sup, inf and the oracle --------------------------------------------------
+
+
+def _number(result):
+    """A search's answer as a number: inf for `unbounded` and
+    `infinite-inf`."""
+    return result.bound if result.outcome == "finite" else math.inf
+
+
+def test_sup_inf_and_oracle_agree_on_one_word_models():
+    # Over the model of one lasso word, the sup and the inf are both that
+    # word's value: value_inf's for a U<= or plain formula (worth 0 where it
+    # holds, infinite elsewhere), value_sup's for an R> formula, which the
+    # inf search does not take.  A finite value is at most the word's
+    # number of positions, so an answer above that cap is infinite.
+    rng = random.Random(5)
+    props = ("a", "b")
+    seen = {LTL: 0, COST_LE: 0, COST_GT: 0}
+    while min(seen.values()) < 150:
+        phi = random_formula(rng, depth=3, props=props, fragment=rng.choice(list(seen)))
+        if cost_operator_count(phi) > 3:
+            continue
+        word = random_lasso(rng, props)
+        m = word_model(word, props)
+        frag = classify_fragment(phi)
+        seen[frag] += 1
+        value = value_sup if frag == COST_GT else value_inf
+        want = value(phi, word, word.positions())
+        want = math.inf if want is ABOVE_CAP else want
+        assert _number(compute_sup_bound(m, phi)) == want, (str(phi), str(word))
+        if frag != COST_GT:
+            assert _number(compute_inf_bound(m, phi)) == want, (str(phi), str(word))
+
+
+def test_sup_is_at_least_inf_on_random_models():
+    # Over a nonempty language the least value is at most the greatest.
+    # (An empty language has sup 0 and an infinite inf.)
+    rng = random.Random(9)
+    props = ("a", "b")
+    pairs = {LTL: 0, COST_LE: 0}
+    while min(pairs.values()) < 150:
+        m = random_automaton(rng, max_states=5, max_acc=2, max_counters=0, props=props)
+        phi = random_formula(rng, depth=3, props=props, fragment=rng.choice(list(pairs)))
+        if cost_operator_count(phi) > 3 or find_accepting_lasso(m) is None:
+            continue
+        sup, inf = compute_sup_bound(m, phi), compute_inf_bound(m, phi)
+        assert _number(sup) >= _number(inf), (str(phi), m)
+        pairs[classify_fragment(phi)] += 1

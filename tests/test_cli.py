@@ -5,11 +5,11 @@ import pytest
 
 import cltlbound.cli
 import cltlbound.oracle
-from cltlbound.automaton import synchronized_product
+from cltlbound.automaton import synchronized_product, to_dot
 from cltlbound.cegar import _pruned, run_value
 from cltlbound.cli import main
 from cltlbound.emptiness import find_accepting_lasso
-from cltlbound.formula import parse_formula
+from cltlbound.formula import negate_dual, parse_formula
 from cltlbound.model import load_model
 from cltlbound.words import ABOVE_CAP
 
@@ -222,6 +222,14 @@ def test_dot_writes_the_automaton_the_mode_searches(tmp_path, capsys):
         text[mode] = target.read_text(encoding="utf-8")
     assert "r1" in text["inf"] and "i1" in text["inf"] and "or1" not in text["inf"]
     assert "or1" in text["sup"]
+    # A plain formula reads like a U<= one: sup searches its dual, inf the
+    # formula itself.
+    plain = parse_formula("F a")
+    for mode, shown in (("sup", negate_dual(plain)), ("inf", plain)):
+        target = tmp_path / f"plain-{mode}.dot"
+        run(capsys, "-f", "F a", "--mode", mode, "-m", L3, "--dot", str(target))
+        assert target.read_text(encoding="utf-8") == to_dot(_pruned(shown)), mode
+    assert to_dot(_pruned(plain)) != to_dot(_pruned(negate_dual(plain)))
 
 
 def test_oracle_check_ok(capsys):
