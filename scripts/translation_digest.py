@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Print SHA-256 digests of a fixed set of formula translations, as the
-queries read them.
+"""Print SHA-256 digests of a fixed set of formula translations, and of
+value mode's answers, as the queries read them.
 
     python3 scripts/translation_digest.py
 
 Each translation is dumped canonically.  A whole automaton, as the sup
 and inf searches build it (`cegar._pruned`), gives its header and its
-transitions in order.  A lazy `Tableau` read along one lasso word, as
-value mode reads it, gives the word's lasso graph (its product with the
-word, `automaton._product_edges`): the number of nodes, the edges in
-order, and the number of tableau states reached.  One line per stream
-gives the stream's number of dumps and digest, and the last line the
-digest of all of them.  The streams, drawn by `tests/corpus.py` with
-criterion 3's rule of redrawing formulas with more than four cost
-operators:
+transitions in order.  A lazy `Tableau` read along one lasso word gives
+the word's whole lasso graph (its product with the word,
+`automaton._product_edges`, as value mode's threshold-0 test builds it;
+its positive tests expand only the nodes they reach): the number of
+nodes, the edges in order, and the number of tableau states reached.
+One line per stream gives the stream's number of dumps and digest, and
+the last line the digest of all of them.  The streams, drawn by
+`tests/corpus.py` with criterion 3's rule of redrawing formulas with
+more than four cost operators:
 
 - `criterion-3`: the first 400 formula/word pairs of criterion 3's R>
   stream, each translated whole and read lazily along its word;
@@ -21,13 +22,17 @@ operators:
 - `criterion-1`: the first 200 pairs of criterion 1's U<= stream, each
   formula and its R> dual translated whole, and the dual read lazily
   along the word (what value mode's check reads);
-- `ltl`: 300 plain LTL formula/word pairs, translated whole and lazily.
+- `ltl`: 300 plain LTL formula/word pairs, translated whole and lazily;
+- `values`: value mode's answer (`automaton.value_on_lasso`) on each of
+  the 900 formula/word pairs above at cap 10, read as its check reads it
+  (`cli._check_value`: an R> formula itself, any other formula's R>
+  dual), once with no guess and once with the guess the check passes.
 
-That is 1,400 whole translations and 900 lazy ones.  The script imports
-the package from the `src` directory next to it, so running the copy in
-another checkout compares the two trees' automata: equal digests mean
-identical automata and lasso graphs, state numbering and edge order
-included.
+That is 1,400 whole translations, 900 lazy ones and 900 value pairs.
+The script imports the package from the `src` directory next to it, so
+running the copy in another checkout compares the two trees: equal
+digests mean identical automata, lasso graphs and values, state
+numbering and edge order included.
 """
 
 from __future__ import annotations
@@ -43,12 +48,21 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from corpus import random_formula, random_lasso  # noqa: E402
 
-from cltlbound.automaton import _product_edges, _word_rows  # noqa: E402
+from cltlbound import oracle  # noqa: E402
+from cltlbound.automaton import _product_edges, _word_rows, value_on_lasso  # noqa: E402
 from cltlbound.cegar import _pruned  # noqa: E402
-from cltlbound.formula import cost_operator_count, negate_dual  # noqa: E402
+from cltlbound.formula import (  # noqa: E402
+    COST_GT,
+    COST_LE,
+    classify_fragment,
+    cost_operator_count,
+    negate_dual,
+)
 from cltlbound.translate import Tableau  # noqa: E402
+from cltlbound.words import ABOVE_CAP, NO_RUN  # noqa: E402
 
 PROPS = ("a", "b")
+CAP = 10
 
 
 def _draw(rng: random.Random, fragment: str):
@@ -81,13 +95,36 @@ def lazy(phi, word) -> str:
     return "\n".join(lines)
 
 
+def values(phi, word) -> str:
+    """Value mode's answer for phi on word at cap 10, read as
+    `cli._check_value` reads it, with no guess and then with the guess the
+    check passes.  An R> formula's own Tableau is read, and the guess is
+    the oracle's value; any other formula's R> dual is read, and the guess
+    is the dual value the oracle's value implies."""
+    frag = classify_fragment(phi)
+    if frag == COST_GT:
+        source, guess = phi, oracle.value_sup(phi, word, CAP)
+    else:
+        if frag == COST_LE:
+            val = oracle.value_inf(phi, word, CAP)
+        else:
+            val = 0 if oracle.eval_ltl_on_lasso(phi, word) else ABOVE_CAP
+        source = negate_dual(phi)
+        guess = val if val is ABOVE_CAP else NO_RUN if val == 0 else val - 1
+    plain = value_on_lasso(Tableau(source), word, CAP)
+    guessed = value_on_lasso(Tableau(source), word, CAP, guess)
+    return f"{plain!r} {guessed!r}"
+
+
 def streams():
     """(name, list of dump thunks) per stream."""
+    pairs = []  # the lazily read formula/word pairs, for the values stream
     rng = random.Random(3)
     c3 = []
     for _ in range(400):
         phi = _draw(rng, "CostGT")
         word = random_lasso(rng, props=PROPS)
+        pairs.append((phi, word))
         c3 += [lambda phi=phi: whole(phi), lambda phi=phi, w=word: lazy(phi, w)]
     rng = random.Random(4)
     c4 = [lambda phi=_draw(rng, "CostGT"): whole(phi) for _ in range(300)]
@@ -97,6 +134,7 @@ def streams():
         phi = _draw(rng, "CostLE")
         dual = negate_dual(phi)
         word = random_lasso(rng, props=PROPS)
+        pairs.append((phi, word))
         c1 += [
             lambda phi=phi: whole(phi),
             lambda dual=dual: whole(dual),
@@ -107,8 +145,13 @@ def streams():
     for _ in range(300):
         phi = _draw(rng, "LTL")
         word = random_lasso(rng, props=PROPS)
+        pairs.append((phi, word))
         ltl += [lambda phi=phi: whole(phi), lambda phi=phi, w=word: lazy(phi, w)]
-    return [("criterion-3", c3), ("criterion-4", c4), ("criterion-1", c1), ("ltl", ltl)]
+    vals = [lambda phi=phi, w=word: values(phi, w) for phi, word in pairs]
+    return [
+        ("criterion-3", c3), ("criterion-4", c4), ("criterion-1", c1), ("ltl", ltl),
+        ("values", vals),
+    ]
 
 
 def main() -> None:

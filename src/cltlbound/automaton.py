@@ -6,10 +6,11 @@ acceptance set is visited infinitely often.  A counter takes one of four
 actions per transition: "" (skip), "i" (increment), "or" (observe the
 value, then reset) and "r" (reset).
 
-One builder makes every product (`_product_edges`): a source that answers
+One pairing loop makes every product (`_Product`): a source that answers
 `successors(state, cube)`, a CounterAutomaton or a formula's
 `translate.Tableau`, paired with a whole model (`synchronized_product`)
-or with one lasso word, a one-path model (`value_on_lasso`).
+or with one lasso word, a one-path model (`value_on_lasso`).  It expands
+one node at a time; `_product_edges` expands every node in BFS order.
 
 A threshold test asks whether some accepting run observes every counter
 at t or more.  One engine answers it (`_accepts`): configurations pair a
@@ -18,11 +19,16 @@ first as it generates them and stops at the first accepting cycle it
 meets.  With counters bounded instead of capped, the same engine keeps
 the runs whose every counter stays at t or below: a U<= automaton's run
 is worth its largest counter value.  Two front ends feed it rows compiled
-alike (`_compile_rows`).  The model front end reads a whole automaton
-(`emptiness.find_accepting_lasso`, which the sup and inf searches run on
-the formula × model product) and threads a witness lasso through the
-accepting component the test stops in.  The lasso front end
-(`value_on_lasso`) reads a source's product with one lasso word.
+alike, a node's rows when a test first reaches it (`_Succ`).  The model
+front end reads a whole automaton (`emptiness.find_accepting_lasso`,
+which the sup and inf searches run on the formula × model product) and
+threads a witness lasso through the accepting component the test stops
+in.  The lasso front end (`value_on_lasso`) reads a source's product with
+one lasso word on the fly: a positive threshold test expands a node when
+it first reaches it.  Only threshold 0, "is there any accepting run?",
+builds the whole lasso graph, and it asks its SCCs
+(`graphs.accepting_components`); the order of the probes, set by the
+caller's guess, asks it only when the bracket needs it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import accepting_components, coreachable
+from .graphs import accepting_components
 from .words import ABOVE_CAP, NAME_RE, NO_RUN, LassoWord
 
 
@@ -149,12 +155,14 @@ class CounterAutomaton:
 
     @cached_property
     def _capped_rows(self):
-        """The model front end of a capped threshold test, built once."""
+        """The model front end of a capped threshold test, made once; its
+        rows are compiled as the tests reach their nodes."""
         return _compile_rows(self._rows, bounded=False)
 
     @cached_property
     def _bounded_rows(self):
-        """The model front end of a bounded threshold test, built once."""
+        """The model front end of a bounded threshold test, made once; its
+        rows are compiled as the tests reach their nodes."""
         return _compile_rows(self._rows, bounded=True)
 
     @property
@@ -180,32 +188,39 @@ def _shared_cube(cubes) -> Cube:
     return Cube(pos, neg) if pos or neg else TOP_CUBE
 
 
-def _product_edges(source, init: int, rows: list[tuple]) -> tuple[int, list[tuple]]:
-    """The product of source with a model given as rows.
+class _Product:
+    """The product of source with a model given as rows, node by node.
 
     rows[q] is (shared, guarded) for model state q: its rows (cube, dst,
     acceptance sets, actions), and a cube all their cubes imply.  Nodes are
-    the (source state, model state) pairs reachable from the initial pair,
-    in BFS order.  Source is asked once per (source state, shared cube
-    object), and each row (dst, cube, acceptance sets, actions) it returns
-    is paired with each model row, source-major, unless their cubes
-    contradict.  A source may, but need not, narrow its rows to the shared
-    cube or drop the rows that contradict it: that changes no pair.  Returns
-    the number of nodes and the edges (src, dst, acceptance sets, actions,
-    cube), the source's sets and actions first.
+    the (source state, model state) pairs reached from the initial pair,
+    node 0, numbered in the order `expand` first meets them.  Source is
+    asked once per (source state, shared cube object), and each row (dst,
+    cube, acceptance sets, actions) it returns is paired with each model
+    row, source-major, unless their cubes contradict.  A source may, but
+    need not, narrow its rows to the shared cube or drop the rows that
+    contradict it: that changes no pair.
     """
-    start = (source.init, init)
-    index = {start: 0}
-    order = [start]
-    asked: dict[tuple, list[tuple]] = {}
-    edges = []
-    for s, (p, q) in enumerate(order):
-        shared, guarded = rows[q]
+
+    def __init__(self, source, init: int, rows: list[tuple]):
+        self._source = source
+        self._rows = rows
+        start = (source.init, init)
+        self._index = {start: 0}
+        self.order = [start]  # the nodes met so far
+        self._asked: dict[tuple, list[tuple]] = {}
+
+    def expand(self, s: int, edges: list) -> None:
+        """Append the edges (src, dst, acceptance sets, actions, cube)
+        leaving node s to edges, the source's sets and actions first."""
+        p, q = self.order[s]
+        shared, guarded = self._rows[q]
         if not guarded:
-            continue
-        got = asked.get((p, id(shared)))  # rows keeps shared alive
+            return
+        got = self._asked.get((p, id(shared)))  # rows keeps shared alive
         if got is None:
-            got = asked[p, id(shared)] = source.successors(p, shared)
+            got = self._asked[p, id(shared)] = self._source.successors(p, shared)
+        index, order = self._index, self.order
         for dst_a, cube_a, acc_a, actions_a in got:
             for cube_b, dst_b, acc_b, actions_b in guarded:
                 cube = cube_a if cube_a is cube_b else cube_a.merge(cube_b)
@@ -218,7 +233,17 @@ def _product_edges(source, init: int, rows: list[tuple]) -> tuple[int, list[tupl
                     order.append(tgt)
                 acc = acc_a | acc_b if acc_b else acc_a
                 edges.append((s, d, acc, actions_a + actions_b, cube))
-    return len(order), edges
+
+
+def _product_edges(source, init: int, rows: list[tuple]) -> tuple[int, list[tuple]]:
+    """The whole product of source with a model given as rows (`_Product`):
+    every node expanded in BFS order.  Returns the number of nodes and the
+    edges, source by source."""
+    product = _Product(source, init, rows)
+    edges: list[tuple] = []
+    for s, _ in enumerate(product.order):  # it grows as nodes are met
+        product.expand(s, edges)
+    return len(product.order), edges
 
 
 def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAutomaton:
@@ -248,50 +273,76 @@ def _word_rows(word: LassoWord, ap) -> list[tuple]:
     props = frozenset(ap)
     letters = word.prefix + word.cycle
     cubes: dict[frozenset, Cube] = {}  # by letter, and by its part over ap
+    no_sets = frozenset()
     rows = []
-    for pos, letter in enumerate(letters):
+    for nxt, letter in enumerate(letters, 1):
         cube = cubes.get(letter)
         if cube is None:
             own = letter & props
             cube = cubes[letter] = cubes.setdefault(own, Cube(own, props - own))
-        nxt = pos + 1 if pos + 1 < len(letters) else len(word.prefix)
-        rows.append((cube, ((cube, nxt, frozenset(), ()),)))
+        rows.append((cube, ((cube, nxt, no_sets, ()),)))
+    cube = rows[-1][0]  # the last position reads into the cycle's first
+    rows[-1] = (cube, ((cube, len(word.prefix), no_sets, ()),))
     return rows
 
 
-def _compile_rows(rows: list[tuple], bounded: bool):
-    """What `_accepts` reads of rows (src, dst, acceptance sets, actions,
-    label): the rows leaving each node as (dst, acceptance bitmask, counter
-    ops, label), in order, and the number of counters tracked.  A counter
-    op is (slot, action char).  Capped, only observed counters are
-    tracked: a never-observed counter is never tested.  A never-incremented
-    one stays at 0, so its observations fail at every positive threshold.
-    Bounded, only incremented counters are tracked, since only an
-    increment can push a counter past the bound, and observations play no
-    part.
+class _Succ(dict):
+    """What `_accepts` reads of a graph: node -> the rows leaving it, as
+    (dst, acceptance bitmask, counter ops, label), in order.  A counter op
+    is (slot, action char), and the tracked counters take the slots in the
+    order given.  Capped, a tracked counter keeps its increments, resets
+    and observations; bounded, its increments and resets only.
+
+    edges_of returns the edges (src, dst, acceptance sets, actions, label)
+    leaving a node: a node's rows are compiled from them when the search
+    first looks it up, and kept.
+    """
+
+    def __init__(self, tracked, bounded: bool, edges_of):
+        super().__init__()
+        self._slot = {c: i for i, c in enumerate(tracked)}
+        self.num_slots = len(self._slot)
+        self._kept = "ir" if bounded else "ior"
+        self._ops: dict[tuple[str, ...], tuple[tuple[int, str], ...]] = {}
+        self._masks: dict[frozenset, int] = {}  # the sets are few, and mostly shared
+        self._edges_of = edges_of
+
+    def __missing__(self, node: int) -> list[tuple]:
+        slot, kept, compiled, masks = self._slot, self._kept, self._ops, self._masks
+        rows = self[node] = []
+        for _, dst, acc, actions, label in self._edges_of(node):
+            ops = compiled.get(actions)
+            if ops is None:
+                ops = compiled[actions] = tuple(
+                    (slot[c], ch)
+                    for c, acts in enumerate(actions)
+                    if c in slot
+                    for ch in acts
+                    if ch in kept
+                )
+            mask = masks.get(acc)
+            if mask is None:
+                mask = masks[acc] = sum(1 << a for a in acc)
+            rows.append((dst, mask, ops, label))
+        return rows
+
+
+def _compile_rows(rows: list[tuple], bounded: bool) -> tuple[_Succ, int]:
+    """A whole graph's rows (src, dst, acceptance sets, actions, label)
+    as `_Succ`, and the number of counters tracked.  Capped, only observed
+    counters are tracked: a never-observed counter is never tested.  A
+    never-incremented one stays at 0, so its observations fail at every
+    positive threshold.  Bounded, only incremented counters are tracked,
+    since only an increment can push a counter past the bound, and
+    observations play no part.
     """
     key = "i" if bounded else "o"
     tracked = sorted({c for row in rows for c, acts in enumerate(row[3]) if key in acts})
-    slot = {c: i for i, c in enumerate(tracked)}
-    kept = "ir" if bounded else "ior"
-    compiled: dict[tuple[str, ...], tuple[tuple[int, str], ...]] = {}
-    masks: dict[frozenset, int] = {}  # the sets are few, and mostly shared
-    succ: dict[int, list[tuple]] = {}
-    for src, dst, acc, actions, label in rows:
-        ops = compiled.get(actions)
-        if ops is None:
-            ops = compiled[actions] = tuple(
-                (slot[c], ch)
-                for c, acts in enumerate(actions)
-                if c in slot
-                for ch in acts
-                if ch in kept
-            )
-        mask = masks.get(acc)
-        if mask is None:
-            mask = masks[acc] = sum(1 << a for a in acc)
-        succ.setdefault(src, []).append((dst, mask, ops, label))
-    return succ, len(slot)
+    by_source: dict[int, list[tuple]] = {}
+    for row in rows:
+        by_source.setdefault(row[0], []).append(row)
+    succ = _Succ(tracked, bounded, lambda node: by_source.get(node, ()))
+    return succ, succ.num_slots
 
 
 # A counter's action as a 2-bit code; a row of actions is the int whose
@@ -357,7 +408,7 @@ def undominated(rows: list, inf: bool) -> list:
 
 
 def _accepts(
-    succ: dict[int, list[tuple]],
+    succ: _Succ,
     init: int,
     num_slots: int,
     t: int,
@@ -376,9 +427,10 @@ def _accepts(
     The unfolding is explored depth first from (init, 0, ..., 0) as it is
     generated, by Couvreur's SCC-based emptiness check ("On-the-fly
     verification of linear temporal logic", FM'99; see also Renault et
-    al., LPAR 2013).  succ rows are (dst node, acceptance bitmask, counter
-    ops, label), and full is the mask of every set.  Each root of a
-    component still on the stack carries the sets met inside the
+    al., LPAR 2013).  succ maps a node to its rows (dst node, acceptance
+    bitmask, counter ops, label), and may make them when the search first
+    looks the node up (`_Succ`); full is the mask of every set.  Each root
+    of a component still on the stack carries the sets met inside the
     component, and the set of the edge that entered it, which joins the
     component only when an edge back into a live configuration merges it
     with an older root.  The search stops at the first merge covering
@@ -401,7 +453,7 @@ def _accepts(
     sets = [0]  # acceptance sets met inside each of those components
     entry = [0]  # acceptance sets of the edge entering each root
     # A frame: configuration, its index, its rows left, the label entering it.
-    todo = [(start, 0, iter(succ.get(init, ())), None)]
+    todo = [(start, 0, iter(succ[init]), None)]
     while todo:
         v, s, rows, _ = todo[-1]
         vals = v[1]
@@ -436,7 +488,7 @@ def _accepts(
                 roots.append(i)
                 sets.append(0)
                 entry.append(mask)
-                todo.append((w, i, iter(succ.get(dst, ())), label))
+                todo.append((w, i, iter(succ[dst]), label))
                 break
             if edges is not None:
                 edges.append((s, i, mask, label))
@@ -468,64 +520,86 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
     """Exact sup-semantics value of the automaton on the given lasso.
 
     aut is a CounterAutomaton, or a `translate.Tableau` read lazily along
-    the word: the lasso graph is aut's product with the word
-    (`_product_edges`).  Returns NO_RUN when no accepting run exists (the
-    value is then 0 by the empty-sup convention), ABOVE_CAP when every
-    threshold up to cap is achievable (covers infinite values), and the
-    exact value otherwise.
+    the word: the lasso graph is aut's product with the word (`_Product`).
+    Returns NO_RUN when no accepting run exists (the value is then 0 by the
+    empty-sup convention), ABOVE_CAP when every threshold up to cap is
+    achievable (covers infinite values), and the exact value otherwise.
 
-    Threshold 0 tests the lasso graph itself; every later test unfolds only
-    the nodes from which an accepting component is reachable, since no
-    accepting run passes through the others.  Thresholds are monotone, so
-    the search narrows a bracket: the highest threshold known to pass and
-    the lowest known to fail.  guess, the answer the caller expects (an
-    int, ABOVE_CAP or NO_RUN), picks the first tests: a finite g >= 1
-    tests g and g + 1, ABOVE_CAP tests cap, and 0, a negative int or
-    NO_RUN tests 1.  A right guess is confirmed by those at most two
-    tests.  After them, or with no guess, 1 and then cap are tested, and
-    the largest achievable threshold is found by doubling from the lowest
-    pass and then bisecting the bracket.  Every test is made from the
-    bracket, so the answer is the same whatever the guess.
+    A positive threshold test runs `_accepts` on the lasso graph as the
+    test reaches it: a node is expanded, and its rows compiled, the first
+    time the search looks it up, and kept for the later tests.  The
+    counters tracked are fixed before any test: those some transition of a
+    CounterAutomaton observes, and every counter of a Tableau, whose
+    transitions are not known in advance.  Threshold 0 ("is there any
+    accepting run?") expands the whole graph and asks its SCC decomposition
+    (`accepting_components`): with no accepting run every reachable node
+    is explored anyway.
+
+    Thresholds are monotone, so the search narrows a bracket: the highest
+    threshold known to pass (-1 until one does) and the lowest known to
+    fail (cap + 1 until the cap is tested).  guess, the answer the caller
+    expects (an int, ABOVE_CAP or NO_RUN), picks the first tests: a finite
+    g >= 1 tests g and g + 1, and ABOVE_CAP tests cap.  After them, or with
+    no guess, 0, 1 and then cap are tested, and the largest achievable
+    threshold is found by doubling from the lowest pass and then bisecting
+    the bracket; so 0, a negative int or NO_RUN tests 0 and then 1.  A
+    right guess is confirmed by those at most two tests, and a right
+    positive one never expands the whole graph.  Every test is made from
+    the bracket, so the answer is the same whatever the guess.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    num_nodes, edges = _product_edges(aut, 0, _word_rows(word, aut.ap))
-    comp_of, accepting = accepting_components(num_nodes, edges, aut.num_acc_sets)
-    if not accepting:
-        return NO_RUN
-    live = coreachable(
-        num_nodes, edges, [v for v in range(num_nodes) if comp_of[v] in accepting]
-    )
-    kept = [e for e in edges if e[1] in live]  # its source is live too
-    succ, num_slots = _compile_rows(kept, bounded=False)
+    product = _Product(aut, 0, _word_rows(word, aut.ap))
+    expanded: dict[int, list] = {}  # the edges leaving each node expanded
+
+    def edges_of(s: int) -> list[tuple]:
+        got = expanded.get(s)
+        if got is None:
+            got = expanded[s] = []
+            product.expand(s, got)
+        return got
+
+    if isinstance(aut, CounterAutomaton):
+        tracked = sorted(
+            {c for t in aut.transitions for c, a in enumerate(t.actions) if a == "or"}
+        )
+    else:
+        tracked = range(aut.num_counters)
+    succ = _Succ(tracked, False, edges_of)
     full = (1 << aut.num_acc_sets) - 1
 
-    if guess is None:
-        first: tuple[int, ...] = ()
-    elif guess is ABOVE_CAP:
-        first = (cap,)
-    elif guess is NO_RUN or guess < 1:
-        first = (1,)
-    else:
+    def passes(t: int) -> bool:
+        if t > 0:
+            return _accepts(succ, 0, succ.num_slots, t, full)[0] is not None
+        edges: list[tuple] = []
+        for s, _ in enumerate(product.order):  # it grows as nodes are met
+            edges += edges_of(s)
+        return bool(accepting_components(len(product.order), edges, aut.num_acc_sets)[1])
+
+    if guess is ABOVE_CAP:
+        first: tuple[int, ...] = (cap,)
+    elif isinstance(guess, int) and guess >= 1:
         first = (min(guess, cap), min(guess + 1, cap))
-    # The highest threshold known to pass, and the lowest known to fail
-    # (cap + 1 until the cap is tested).
-    lo, hi = 0, cap + 1
+    else:  # no guess, NO_RUN or below 1: the search starts at 0, then 1
+        first = ()
+    # The highest threshold known to pass (-1, for NO_RUN, until one does)
+    # and the lowest known to fail (cap + 1 until the cap is tested).
+    lo, hi = -1, cap + 1
     probes = iter(first)
     while hi - lo > 1:
         t = next((g for g in probes if lo < g < hi), None)
         if t is None:
-            if lo == 0:
-                t = 1
+            if lo < 1:
+                t = lo + 1  # 0, then 1
             elif hi > cap:
                 t = cap
             else:
                 t = lo * 2 if lo * 2 < hi else (lo + hi) // 2
-        if _accepts(succ, 0, num_slots, t, full)[0] is not None:
+        if passes(t):
             lo = t
         else:
             hi = t
-    return ABOVE_CAP if lo == cap else lo
+    return NO_RUN if lo < 0 else ABOVE_CAP if lo == cap else lo
 
 
 def to_dot(aut: CounterAutomaton) -> str:

@@ -166,6 +166,13 @@ def value_sup(phi: Formula, word: LassoWord, cap: int):
     the least level from 1 on that fails: 0 when level 1 fails (whether
     or not level 0 does), and ABOVE_CAP when none fails up to cap (the
     value is cap or more, possibly infinite).
+
+    A plain formula is read the R> way: ABOVE_CAP where it holds and 0
+    where it fails.  That is the dual of the convention every mode uses (0
+    where it holds, infinite where it fails, as `value_inf` reads it), and
+    no query passes one here: the duality tests of `tests/test_oracle.py`
+    pass the plain duals of U<= formulas without a counter, and rely on
+    this reading.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")

@@ -46,7 +46,8 @@ each once, and drops the dominated rows: it is the one dominance point.
 `build_counter_automaton` explores it whole, under the cube true, makes
 the rows its transitions and removes the states that cannot reach an
 accepting cycle.  `automaton.value_on_lasso` reads it lazily along one
-lasso word, asking only for the (state, letter) pairs the word reaches:
+lasso word, asking only for the (state, letter) pairs its threshold
+tests reach (a positive test, only those it explores before it stops):
 the on-the-fly construction of Gerth, Peled, Vardi and Wolper ("Simple
 on-the-fly automatic verification of linear temporal logic", 1995).
 

@@ -59,17 +59,22 @@ _GROUP = re.compile(r"\{([^{}|]*)\}")
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _letters(chunk: str, what: str) -> tuple[Letter, ...]:
+def _letters(chunk: str, what: str, seen: dict[str, Letter]) -> tuple[Letter, ...]:
+    """The letters of chunk, each distinct {...} body read and checked
+    once: seen maps the bodies read so far to their letters."""
     rest = _GROUP.sub("", chunk)
     if rest.strip():
         raise LassoSyntaxError(f"stray text in {what}: {rest.strip()!r}")
     out = []
     for body in _GROUP.findall(chunk):
-        names = [p.strip() for p in body.split(",") if p.strip()]
-        for name in names:
-            if not NAME_RE.match(name):
-                raise LassoSyntaxError(f"bad proposition name {name!r}")
-        out.append(frozenset(names))
+        letter = seen.get(body)
+        if letter is None:
+            names = [p.strip() for p in body.split(",") if p.strip()]
+            for name in names:
+                if not NAME_RE.match(name):
+                    raise LassoSyntaxError(f"bad proposition name {name!r}")
+            letter = seen[body] = frozenset(names)
+        out.append(letter)
     return tuple(out)
 
 
@@ -77,16 +82,25 @@ def parse_lasso(text: str) -> LassoWord:
     if text.count("|") != 1:
         raise LassoSyntaxError("expected exactly one '|' between prefix and cycle")
     pre, _, cyc = text.partition("|")
-    prefix = _letters(pre, "prefix")
-    cycle = _letters(cyc, "cycle")
+    seen: dict[str, Letter] = {}
+    prefix = _letters(pre, "prefix", seen)
+    cycle = _letters(cyc, "cycle", seen)
     if not cycle:
         raise LassoSyntaxError("cycle must contain at least one letter")
     return LassoWord(prefix, cycle)
 
 
 def format_lasso(word: LassoWord) -> str:
+    texts: dict[Letter, str] = {}  # each distinct letter is written once
+
     def fmt(letters):
-        return " ".join("{" + ",".join(sorted(l)) + "}" for l in letters)
+        out = []
+        for letter in letters:
+            got = texts.get(letter)
+            if got is None:
+                got = texts[letter] = "{" + ",".join(sorted(letter)) + "}"
+            out.append(got)
+        return " ".join(out)
 
     cyc = fmt(word.cycle)
     if word.prefix:

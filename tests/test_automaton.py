@@ -163,18 +163,43 @@ def test_the_guess_never_changes_the_value():
 
 
 def test_a_right_guess_costs_at_most_two_threshold_tests(monkeypatch):
-    calls = []
+    # Positive thresholds are tested on the fly, so a right positive or
+    # ABOVE_CAP guess never builds the whole lasso graph; threshold 0 asks
+    # its SCCs, once for a right 0 or NO_RUN guess.
+    calls, graphs = [], []
     engine = cltlbound.automaton._accepts
+    sccs = cltlbound.automaton.accepting_components
     monkeypatch.setattr(
         cltlbound.automaton, "_accepts", lambda *args: calls.append(args[3]) or engine(*args)
+    )
+    monkeypatch.setattr(
+        cltlbound.automaton,
+        "accepting_components",
+        lambda *args: graphs.append(args[0]) or sccs(*args),
     )
     for tab, word in value_cap_pairs():
         m = len(word.prefix)
         for cap in (10, m - 1, m, 250):
             want = value_on_lasso(tab, word, cap)
             calls.clear()
+            graphs.clear()
             assert value_on_lasso(tab, word, cap, want) == want
             assert calls == ([cap] if want is ABOVE_CAP else [want, want + 1]), (cap, calls)
+            assert graphs == [], (cap, graphs)
+    g = Tableau(parse_formula("G> a"))
+    for aut, text, want in [
+        (block_counter(), "| {}", 0),
+        (block_counter(), "| {a}", NO_RUN),
+        (g, "| {a} {}", 0),
+        (g, "| {}", NO_RUN),
+    ]:
+        word = parse_lasso(text)
+        assert value_on_lasso(aut, word, 10) == want
+        calls.clear()
+        graphs.clear()
+        assert value_on_lasso(aut, word, 10, want) == want
+        assert calls == ([] if want is NO_RUN else [1]), (text, calls)
+        assert len(graphs) == 1, (text, graphs)
 
 
 def test_product_against_membership_brute():

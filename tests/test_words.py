@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +48,24 @@ def test_parse_rejects():
 def test_format_parse_round_trip(prefix, cycle):
     w = LassoWord(tuple(prefix), tuple(cycle))
     assert parse_lasso(format_lasso(w)) == w
+
+
+def test_a_long_word_round_trips():
+    rng = random.Random(600)
+    letters = [frozenset(p for p in "abc" if rng.random() < 0.5) for _ in range(600)]
+    w = LassoWord(tuple(letters[:450]), tuple(letters[450:]))
+    text = format_lasso(w)
+    assert parse_lasso(text) == w
+    assert format_lasso(parse_lasso(text)) == text
+
+
+def test_each_body_is_checked_once_and_the_first_bad_one_raises():
+    # Repeated letters are read once, but a bad name still raises wherever
+    # it sits, and the first bad body from the left is the one reported.
+    with pytest.raises(LassoSyntaxError, match="'1a'"):
+        parse_lasso("{a,b} " * 300 + "| " + "{b} " * 300 + "{b,1a}")
+    with pytest.raises(LassoSyntaxError, match="'2b'"):
+        parse_lasso("{a} {2b} {a} {1a} | {2b} {a}")
 
 
 def test_markers_are_distinct_singletons():
