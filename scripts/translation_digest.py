@@ -8,7 +8,7 @@ Each translation is dumped canonically.  A whole automaton, as the sup
 and inf searches build it (`cegar._pruned`), gives its header and its
 transitions in order.  A lazy `Tableau` read along one lasso word gives
 the word's whole lasso graph (its product with the word,
-`automaton._product_edges`, as value mode's threshold-0 test builds it;
+`automaton._Product.whole`, as value mode's threshold-0 test builds it;
 its positive tests expand only the nodes they reach): the number of
 nodes, the edges in order, and the number of tableau states reached.
 One line per stream gives the stream's number of dumps and digest, and
@@ -26,7 +26,8 @@ more than four cost operators:
 - `values`: value mode's answer (`automaton.value_on_lasso`) on each of
   the 900 formula/word pairs above at cap 10, read as its check reads it
   (`cli._check_value`: an R> formula itself, any other formula's R>
-  dual), once with no guess and once with the guess the check passes.
+  dual), once with no guess and once with the guess the check passes;
+  an answer reads -1 where no run accepts.
 
 That is 1,400 whole translations, 900 lazy ones and 900 value pairs.
 The script imports the package from the `src` directory next to it, so
@@ -49,7 +50,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from corpus import random_formula, random_lasso  # noqa: E402
 
 from cltlbound import oracle  # noqa: E402
-from cltlbound.automaton import _product_edges, _word_rows, value_on_lasso  # noqa: E402
+from cltlbound.automaton import _Product, _word_rows, value_on_lasso  # noqa: E402
 from cltlbound.cegar import _pruned  # noqa: E402
 from cltlbound.formula import (  # noqa: E402
     COST_GT,
@@ -59,7 +60,7 @@ from cltlbound.formula import (  # noqa: E402
     negate_dual,
 )
 from cltlbound.translate import Tableau  # noqa: E402
-from cltlbound.words import ABOVE_CAP, NO_RUN  # noqa: E402
+from cltlbound.words import ABOVE_CAP  # noqa: E402
 
 PROPS = ("a", "b")
 CAP = 10
@@ -83,7 +84,7 @@ def whole(phi) -> str:
 
 
 def lasso_graph(tab, word):
-    return _product_edges(tab, 0, _word_rows(word, tab.ap))
+    return _Product(tab, 0, _word_rows(word, tab.ap)).whole()
 
 
 def lazy(phi, word) -> str:
@@ -110,7 +111,7 @@ def values(phi, word) -> str:
         else:
             val = 0 if oracle.eval_ltl_on_lasso(phi, word) else ABOVE_CAP
         source = negate_dual(phi)
-        guess = val if val is ABOVE_CAP else NO_RUN if val == 0 else val - 1
+        guess = val if val is ABOVE_CAP else val - 1
     plain = value_on_lasso(Tableau(source), word, CAP)
     guessed = value_on_lasso(Tableau(source), word, CAP, guess)
     return f"{plain!r} {guessed!r}"

@@ -10,7 +10,7 @@ One pairing loop makes every product (`_Product`): a source that answers
 `successors(state, cube)`, a CounterAutomaton or a formula's
 `translate.Tableau`, paired with a whole model (`synchronized_product`)
 or with one lasso word, a one-path model (`value_on_lasso`).  It expands
-one node at a time; `_product_edges` expands every node in BFS order.
+a node when first asked for its edges; `whole()` expands them all.
 
 A threshold test asks whether some accepting run observes every counter
 at t or more.  One engine answers it (`_accepts`): configurations pair a
@@ -18,17 +18,19 @@ node with counter values capped at t, and the test explores them depth
 first as it generates them and stops at the first accepting cycle it
 meets.  With counters bounded instead of capped, the same engine keeps
 the runs whose every counter stays at t or below: a U<= automaton's run
-is worth its largest counter value.  Two front ends feed it rows compiled
-alike, a node's rows when a test first reaches it (`_Succ`).  The model
-front end reads a whole automaton (`emptiness.find_accepting_lasso`,
-which the sup and inf searches run on the formula × model product) and
-threads a witness lasso through the accepting component the test stops
-in.  The lasso front end (`value_on_lasso`) reads a source's product with
-one lasso word on the fly: a positive threshold test expands a node when
-it first reaches it.  Only threshold 0, "is there any accepting run?",
-builds the whole lasso graph, and it asks its SCCs
-(`graphs.accepting_components`); the order of the probes, set by the
-caller's guess, asks it only when the bracket needs it.
+is worth its largest counter value.  A test reads one `_Succ`, which
+both front ends build alike from a node's edges: it compiles a node's
+rows when a test first reaches it and carries the test's reading.  The
+model front end keeps one per reading of a whole automaton
+(`emptiness.find_accepting_lasso`, which the sup and inf searches run on
+the formula × model product) and threads a witness lasso through the
+accepting component the test stops in.  The lasso front end
+(`value_on_lasso`) reads a source's product with one lasso word on the
+fly: a positive threshold test expands a node when it first reaches it.
+Only threshold 0, "is there any accepting run?", builds the whole lasso
+graph, and it asks its SCCs (`graphs.accepting_components`); the order of
+the probes, set by the caller's guess, asks it only when the bracket
+needs it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import accepting_components
-from .words import ABOVE_CAP, NAME_RE, NO_RUN, LassoWord
+from .words import ABOVE_CAP, NAME_RE, LassoWord
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,8 @@ class CounterAutomaton:
 
     def successors(self, state: int, cube: Cube) -> list[tuple]:
         """The rows (dst, cube, acceptance sets, actions) of the transitions
-        leaving state, cubes as built: `_product_edges` conjoins each with
-        the model's cubes, so the query cube is not applied here."""
+        leaving state, cubes as built: `_Product` conjoins each with the
+        model's cubes, so the query cube is not applied here."""
         return [(t.dst, t.cube, t.acc, t.actions) for t in self.by_source.get(state, ())]
 
     @cached_property
@@ -154,20 +156,26 @@ class CounterAutomaton:
         return frozenset(self.transitions)
 
     @cached_property
-    def _capped_rows(self):
-        """The model front end of a capped threshold test, made once; its
-        rows are compiled as the tests reach their nodes."""
-        return _compile_rows(self._rows, bounded=False)
+    def _capped(self) -> _Succ:
+        return self._succ("o", bounded=False)
 
     @cached_property
-    def _bounded_rows(self):
-        """The model front end of a bounded threshold test, made once; its
-        rows are compiled as the tests reach their nodes."""
-        return _compile_rows(self._rows, bounded=True)
+    def _bounded(self) -> _Succ:
+        return self._succ("i", bounded=True)
 
-    @property
-    def _rows(self) -> list[tuple]:  # each transition labels its own row
-        return [(t.src, t.dst, t.acc, t.actions, t) for t in self.transitions]
+    def _succ(self, key: str, bounded: bool) -> _Succ:
+        """A threshold test on every transition, each labelling its own row,
+        made once per reading.  Capped, only observed counters are tracked:
+        a never-observed counter is never tested, and a never-incremented
+        one stays at 0, so its observations fail at every positive
+        threshold.  Bounded, only incremented counters are tracked: only an
+        increment can push a counter past the bound."""
+        tracked = {c for t in self.transitions for c, a in enumerate(t.actions) if key in a}
+        by_source = self.by_source
+        return _Succ(
+            lambda s: [(s, t.dst, t.acc, t.actions, t) for t in by_source.get(s, ())],
+            sorted(tracked), bounded, self.num_acc_sets,
+        )
 
 
 def _narrow(own: Cube, cube: Cube) -> Cube | None:
@@ -194,11 +202,11 @@ class _Product:
     rows[q] is (shared, guarded) for model state q: its rows (cube, dst,
     acceptance sets, actions), and a cube all their cubes imply.  Nodes are
     the (source state, model state) pairs reached from the initial pair,
-    node 0, numbered in the order `expand` first meets them.  Source is
-    asked once per (source state, shared cube object), and each row (dst,
-    cube, acceptance sets, actions) it returns is paired with each model
-    row, source-major, unless their cubes contradict.  A source may, but
-    need not, narrow its rows to the shared cube or drop the rows that
+    node 0, numbered in the order the expansions first meet them.  Source
+    is asked once per (source state, shared cube object), and each row
+    (dst, cube, acceptance sets, actions) it returns is paired with each
+    model row, source-major, unless their cubes contradict.  A source may,
+    but need not, narrow its rows to the shared cube or drop the rows that
     contradict it: that changes no pair.
     """
 
@@ -209,14 +217,20 @@ class _Product:
         self._index = {start: 0}
         self.order = [start]  # the nodes met so far
         self._asked: dict[tuple, list[tuple]] = {}
+        self._expanded: dict[int, list[tuple]] = {}
 
-    def expand(self, s: int, edges: list) -> None:
-        """Append the edges (src, dst, acceptance sets, actions, cube)
-        leaving node s to edges, the source's sets and actions first."""
+    def edges(self, s: int) -> list[tuple]:
+        """The edges (src, dst, acceptance sets, actions, cube) leaving
+        node s, the source's sets and actions first.  Node s is expanded
+        when first asked for, and its edges kept."""
+        edges = self._expanded.get(s)
+        if edges is not None:
+            return edges
+        edges = self._expanded[s] = []
         p, q = self.order[s]
         shared, guarded = self._rows[q]
         if not guarded:
-            return
+            return edges
         got = self._asked.get((p, id(shared)))  # rows keeps shared alive
         if got is None:
             got = self._asked[p, id(shared)] = self._source.successors(p, shared)
@@ -233,23 +247,21 @@ class _Product:
                     order.append(tgt)
                 acc = acc_a | acc_b if acc_b else acc_a
                 edges.append((s, d, acc, actions_a + actions_b, cube))
+        return edges
 
-
-def _product_edges(source, init: int, rows: list[tuple]) -> tuple[int, list[tuple]]:
-    """The whole product of source with a model given as rows (`_Product`):
-    every node expanded in BFS order.  Returns the number of nodes and the
-    edges, source by source."""
-    product = _Product(source, init, rows)
-    edges: list[tuple] = []
-    for s, _ in enumerate(product.order):  # it grows as nodes are met
-        product.expand(s, edges)
-    return len(product.order), edges
+    def whole(self) -> tuple[int, list[tuple]]:
+        """Every node expanded, in the order met (BFS from a fresh
+        product): the number of nodes and the edges, source by source."""
+        edges: list[tuple] = []
+        for s, _ in enumerate(self.order):  # it grows as nodes are met
+            edges += self.edges(s)
+        return len(self.order), edges
 
 
 def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAutomaton:
     """Synchronous product; counters and acceptance sets are reindexed
     disjointly (b's shifted after a's).  States are numbered in BFS
-    discovery order from the initial pair (`_product_edges`)."""
+    discovery order from the initial pair (`_Product.whole`)."""
     shift = a.num_acc_sets
     by_source = b.by_source
     rows = []
@@ -259,7 +271,7 @@ def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAut
         guarded = [(t.cube, t.dst, frozenset(shift + i for i in t.acc), t.actions) for t in out]
         shared = _shared_cube([t.cube for t in out]) if out else TOP_CUBE
         rows.append((shared_cubes.setdefault(shared, shared), guarded))
-    num_states, edges = _product_edges(a, b.init, rows)
+    num_states, edges = _Product(a, b.init, rows).whole()
     transitions = tuple(Transition(s, c, act, acc, d) for s, d, acc, act, c in edges)
     return CounterAutomaton(
         num_states, 0, a.num_counters + b.num_counters, a.num_acc_sets + b.num_acc_sets,
@@ -287,25 +299,29 @@ def _word_rows(word: LassoWord, ap) -> list[tuple]:
 
 
 class _Succ(dict):
-    """What `_accepts` reads of a graph: node -> the rows leaving it, as
-    (dst, acceptance bitmask, counter ops, label), in order.  A counter op
-    is (slot, action char), and the tracked counters take the slots in the
-    order given.  Capped, a tracked counter keeps its increments, resets
-    and observations; bounded, its increments and resets only.
+    """A threshold test's graph and reading, all `_accepts` reads: node ->
+    the rows leaving it, as (dst, acceptance bitmask, counter ops, label),
+    in order.  A counter op is (slot, action char), and the tracked
+    counters take the slots in the order given.  Capped, a tracked counter
+    keeps its increments, resets and observations; bounded, its increments
+    and resets only.  bounded, num_slots and full (the mask of all
+    num_acc_sets acceptance sets) are kept for the test.
 
     edges_of returns the edges (src, dst, acceptance sets, actions, label)
     leaving a node: a node's rows are compiled from them when the search
     first looks it up, and kept.
     """
 
-    def __init__(self, tracked, bounded: bool, edges_of):
+    def __init__(self, edges_of, tracked, bounded: bool, num_acc_sets: int):
         super().__init__()
+        self._edges_of = edges_of
         self._slot = {c: i for i, c in enumerate(tracked)}
         self.num_slots = len(self._slot)
+        self.bounded = bounded
+        self.full = (1 << num_acc_sets) - 1
         self._kept = "ir" if bounded else "ior"
         self._ops: dict[tuple[str, ...], tuple[tuple[int, str], ...]] = {}
         self._masks: dict[frozenset, int] = {}  # the sets are few, and mostly shared
-        self._edges_of = edges_of
 
     def __missing__(self, node: int) -> list[tuple]:
         slot, kept, compiled, masks = self._slot, self._kept, self._ops, self._masks
@@ -325,24 +341,6 @@ class _Succ(dict):
                 mask = masks[acc] = sum(1 << a for a in acc)
             rows.append((dst, mask, ops, label))
         return rows
-
-
-def _compile_rows(rows: list[tuple], bounded: bool) -> tuple[_Succ, int]:
-    """A whole graph's rows (src, dst, acceptance sets, actions, label)
-    as `_Succ`, and the number of counters tracked.  Capped, only observed
-    counters are tracked: a never-observed counter is never tested.  A
-    never-incremented one stays at 0, so its observations fail at every
-    positive threshold.  Bounded, only incremented counters are tracked,
-    since only an increment can push a counter past the bound, and
-    observations play no part.
-    """
-    key = "i" if bounded else "o"
-    tracked = sorted({c for row in rows for c, acts in enumerate(row[3]) if key in acts})
-    by_source: dict[int, list[tuple]] = {}
-    for row in rows:
-        by_source.setdefault(row[0], []).append(row)
-    succ = _Succ(tracked, bounded, lambda node: by_source.get(node, ()))
-    return succ, succ.num_slots
 
 
 # A counter's action as a 2-bit code; a row of actions is the int whose
@@ -408,28 +406,22 @@ def undominated(rows: list, inf: bool) -> list:
 
 
 def _accepts(
-    succ: _Succ,
-    init: int,
-    num_slots: int,
-    t: int,
-    full: int,
-    bounded: bool = False,
-    edges: list | None = None,
+    succ: _Succ, init: int, t: int, edges: list | None = None
 ) -> tuple[tuple | None, int]:
     """The threshold test: does the unfolding at t hold an accepting cycle?
 
     A configuration pairs a node with the tracked counter values capped at
     t (larger values behave identically for a threshold test), and an edge
     that observes a value below t is dropped.  At t = 0 every observation
-    passes and the values stay 0.  Bounded, an edge that would increment a
-    counter past t is dropped instead, at t = 0 too.
+    passes and the values stay 0.  Bounded (succ.bounded), an edge that
+    would increment a counter past t is dropped instead, at t = 0 too.
 
     The unfolding is explored depth first from (init, 0, ..., 0) as it is
     generated, by Couvreur's SCC-based emptiness check ("On-the-fly
     verification of linear temporal logic", FM'99; see also Renault et
     al., LPAR 2013).  succ maps a node to its rows (dst node, acceptance
-    bitmask, counter ops, label), and may make them when the search first
-    looks the node up (`_Succ`); full is the mask of every set.  Each root
+    bitmask, counter ops, label), made when the search first looks the
+    node up (`_Succ`); succ.full is the mask of every set.  Each root
     of a component still on the stack carries the sets met inside the
     component, and the set of the edge that entered it, which joins the
     component only when an edge back into a live configuration merges it
@@ -445,7 +437,8 @@ def _accepts(
     edges is a list, it receives every kept edge explored as (src, dst,
     acceptance bitmask, label); the component's edges cover every set.
     """
-    start = (init, (0,) * num_slots)
+    bounded, full = succ.bounded, succ.full
+    start = (init, (0,) * succ.num_slots)
     index = {start: 0}
     dead: set[int] = set()
     live = [0]  # configurations of unfinished components, in order
@@ -521,69 +514,49 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
 
     aut is a CounterAutomaton, or a `translate.Tableau` read lazily along
     the word: the lasso graph is aut's product with the word (`_Product`).
-    Returns NO_RUN when no accepting run exists (the value is then 0 by the
+    Returns -1 when no accepting run exists (the value is then 0 by the
     empty-sup convention), ABOVE_CAP when every threshold up to cap is
     achievable (covers infinite values), and the exact value otherwise.
 
     A positive threshold test runs `_accepts` on the lasso graph as the
     test reaches it: a node is expanded, and its rows compiled, the first
-    time the search looks it up, and kept for the later tests.  The
-    counters tracked are fixed before any test: those some transition of a
-    CounterAutomaton observes, and every counter of a Tableau, whose
-    transitions are not known in advance.  Threshold 0 ("is there any
-    accepting run?") expands the whole graph and asks its SCC decomposition
+    time the search looks it up, and kept for the later tests.  Every
+    counter of aut is tracked: one that no transition observes never
+    changes a verdict.  Threshold 0 ("is there any accepting run?")
+    expands the whole graph and asks its SCC decomposition
     (`accepting_components`): with no accepting run every reachable node
     is explored anyway.
 
     Thresholds are monotone, so the search narrows a bracket: the highest
     threshold known to pass (-1 until one does) and the lowest known to
     fail (cap + 1 until the cap is tested).  guess, the answer the caller
-    expects (an int, ABOVE_CAP or NO_RUN), picks the first tests: a finite
-    g >= 1 tests g and g + 1, and ABOVE_CAP tests cap.  After them, or with
-    no guess, 0, 1 and then cap are tested, and the largest achievable
+    expects (an int or ABOVE_CAP), picks the first tests: a finite g >= 1
+    tests g and g + 1, and ABOVE_CAP tests cap.  After them, or with no
+    guess, 0, 1 and then cap are tested, and the largest achievable
     threshold is found by doubling from the lowest pass and then bisecting
-    the bracket; so 0, a negative int or NO_RUN tests 0 and then 1.  A
-    right guess is confirmed by those at most two tests, and a right
-    positive one never expands the whole graph.  Every test is made from
-    the bracket, so the answer is the same whatever the guess.
+    the bracket; so a guess below 1 tests 0 and then 1.  A right guess is
+    confirmed by those at most two tests, and a right positive one never
+    expands the whole graph.  Every test is made from the bracket, so the
+    answer is the same whatever the guess.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     product = _Product(aut, 0, _word_rows(word, aut.ap))
-    expanded: dict[int, list] = {}  # the edges leaving each node expanded
-
-    def edges_of(s: int) -> list[tuple]:
-        got = expanded.get(s)
-        if got is None:
-            got = expanded[s] = []
-            product.expand(s, got)
-        return got
-
-    if isinstance(aut, CounterAutomaton):
-        tracked = sorted(
-            {c for t in aut.transitions for c, a in enumerate(t.actions) if a == "or"}
-        )
-    else:
-        tracked = range(aut.num_counters)
-    succ = _Succ(tracked, False, edges_of)
-    full = (1 << aut.num_acc_sets) - 1
+    succ = _Succ(product.edges, range(aut.num_counters), False, aut.num_acc_sets)
 
     def passes(t: int) -> bool:
         if t > 0:
-            return _accepts(succ, 0, succ.num_slots, t, full)[0] is not None
-        edges: list[tuple] = []
-        for s, _ in enumerate(product.order):  # it grows as nodes are met
-            edges += edges_of(s)
-        return bool(accepting_components(len(product.order), edges, aut.num_acc_sets)[1])
+            return _accepts(succ, 0, t)[0] is not None
+        return bool(accepting_components(*product.whole(), aut.num_acc_sets)[1])
 
     if guess is ABOVE_CAP:
         first: tuple[int, ...] = (cap,)
     elif isinstance(guess, int) and guess >= 1:
         first = (min(guess, cap), min(guess + 1, cap))
-    else:  # no guess, NO_RUN or below 1: the search starts at 0, then 1
+    else:  # no guess, or below 1: the search starts at 0, then 1
         first = ()
-    # The highest threshold known to pass (-1, for NO_RUN, until one does)
-    # and the lowest known to fail (cap + 1 until the cap is tested).
+    # The highest threshold known to pass (-1 until one does) and the
+    # lowest known to fail (cap + 1 until the cap is tested).
     lo, hi = -1, cap + 1
     probes = iter(first)
     while hi - lo > 1:
@@ -599,7 +572,7 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
             lo = t
         else:
             hi = t
-    return NO_RUN if lo < 0 else ABOVE_CAP if lo == cap else lo
+    return ABOVE_CAP if lo == cap else lo
 
 
 def to_dot(aut: CounterAutomaton) -> str:

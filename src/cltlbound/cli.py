@@ -44,7 +44,7 @@ from .translate import (
     build_counter_automaton,  # noqa: F401  kept importable here for bench/tracing.py
     prune_dominated,  # noqa: F401  likewise
 )
-from .words import ABOVE_CAP, NO_RUN, parse_lasso
+from .words import ABOVE_CAP, parse_lasso
 
 
 class _UsageError(Exception):
@@ -163,13 +163,13 @@ def _check_value(phi, frag: str, word, cap: int, val) -> str:
     # search, whose answer does not depend on it.
     if frag == COST_GT:
         side = value_on_lasso(Tableau(phi), word, cap, val)
-        side = 0 if side is NO_RUN else side  # the empty-sup convention
+        side = 0 if side == -1 else side  # no run: the empty-sup convention
         expect = val
     else:
-        # The dual value is the U<= value minus one, NO_RUN standing for -1;
-        # a plain formula's infinite value is above every cap.
+        # The dual value is the U<= value minus one, -1 meaning no run; a
+        # plain formula's infinite value is above every cap.
         val = ABOVE_CAP if val == "infinite" else val
-        expect = val if val is ABOVE_CAP else NO_RUN if val == 0 else val - 1
+        expect = val if val is ABOVE_CAP else val - 1
         side = value_on_lasso(Tableau(negate_dual(phi)), word, cap, expect)
     if side != expect:
         return f"mismatch: automaton route says {side!r}, expected {expect!r}"

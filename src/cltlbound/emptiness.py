@@ -35,15 +35,14 @@ def find_accepting_lasso(
 
     The run found observes every counter at t or more, or with bounded=True
     keeps every counter at t or below; at the default t = 0 the search
-    ignores counters.  When explored is a list, it receives the numbers of
+    ignores counters.  The test reads the `_Succ` aut keeps for each
+    reading.  When explored is a list, it receives the numbers of
     configurations and edges the search explored.
     """
     if t < 0:
         raise ValueError("threshold must be nonnegative")
-    succ, num_slots = aut._bounded_rows if bounded else aut._capped_rows
-    full = (1 << aut.num_acc_sets) - 1
     edges: list[tuple] = []
-    found, configs = _accepts(succ, aut.init, num_slots, t, full, bounded, edges)
+    found, configs = _accepts(aut._bounded if bounded else aut._capped, aut.init, t, edges)
     if explored is not None:
         explored[:] = (configs, len(edges))
     if found is None:

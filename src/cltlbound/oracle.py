@@ -68,7 +68,7 @@ def eval_ltl_on_lasso(phi: Formula, word: LassoWord, n: int | None = None) -> bo
     if dual:
         phi = negate_dual(phi)
     pre = len(word.prefix)
-    letters = [word.letter(i) for i in range(word.positions())]
+    letters = word.prefix + word.cycle
     memo: dict[int, list] = {}
     return _table(phi, letters, pre, n, memo)[0] != dual
 

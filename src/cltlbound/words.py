@@ -14,7 +14,7 @@ Letter = frozenset
 
 
 class _Marker:
-    """Out-of-band evaluation results shared by the oracle and the automaton side."""
+    """An out-of-band evaluation result shared by the oracle and the automaton side."""
 
     __slots__ = ("_name",)
 
@@ -26,7 +26,6 @@ class _Marker:
 
 
 ABOVE_CAP = _Marker("AboveCap")
-NO_RUN = _Marker("NoRun")
 
 
 class LassoSyntaxError(ValueError):

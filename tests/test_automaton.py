@@ -17,7 +17,7 @@ from cltlbound.cegar import run_peak, run_value
 from cltlbound.emptiness import check_lasso_run, find_accepting_lasso
 from cltlbound.formula import cost_operator_count, negate_dual, parse_formula
 from cltlbound.translate import Tableau
-from cltlbound.words import ABOVE_CAP, NO_RUN, parse_lasso
+from cltlbound.words import ABOVE_CAP, parse_lasso
 
 from corpus import (
     naive_accepts,
@@ -103,12 +103,25 @@ def block_counter():
 
 
 def test_value_on_lasso_block_counter():
-    aut = block_counter()
-    assert value_on_lasso(aut, parse_lasso("| {a} {a} {}"), 10) == 2
-    assert value_on_lasso(aut, parse_lasso("| {}"), 10) == 0
-    assert value_on_lasso(aut, parse_lasso("{a} {a} {a} | {}"), 10) == 0
-    assert value_on_lasso(aut, parse_lasso("| {a}"), 10) is NO_RUN
-    assert value_on_lasso(aut, parse_lasso("| {a} {a} {a} {}"), 3) is ABOVE_CAP
+    # Every counter is tracked, so a second counter that is only
+    # incremented, never observed, changes no answer.
+    extra = CounterAutomaton(
+        num_states=1,
+        init=0,
+        num_counters=2,
+        num_acc_sets=1,
+        transitions=(
+            Transition(0, cube("a"), ("i", "i"), frozenset(), 0),
+            Transition(0, cube("!a"), ("or", "i"), frozenset({0}), 0),
+        ),
+        ap=("a",),
+    )
+    for aut in (block_counter(), extra):
+        assert value_on_lasso(aut, parse_lasso("| {a} {a} {}"), 10) == 2
+        assert value_on_lasso(aut, parse_lasso("| {}"), 10) == 0
+        assert value_on_lasso(aut, parse_lasso("{a} {a} {a} | {}"), 10) == 0
+        assert value_on_lasso(aut, parse_lasso("| {a}"), 10) == -1
+        assert value_on_lasso(aut, parse_lasso("| {a} {a} {a} {}"), 3) is ABOVE_CAP
 
 
 def test_value_on_lasso_needs_positive_cap():
@@ -118,10 +131,10 @@ def test_value_on_lasso_needs_positive_cap():
 
 def guesses(value, cap):
     """Right and wrong guesses around value and cap: the value itself, its
-    neighbours (NO_RUN counting as -1, ABOVE_CAP as cap), both ends of the
-    range and past them, and both markers."""
-    v = -1 if value is NO_RUN else cap if value is ABOVE_CAP else value
-    return [None, 0, 1, v - 1, v, v + 1, cap - 1, cap, cap + 5, -3, ABOVE_CAP, NO_RUN]
+    neighbours (ABOVE_CAP counting as cap), both ends of the range and
+    past them, -1 (no run) and the marker."""
+    v = cap if value is ABOVE_CAP else value
+    return [None, 0, 1, v - 1, v, v + 1, cap - 1, cap, cap + 5, -3, ABOVE_CAP, -1]
 
 
 def value_cap_pairs():
@@ -165,12 +178,12 @@ def test_the_guess_never_changes_the_value():
 def test_a_right_guess_costs_at_most_two_threshold_tests(monkeypatch):
     # Positive thresholds are tested on the fly, so a right positive or
     # ABOVE_CAP guess never builds the whole lasso graph; threshold 0 asks
-    # its SCCs, once for a right 0 or NO_RUN guess.
+    # its SCCs, once for a right 0 or -1 guess.
     calls, graphs = [], []
     engine = cltlbound.automaton._accepts
     sccs = cltlbound.automaton.accepting_components
     monkeypatch.setattr(
-        cltlbound.automaton, "_accepts", lambda *args: calls.append(args[3]) or engine(*args)
+        cltlbound.automaton, "_accepts", lambda *args: calls.append(args[2]) or engine(*args)
     )
     monkeypatch.setattr(
         cltlbound.automaton,
@@ -189,16 +202,16 @@ def test_a_right_guess_costs_at_most_two_threshold_tests(monkeypatch):
     g = Tableau(parse_formula("G> a"))
     for aut, text, want in [
         (block_counter(), "| {}", 0),
-        (block_counter(), "| {a}", NO_RUN),
+        (block_counter(), "| {a}", -1),
         (g, "| {a} {}", 0),
-        (g, "| {}", NO_RUN),
+        (g, "| {}", -1),
     ]:
         word = parse_lasso(text)
         assert value_on_lasso(aut, word, 10) == want
         calls.clear()
         graphs.clear()
         assert value_on_lasso(aut, word, 10, want) == want
-        assert calls == ([] if want is NO_RUN else [1]), (text, calls)
+        assert calls == ([] if want == -1 else [1]), (text, calls)
         assert len(graphs) == 1, (text, graphs)
 
 
@@ -287,7 +300,7 @@ def test_capped_unfolding_agrees_with_value_on_lasso():
         product = synchronized_product(aut, word_model(word, ("a", "b")))
         for t in range(cap + 1):
             hit = find_accepting_lasso(product, t)
-            reaches = value is ABOVE_CAP or (value is not NO_RUN and value >= t)
+            reaches = value is ABOVE_CAP or value >= t
             assert (hit is not None) == reaches, (aut, word, t, value)
             if hit is not None:
                 assert run_value(hit[0], product) >= t

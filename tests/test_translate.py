@@ -19,7 +19,7 @@ from cltlbound.formula import (
 )
 from cltlbound.oracle import value_inf
 from cltlbound.translate import Tableau, build_counter_automaton, prune_dominated
-from cltlbound.words import ABOVE_CAP, NO_RUN, parse_lasso
+from cltlbound.words import ABOVE_CAP, parse_lasso
 
 from corpus import random_formula, random_lasso, reference_automaton, word_model
 
