@@ -21,7 +21,13 @@ value mode with `--oracle-check`:
 - the first 20 pairs of each value-corpus stream (the R> stream of
   criterion 3 and the U<= stream of criterion 1, drawn by
   `tests/corpus.py` with criterion 3's rule of redrawing formulas with
-  more than four cost operators) at cap 10.
+  more than four cost operators) at cap 10;
+
+and last the 8 sup and 4 inf formulas over L12 and L21, models of the
+sizes the benchmark's `sup-gap` workload draws, with `--witness --trace
+--oracle-check`.  They are rendered by `scripts/make_lk_models.py` into
+a temporary directory, and the queries run from inside it, so that their
+model path reads `L12.model` and `L21.model` in every checkout.
 
 The script imports the package from the `src` directory next to it and
 runs from the repository root, so running the copy in another checkout
@@ -37,12 +43,15 @@ import json
 import os
 import random
 import sys
+import tempfile
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
+sys.path.insert(0, os.path.join(ROOT, "scripts"))  # also when imported, as a test does
 
 from corpus import random_formula, random_lasso  # noqa: E402
+from make_lk_models import render  # noqa: E402
 
 from cltlbound.cli import main  # noqa: E402
 from cltlbound.formula import cost_operator_count, format_formula  # noqa: E402
@@ -74,6 +83,8 @@ VALUE_WORDS = {  # words of value 0, 1 and above the default cap
     "G> a": ["| {}", "{a} {a} | {}", "| {a}"],
     "G (F<= !a)": ["| {}", "{a} | {}", "| {a}"],
 }
+# L_k models beyond the fixtures' L0-L8, run from a temporary directory.
+LARGE_MODELS = (12, 21)
 # Values just below, at and just above each cap: value m - 1 for G> a on
 # a^m | {} {a}, and m for F<= b on a^m | {b}.
 LARGE_CAPS = (50, 200)
@@ -123,6 +134,14 @@ def queries() -> list[list[str]]:
     return out + large_value_queries() + corpus_queries()
 
 
+def large_model_queries() -> list[list[str]]:
+    out = []
+    for k in LARGE_MODELS:
+        out += [["--mode", "sup", "-f", phi, "-m", f"L{k}.model", *FLAGS] for phi in SUP_FORMULAS]
+        out += [["--mode", "inf", "-f", phi, "-m", f"L{k}.model", *FLAGS] for phi in INF_FORMULAS]
+    return out
+
+
 def report(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -136,6 +155,16 @@ def run() -> None:
     os.chdir(ROOT)
     for argv in queries():
         print(json.dumps(report(argv)), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in LARGE_MODELS:
+            with open(os.path.join(tmp, f"L{k}.model"), "w", encoding="utf-8") as handle:
+                handle.write(render(k))
+        os.chdir(tmp)
+        try:
+            for argv in large_model_queries():
+                print(json.dumps(report(argv)), flush=True)
+        finally:
+            os.chdir(ROOT)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ value, then reset) and "r" (reset).
 
 One pairing loop makes every product (`_Product`): a source that answers
 `successors(state, cube)`, a CounterAutomaton or a formula's
-`translate.Tableau`, paired with a whole model (`synchronized_product`)
-or with one lasso word, a one-path model (`value_on_lasso`).  It expands
-a node when first asked for its edges; `whole()` expands them all.
+`translate.Tableau`, paired with a whole model (`_ModelProduct`) or with
+one lasso word, a one-path model (`value_on_lasso`).  It expands a node
+when first asked for its edges; `whole()` expands them all, and
+`synchronized_product` makes a CounterAutomaton of that.
 
 A threshold test asks whether some accepting run observes every counter
 at t or more.  One engine answers it (`_accepts`): configurations pair a
@@ -19,12 +20,13 @@ first as it generates them and stops at the first accepting cycle it
 meets.  With counters bounded instead of capped, the same engine keeps
 the runs whose every counter stays at t or below: a U<= automaton's run
 is worth its largest counter value.  A test reads one `_Succ`, which
-both front ends build alike from a node's edges: it compiles a node's
-rows when a test first reaches it and carries the test's reading.  The
-model front end keeps one per reading of a whole automaton
-(`emptiness.find_accepting_lasso`, which the sup and inf searches run on
-the formula × model product) and threads a witness lasso through the
-accepting component the test stops in.  The lasso front end
+every front end builds alike from a node's edges, plain tuples (src,
+dst, acceptance sets, actions, cube): it compiles a node's rows when a
+test first reaches it and carries the test's reading.  The model front
+end (`emptiness.find_accepting_lasso`) keeps one per reading of a
+CounterAutomaton or of a `_ModelProduct`, the formula × model product
+the sup and inf searches read node by node, and threads a witness lasso
+through the accepting component the test stops in.  The lasso front end
 (`value_on_lasso`) reads a source's product with one lasso word on the
 fly: a positive threshold test expands a node when it first reaches it.
 Only threshold 0, "is there any accepting run?", builds the whole lasso
@@ -35,6 +37,7 @@ needs it.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -100,6 +103,13 @@ class Transition:
     acc: frozenset
     dst: int
 
+    @classmethod
+    def of_edge(cls, edge: tuple) -> Transition:
+        """The transition of a plain edge (src, dst, acceptance sets,
+        actions, cube), the form automata and products give their edges."""
+        src, dst, acc, actions, cube = edge
+        return cls(src, cube, actions, acc, dst)
+
 
 @dataclass(frozen=True)
 class LassoRun:
@@ -150,32 +160,35 @@ class CounterAutomaton:
         model's cubes, so the query cube is not applied here."""
         return [(t.dst, t.cube, t.acc, t.actions) for t in self.by_source.get(state, ())]
 
+    def edges(self, state: int) -> list[tuple]:
+        """The transitions leaving state as plain edges (src, dst,
+        acceptance sets, actions, cube), the form a product's edges take."""
+        return self._edges.get(state, ())
+
     @cached_property
-    def _transition_set(self) -> frozenset:
-        """Every transition, for `emptiness.check_lasso_run`."""
-        return frozenset(self.transitions)
+    def _edges(self) -> dict[int, list[tuple]]:
+        return {
+            s: [(s, t.dst, t.acc, t.actions, t.cube) for t in out]
+            for s, out in self.by_source.items()
+        }
 
     @cached_property
     def _capped(self) -> _Succ:
-        return self._succ("o", bounded=False)
+        return _Succ(self.edges, _touched(self, "o"), False, self.num_acc_sets)
 
     @cached_property
     def _bounded(self) -> _Succ:
-        return self._succ("i", bounded=True)
+        return _Succ(self.edges, _touched(self, "i"), True, self.num_acc_sets)
 
-    def _succ(self, key: str, bounded: bool) -> _Succ:
-        """A threshold test on every transition, each labelling its own row,
-        made once per reading.  Capped, only observed counters are tracked:
-        a never-observed counter is never tested, and a never-incremented
-        one stays at 0, so its observations fail at every positive
-        threshold.  Bounded, only incremented counters are tracked: only an
-        increment can push a counter past the bound."""
-        tracked = {c for t in self.transitions for c, a in enumerate(t.actions) if key in a}
-        by_source = self.by_source
-        return _Succ(
-            lambda s: [(s, t.dst, t.acc, t.actions, t) for t in by_source.get(s, ())],
-            sorted(tracked), bounded, self.num_acc_sets,
-        )
+
+def _touched(aut: CounterAutomaton, key: str) -> list[int]:
+    """The counters some transition of aut acts on with key: a threshold
+    test's tracked counters.  Capped, the observed ones ("o"): a
+    never-observed counter is never tested, and a never-incremented one
+    stays at 0, so its observations fail at every positive threshold.
+    Bounded, the incremented ones ("i"): only an increment can push a
+    counter past the bound."""
+    return sorted({c for t in aut.transitions for c, a in enumerate(t.actions) if key in a})
 
 
 def _narrow(own: Cube, cube: Cube) -> Cube | None:
@@ -237,7 +250,7 @@ class _Product:
         index, order = self._index, self.order
         for dst_a, cube_a, acc_a, actions_a in got:
             for cube_b, dst_b, acc_b, actions_b in guarded:
-                cube = cube_a if cube_a is cube_b else cube_a.merge(cube_b)
+                cube = cube_a if cube_a is cube_b else _narrow(cube_a, cube_b)
                 if cube is None:
                     continue
                 tgt = (dst_a, dst_b)
@@ -258,24 +271,74 @@ class _Product:
         return len(self.order), edges
 
 
+class _ModelProduct(_Product):
+    """Counter automaton a's product with a whole model b, node by node,
+    read as a counter automaton: counters and acceptance sets are
+    reindexed disjointly (b's shifted after a's), and node 0 is the
+    initial pair.  The sup and inf searches test it as they reach it
+    (`emptiness.find_accepting_lasso`), through the same two readings a
+    `CounterAutomaton` keeps, and `unobserving`; none of them builds a
+    `Transition`.  num_states counts the nodes met so far.
+    """
+
+    init = 0
+
+    def __init__(self, a: CounterAutomaton, b: CounterAutomaton):
+        shift = a.num_acc_sets
+        by_source = b.by_source
+        rows = []
+        shared_cubes: dict[Cube, Cube] = {}  # one object per value, for the source's memo
+        for q in range(b.num_states):
+            out = by_source.get(q, ())
+            guarded = [(t.cube, t.dst, frozenset(shift + i for i in t.acc), t.actions) for t in out]
+            shared = _shared_cube([t.cube for t in out]) if out else TOP_CUBE
+            rows.append((shared_cubes.setdefault(shared, shared), guarded))
+        super().__init__(a, b.init, rows)
+        self._parts = (a, b)
+        self.num_counters = a.num_counters + b.num_counters
+        self.num_acc_sets = a.num_acc_sets + b.num_acc_sets
+        self.ap = tuple(sorted(set(a.ap) | set(b.ap)))
+
+    @property
+    def num_states(self) -> int:
+        return len(self.order)
+
+    @cached_property
+    def _capped(self) -> _Succ:
+        return self._succ("o", bounded=False)
+
+    @cached_property
+    def _bounded(self) -> _Succ:
+        return self._succ("i", bounded=True)
+
+    def _succ(self, key: str, bounded: bool) -> _Succ:
+        a, b = self._parts
+        tracked = _touched(a, key) + [a.num_counters + c for c in _touched(b, key)]
+        return _Succ(self.edges, tracked, bounded, self.num_acc_sets)
+
+    @cached_property
+    def unobserving(self) -> _ModelProduct:
+        """This product whose capped reading drops every edge that observes
+        a counter: its accepting runs are the product's runs of infinite
+        value.  A shallow copy, so it shares this product's node numbering
+        and expansions, and its runs are this product's runs."""
+        view = copy.copy(self)
+        view._capped = _Succ(
+            lambda s: [e for e in self.edges(s) if not any("o" in a for a in e[3])],
+            (), False, self.num_acc_sets,
+        )
+        return view
+
+
 def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAutomaton:
-    """Synchronous product; counters and acceptance sets are reindexed
-    disjointly (b's shifted after a's).  States are numbered in BFS
-    discovery order from the initial pair (`_Product.whole`)."""
-    shift = a.num_acc_sets
-    by_source = b.by_source
-    rows = []
-    shared_cubes: dict[Cube, Cube] = {}  # one object per value, for the source's memo
-    for q in range(b.num_states):
-        out = by_source.get(q, ())
-        guarded = [(t.cube, t.dst, frozenset(shift + i for i in t.acc), t.actions) for t in out]
-        shared = _shared_cube([t.cube for t in out]) if out else TOP_CUBE
-        rows.append((shared_cubes.setdefault(shared, shared), guarded))
-    num_states, edges = _Product(a, b.init, rows).whole()
-    transitions = tuple(Transition(s, c, act, acc, d) for s, d, acc, act, c in edges)
+    """Synchronous product as a whole automaton (`_ModelProduct`, every
+    node expanded): states are numbered in BFS discovery order from the
+    initial pair (`_Product.whole`)."""
+    product = _ModelProduct(a, b)
+    num_states, edges = product.whole()
+    transitions = tuple(map(Transition.of_edge, edges))
     return CounterAutomaton(
-        num_states, 0, a.num_counters + b.num_counters, a.num_acc_sets + b.num_acc_sets,
-        transitions, tuple(sorted(set(a.ap) | set(b.ap))),
+        num_states, 0, product.num_counters, product.num_acc_sets, transitions, product.ap,
     )
 
 
@@ -300,16 +363,16 @@ def _word_rows(word: LassoWord, ap) -> list[tuple]:
 
 class _Succ(dict):
     """A threshold test's graph and reading, all `_accepts` reads: node ->
-    the rows leaving it, as (dst, acceptance bitmask, counter ops, label),
+    the rows leaving it, as (dst, acceptance bitmask, counter ops, edge),
     in order.  A counter op is (slot, action char), and the tracked
     counters take the slots in the order given.  Capped, a tracked counter
     keeps its increments, resets and observations; bounded, its increments
     and resets only.  bounded, num_slots and full (the mask of all
     num_acc_sets acceptance sets) are kept for the test.
 
-    edges_of returns the edges (src, dst, acceptance sets, actions, label)
+    edges_of returns the edges (src, dst, acceptance sets, actions, cube)
     leaving a node: a node's rows are compiled from them when the search
-    first looks it up, and kept.
+    first looks it up, and kept, each row labelled with its edge.
     """
 
     def __init__(self, edges_of, tracked, bounded: bool, num_acc_sets: int):
@@ -326,7 +389,8 @@ class _Succ(dict):
     def __missing__(self, node: int) -> list[tuple]:
         slot, kept, compiled, masks = self._slot, self._kept, self._ops, self._masks
         rows = self[node] = []
-        for _, dst, acc, actions, label in self._edges_of(node):
+        for edge in self._edges_of(node):
+            _, dst, acc, actions, _ = edge
             ops = compiled.get(actions)
             if ops is None:
                 ops = compiled[actions] = tuple(
@@ -339,7 +403,7 @@ class _Succ(dict):
             mask = masks.get(acc)
             if mask is None:
                 mask = masks[acc] = sum(1 << a for a in acc)
-            rows.append((dst, mask, ops, label))
+            rows.append((dst, mask, ops, edge))
         return rows
 
 
@@ -420,7 +484,7 @@ def _accepts(
     generated, by Couvreur's SCC-based emptiness check ("On-the-fly
     verification of linear temporal logic", FM'99; see also Renault et
     al., LPAR 2013).  succ maps a node to its rows (dst node, acceptance
-    bitmask, counter ops, label), made when the search first looks the
+    bitmask, counter ops, edge), made when the search first looks the
     node up (`_Succ`); succ.full is the mask of every set.  Each root
     of a component still on the stack carries the sets met inside the
     component, and the set of the edge that entered it, which joins the
@@ -431,11 +495,11 @@ def _accepts(
 
     Returns (found, configurations explored), which on a failed test is
     the whole unfolding.  found is None or (stem, root, component): the
-    labels of the rows that entered the DFS frames down to the accepting
+    edges of the rows that entered the DFS frames down to the accepting
     component's root, the root's index, and the indices of the
     component's configurations (the live ones from the root on).  When
     edges is a list, it receives every kept edge explored as (src, dst,
-    acceptance bitmask, label); the component's edges cover every set.
+    acceptance bitmask, edge); the component's edges cover every set.
     """
     bounded, full = succ.bounded, succ.full
     start = (init, (0,) * succ.num_slots)
@@ -445,12 +509,12 @@ def _accepts(
     roots = [0]  # index of each unfinished component's root
     sets = [0]  # acceptance sets met inside each of those components
     entry = [0]  # acceptance sets of the edge entering each root
-    # A frame: configuration, its index, its rows left, the label entering it.
+    # A frame: configuration, its index, its rows left, the edge entering it.
     todo = [(start, 0, iter(succ[init]), None)]
     while todo:
         v, s, rows, _ = todo[-1]
         vals = v[1]
-        for dst, mask, ops, label in rows:
+        for dst, mask, ops, edge in rows:
             if ops:
                 # The counter step, inline: it runs once per edge.
                 new = list(vals)
@@ -476,15 +540,15 @@ def _accepts(
             if i is None:
                 i = index[w] = len(index)
                 if edges is not None:
-                    edges.append((s, i, mask, label))
+                    edges.append((s, i, mask, edge))
                 live.append(i)
                 roots.append(i)
                 sets.append(0)
                 entry.append(mask)
-                todo.append((w, i, iter(succ[dst]), label))
+                todo.append((w, i, iter(succ[dst]), edge))
                 break
             if edges is not None:
-                edges.append((s, i, mask, label))
+                edges.append((s, i, mask, edge))
             if i in dead:
                 continue
             while roots[-1] > i:

@@ -1,17 +1,23 @@
 """Iterated bound search: sup and inf of a cost formula over a model.
 
-The sup side translates the R> formula once and products it with the
-model once.  Each pass then asks whether some model word has a value
+Both sides translate the formula once and read its product with the
+model node by node (`automaton._ModelProduct`): each test expands the
+product nodes it reaches, and the later tests of the query reuse them.
+No product automaton is built.
+
+On the sup side, each pass asks whether some model word has an R> value
 above a threshold n: the threshold test at n + 1 finds an accepting
 lasso of the product exactly when one does, and that lasso's run value
 is a lower bound on the sup.  The threshold gallops (doubling past each
 value found) until a pass comes back empty, then bisects between the
 best value found and that threshold; the best value is the sup.  The
 first pass looks for a run that observes no counter first, a word of
-infinite value, where the test at 1 may find a run worth just 1.  The
-best value starts at -1, the sup when the
-product accepts no model word: an empty test at n = 0 makes the bisection
-test n = -1, which asks whether the product accepts any word at all.
+infinite value, where the test at 1 may find a run worth just 1: it
+reads the product without the edges that observe a counter
+(`_ModelProduct.unobserving`).  The best value starts at -1, the sup
+when the product accepts no model word: an empty test at n = 0 makes the
+bisection test n = -1, which asks whether the product accepts any word
+at all.
 A U<= formula goes through its R> dual: a word fails phi[n] exactly when
 its dual value is n or more, so the U<= sup is the dual's sup plus one.
 A plain formula is a U<= formula without counters (value 0 where it holds,
@@ -34,15 +40,15 @@ A user cutoff below that default proves nothing: a value above it ends
 the search with the outcome `cutoff-reached`, not `unbounded`.  A user
 cutoff at or above the default only caps the work.
 
-The inf side also translates once and products once.  The U<= automaton
-counts, per occurrence, the failures of its left operand (see
-`translate`), and a word's value is the least n for which some accepting
-run keeps every counter at n or below.  So the inf is the least n at
-which the threshold test with counters bounded by n finds an accepting
-lasso of the product.  First comes a
-Streett check on the product itself: a run keeps its counters bounded iff
-each counter it increments infinitely often it also resets infinitely
-often, and `graphs.bounded_components` decides that by SCC refinement.
+On the inf side, the U<= automaton counts, per occurrence, the failures
+of its left operand (see `translate`), and a word's value is the least n
+for which some accepting run keeps every counter at n or below.  So the
+inf is the least n at which the threshold test with counters bounded by
+n finds an accepting lasso of the product.  First comes a Streett check
+on the whole product, which expands every node: a run keeps its
+counters bounded iff each counter it increments infinitely often it also
+resets infinitely often, and `graphs.bounded_components` decides that by
+SCC refinement.
 No surviving component proves `infinite-inf` exactly, with no cutoff.
 Otherwise the check returns a lasso whose loop resets every counter it
 increments, so its counters stay at or below some U, and the bounded
@@ -58,7 +64,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .automaton import CounterAutomaton, LassoRun, synchronized_product
+from .automaton import CounterAutomaton, LassoRun, _ModelProduct
+from .automaton import synchronized_product  # noqa: F401  kept importable here for bench/tracing.py
 from .emptiness import check_lasso_run, find_accepting_lasso, find_bounded_lasso, reachable_part
 from .formula import (
     COST_GT,
@@ -100,7 +107,7 @@ class BoundResult:
         return sum(1 for row in self.trace if row.kind == "search" and row.n >= 0)
 
 
-def _read_run(run: LassoRun, aut: CounterAutomaton) -> tuple[int | float, int]:
+def _read_run(run: LassoRun, aut: CounterAutomaton | _ModelProduct) -> tuple[int | float, int]:
     """An accepting run's least counter observation (inf if none) and the
     largest counter value it reaches.
 
@@ -126,12 +133,12 @@ def _read_run(run: LassoRun, aut: CounterAutomaton) -> tuple[int | float, int]:
     return least, peak
 
 
-def run_value(run: LassoRun, aut: CounterAutomaton) -> int | float:
+def run_value(run: LassoRun, aut: CounterAutomaton | _ModelProduct) -> int | float:
     """Value of an accepting run: its least counter observation, inf if none."""
     return _read_run(run, aut)[0]
 
 
-def run_peak(run: LassoRun, aut: CounterAutomaton) -> int:
+def run_peak(run: LassoRun, aut: CounterAutomaton | _ModelProduct) -> int:
     """Largest counter value an accepting run reaches: its value under the
     bounded reading of a U<= automaton."""
     return _read_run(run, aut)[1]
@@ -139,14 +146,6 @@ def run_peak(run: LassoRun, aut: CounterAutomaton) -> int:
 
 def _pruned(phi: Formula) -> CounterAutomaton:
     return build_counter_automaton(phi)  # the translation prunes itself
-
-
-def _unobserving(product: CounterAutomaton) -> CounterAutomaton:
-    """product minus every transition that observes a counter: its
-    accepting runs are the product's runs of infinite value."""
-    return replace(product, transitions=tuple(
-        tr for tr in product.transitions if not any("o" in a for a in tr.actions)
-    ))
 
 
 def _fish_word(model: CounterAutomaton) -> LassoWord | None:
@@ -182,7 +181,7 @@ def _sup_direct(model, phi, cutoff):
     aut = _pruned(phi)
     sound = aut.num_states * reachable_part(model)[0]
     limit = sound if cutoff is None else cutoff
-    product = synchronized_product(aut, model)
+    product = _ModelProduct(aut, model)
     trace: list[IterationStats] = []
     best, best_word = -1, None  # largest value found so far, and its word
     ceiling = None  # least n shown to bound every value, once one is
@@ -195,7 +194,7 @@ def _sup_direct(model, phi, cutoff):
         explored: list[int] = []
         hit = None
         if n == 0:
-            hit = find_accepting_lasso(_unobserving(product), explored=explored)
+            hit = find_accepting_lasso(product.unobserving, explored=explored)
         if hit is None:
             hit = find_accepting_lasso(product, n + 1, explored=explored)
         p = None
@@ -236,10 +235,10 @@ def compute_inf_bound(
 ) -> BoundResult:
     """inf of the value of phi over the model's language.
 
-    Translates phi once, products it with the model, runs the Streett
-    check and then gallops over bounded threshold tests of the product
-    (see the module docstring).  No cutoff is needed; a user `cutoff` caps the
-    thresholds tried.
+    Translates phi once, runs the Streett check on its product with the
+    model and then gallops over bounded threshold tests of the same
+    product (see the module docstring).  No cutoff is needed; a user
+    `cutoff` caps the thresholds tried.
     """
     if model.num_counters:
         raise ValueError("the model must not carry counters")
@@ -248,12 +247,12 @@ def compute_inf_bound(
     if classify_fragment(phi) in (COST_GT, MIXED):
         raise FragmentError("inf bounds apply to the U<= fragment")
     aut = _pruned(phi)
-    product = synchronized_product(aut, model)
+    product = _ModelProduct(aut, model)
     hit = find_bounded_lasso(product)
     hi, word = (None, None) if hit is None else (run_peak(hit[0], product), hit[1])
+    num_states, edges = product.whole()  # every node met, in BFS order
     trace = [IterationStats(
-        "streett", None, hi, aut.num_states, product.num_states,
-        len(product.transitions), word,
+        "streett", None, hi, aut.num_states, num_states, len(edges), word,
     )]
     if hit is None:
         return BoundResult("infinite-inf", None, None, cutoff, tuple(trace))

@@ -1,43 +1,56 @@
-"""Emptiness and witness search on a whole counter automaton.
+"""Emptiness and witness search on a counter automaton, or on a product
+read node by node.
 
 `find_accepting_lasso(aut, t)` runs the threshold test of
 `automaton._accepts` on aut: is there an accepting run whose every
 counter observation is at least t?  At t = 0 counters play no part and
 aut is read as a generalized Buchi automaton; with bounded=True the test
-asks instead for a run whose every counter stays at t or below.  The test
-explores configurations depth first from the initial one and stops at
-the first accepting cycle.  Its witness is a lasso run of aut itself:
-the DFS path into the accepting component's root, then a loop threading
-one edge per acceptance set.  The search is deterministic for a fixed
-transition order.
+asks instead for a run whose every counter stays at t or below.  aut is a
+CounterAutomaton or an `automaton._ModelProduct`, which the sup and inf
+searches pass: both give their edges as plain tuples (src, dst,
+acceptance sets, actions, cube), and the product expands a node only
+when the test reaches it.  The test explores configurations depth first
+from the initial one and stops at the first accepting cycle.  Its
+witness is a lasso run of aut itself: the DFS path into the accepting
+component's root, then a loop threading one edge per acceptance set.
+Only the lasso's edges are made `Transition`s.  The search is
+deterministic for a fixed edge order.
 
 `find_bounded_lasso` answers the Streett question on aut's reachable
 part (`reachable_part`): is there an accepting run whose counters stay
 bounded?  Its lasso's stem is a shortest path into the component it
 picks, and its loop also threads one reset edge per counter the loop may
 increment.
+
+`check_lasso_run` validates a witness against aut's own edges, which on
+a product are read from the node each transition leaves.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .automaton import CounterAutomaton, LassoRun, _accepts
+from .automaton import CounterAutomaton, LassoRun, Transition, _accepts, _ModelProduct
 from .graphs import accepting_components  # noqa: F401  kept importable here for bench/tracing.py
 from .graphs import bounded_components
 from .words import LassoWord
 
 
 def find_accepting_lasso(
-    aut: CounterAutomaton, t: int = 0, bounded: bool = False, explored: list | None = None
+    aut: CounterAutomaton | _ModelProduct,
+    t: int = 0,
+    bounded: bool = False,
+    explored: list | None = None,
 ) -> tuple[LassoRun, LassoWord] | None:
     """A lasso run of aut plus the word it reads, or None when there is none.
 
     The run found observes every counter at t or more, or with bounded=True
     keeps every counter at t or below; at the default t = 0 the search
-    ignores counters.  The test reads the `_Succ` aut keeps for each
-    reading.  When explored is a list, it receives the numbers of
-    configurations and edges the search explored.
+    ignores counters.  aut is a CounterAutomaton or a
+    `automaton._ModelProduct` (or its `unobserving` reading), and the test
+    reads the `_Succ` it keeps for each reading.  When explored is a list,
+    it receives the numbers of configurations and edges the search
+    explored.
     """
     if t < 0:
         raise ValueError("threshold must be nonnegative")
@@ -52,37 +65,39 @@ def find_accepting_lasso(
     return _lasso(stem, root, inside, _acceptance_wants(aut))
 
 
-def reachable_part(aut: CounterAutomaton) -> tuple[int, list[tuple]]:
+def reachable_part(aut: CounterAutomaton | _ModelProduct) -> tuple[int, list[tuple]]:
     """The states of aut reachable from its initial state, numbered in BFS
-    order from it, and the edges (src, dst, acceptance sets, transition)
-    leaving them, source by source in that order.  A product is numbered
-    this way already, so its edges are its transitions."""
+    order from it, and the edges (src, dst, acceptance sets, edge) leaving
+    them, source by source in that order, each with aut's own edge (src,
+    dst, acceptance sets, actions, cube).  A product read from a fresh
+    `automaton._ModelProduct` is numbered this way already."""
     index = {aut.init: 0}
     order = [aut.init]
     edges = []
-    by_source = aut.by_source
     for s, state in enumerate(order):
-        for tr in by_source.get(state, ()):
-            d = index.get(tr.dst)
+        for e in aut.edges(state):
+            d = index.get(e[1])
             if d is None:
-                d = index[tr.dst] = len(order)
-                order.append(tr.dst)
-            edges.append((s, d, tr.acc, tr))
+                d = index[e[1]] = len(order)
+                order.append(e[1])
+            edges.append((s, d, e[2], e))
     return len(order), edges
 
 
-def find_bounded_lasso(aut: CounterAutomaton) -> tuple[LassoRun, LassoWord] | None:
+def find_bounded_lasso(aut: CounterAutomaton | _ModelProduct) -> tuple[LassoRun, LassoWord] | None:
     """A lasso run of aut whose loop resets every counter it increments,
     plus the word it reads; None when no accepting run of aut keeps its
     counters bounded.
 
-    The Streett check (`graphs.bounded_components`) runs on aut's
-    reachable part.  The loop stays inside the surviving component entered
-    first in BFS order and threads, besides one edge per acceptance set,
-    one reset edge of each counter the component increments.
+    aut is a CounterAutomaton or a `automaton._ModelProduct`.  The Streett
+    check (`graphs.bounded_components`) runs on aut's reachable part, so
+    it expands every node of a product.  The loop stays inside the
+    surviving component entered first in BFS order and threads, besides
+    one edge per acceptance set, one reset edge of each counter the
+    component increments.
     """
     _, edges = reachable_part(aut)
-    marks = [_counter_marks(e[3].actions) for e in edges]
+    marks = [_counter_marks(e[3][3]) for e in edges]
     good = bounded_components(edges, aut.num_acc_sets, marks)
     if not good:
         return None
@@ -92,7 +107,7 @@ def find_bounded_lasso(aut: CounterAutomaton) -> tuple[LassoRun, LassoWord] | No
     for k in comp:
         incs |= marks[k][0]
     wants = _acceptance_wants(aut) + [
-        lambda e, c=c: "r" in e[3].actions[c]
+        lambda e, c=c: "r" in e[3][3][c]
         for c in range(aut.num_counters)
         if incs >> c & 1
     ]
@@ -118,16 +133,18 @@ def _counter_marks(actions: tuple[str, ...]) -> tuple[int, int]:
     return incs, resets
 
 
-def _acceptance_wants(aut: CounterAutomaton) -> list:
-    return [lambda e, i=i: i in e[3].acc for i in range(aut.num_acc_sets)]
+def _acceptance_wants(aut: CounterAutomaton | _ModelProduct) -> list:
+    return [lambda e, i=i: i in e[3][2] for i in range(aut.num_acc_sets)]
 
 
 def _lasso(stem, entry: int, inside: list[tuple], wants) -> tuple[LassoRun, LassoWord]:
-    """The lasso run whose stem is the transitions stem, ending at node
-    entry, and whose loop is a cycle through entry inside the component
-    whose edges (src, dst, acceptance, transition) are `inside`, threading
-    one edge that satisfies each of `wants` (or any one edge back to
-    entry); and the word it reads."""
+    """The lasso run whose stem is the edges stem, ending at node entry,
+    and whose loop is a cycle through entry inside the component whose
+    edges (src, dst, acceptance, edge) are `inside`, threading one edge
+    that satisfies each of `wants` (or any one edge back to entry); and
+    the word it reads.  Its edges, (src, dst, acceptance sets, actions,
+    cube) as the automaton or product gives them, are made `Transition`s
+    here, the only ones a search makes."""
     by_src: dict[int, list[tuple]] = {}
     for e in inside:
         by_src.setdefault(e[0], []).append(e)
@@ -141,7 +158,9 @@ def _lasso(stem, entry: int, inside: list[tuple], wants) -> tuple[LassoRun, Lass
         cur = path[-1][1]
     if cur != entry or not loop:
         loop.extend(_shortest_via(cur, lambda e: e[1] == entry, by_src))
-    run = LassoRun(tuple(stem), tuple(e[3] for e in loop))
+    run = LassoRun(
+        tuple(map(Transition.of_edge, stem)), tuple(Transition.of_edge(e[3]) for e in loop)
+    )
     return run, word_of_run(run)
 
 
@@ -172,11 +191,17 @@ def word_of_run(run: LassoRun) -> LassoWord:
     return LassoWord(prefix, cycle)
 
 
-def check_lasso_run(aut: CounterAutomaton, run: LassoRun, word: LassoWord | None = None) -> None:
+def check_lasso_run(
+    aut: CounterAutomaton | _ModelProduct, run: LassoRun, word: LassoWord | None = None
+) -> None:
     """Independent witness validation; raises ValueError on any defect.
 
-    Checks chaining, loop closure, the initial state, acceptance coverage
-    of the loop, and (when a word is given) letter-by-letter cube match.
+    Checks chaining, loop closure, the initial state, that each transition
+    is one of aut's edges leaving its source, acceptance coverage of the
+    loop, and (when a word is given) letter-by-letter cube match.  aut is a
+    CounterAutomaton or a `automaton._ModelProduct`: a product's edges are
+    read from the node the transition leaves, which must be one the
+    product has met, and expanded if no search has yet.
     """
     if not run.loop:
         raise ValueError("loop is empty")
@@ -190,9 +215,9 @@ def check_lasso_run(aut: CounterAutomaton, run: LassoRun, word: LassoWord | None
     loop_start = run.loop[0].src
     if run.loop[-1].dst != loop_start:
         raise ValueError("loop does not close")
-    known = aut._transition_set
     for t in seq:
-        if t not in known:
+        if not (0 <= t.src < aut.num_states
+                and (t.src, t.dst, t.acc, t.actions, t.cube) in aut.edges(t.src)):
             raise ValueError(f"transition not in the automaton: {t}")
     for i in range(aut.num_acc_sets):
         if not any(i in t.acc for t in run.loop):

@@ -92,6 +92,11 @@ def parse_model(text: str) -> CounterAutomaton:
     if not 0 <= init < num_states:
         raise ModelValidationError(f"init {init} out of range for {num_states} states")
 
+    # Models repeat a few cube and acceptance texts over many lines: each
+    # distinct text is read once.  A text that fails raises on its first
+    # line, so only the ones that pass are kept.
+    cubes: dict[str, Cube] = {}
+    accs: dict[str, frozenset] = {}
     transitions = []
     for lineno, (src_s, dst_s, cube_s, acc_s) in raw_trans:
         try:
@@ -100,21 +105,27 @@ def parse_model(text: str) -> CounterAutomaton:
             raise ModelSyntaxError("transition endpoints must be integers", lineno) from None
         if not (0 <= src < num_states and 0 <= dst < num_states):
             raise ModelValidationError(f"line {lineno}: state out of range in transition")
-        try:
-            cube = Cube.from_text(cube_s)
-        except ValueError as exc:
-            raise ModelSyntaxError(str(exc), lineno) from None
-        unknown = (cube.positive | cube.negative) - set(ap)
-        if unknown:
-            raise ModelValidationError(
-                f"line {lineno}: undeclared proposition {sorted(unknown)[0]!r}"
-            )
-        m = _ACC_RE.match(acc_s)
-        if not m:
-            raise ModelSyntaxError(f"bad acceptance sets {acc_s!r}", lineno)
-        acc = frozenset(int(x) for x in m.group(1).replace(",", " ").split())
-        if any(i >= num_acc for i in acc):
-            raise ModelValidationError(f"line {lineno}: acceptance index out of range")
+        cube = cubes.get(cube_s)
+        if cube is None:
+            try:
+                cube = Cube.from_text(cube_s)
+            except ValueError as exc:
+                raise ModelSyntaxError(str(exc), lineno) from None
+            unknown = (cube.positive | cube.negative) - set(ap)
+            if unknown:
+                raise ModelValidationError(
+                    f"line {lineno}: undeclared proposition {sorted(unknown)[0]!r}"
+                )
+            cubes[cube_s] = cube
+        acc = accs.get(acc_s)
+        if acc is None:
+            m = _ACC_RE.match(acc_s)
+            if not m:
+                raise ModelSyntaxError(f"bad acceptance sets {acc_s!r}", lineno)
+            acc = frozenset(int(x) for x in m.group(1).replace(",", " ").split())
+            if any(i >= num_acc for i in acc):
+                raise ModelValidationError(f"line {lineno}: acceptance index out of range")
+            accs[acc_s] = acc
         transitions.append(Transition(src, cube, (), acc, dst))
 
     return CounterAutomaton(

@@ -1,18 +1,27 @@
 import importlib.util
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import cltlbound.cegar
-from cltlbound.automaton import CounterAutomaton, Cube, LassoRun, Transition
+from cltlbound.automaton import (
+    CounterAutomaton,
+    Cube,
+    LassoRun,
+    Transition,
+    _ModelProduct,
+    synchronized_product,
+)
 from cltlbound.cegar import (
+    _pruned,
     compute_inf_bound,
     compute_sup_bound,
     run_value,
 )
-from cltlbound.emptiness import find_accepting_lasso
+from cltlbound.emptiness import check_lasso_run, find_accepting_lasso
 from cltlbound.formula import (
     COST_GT,
     COST_LE,
@@ -267,6 +276,94 @@ def test_one_translation_per_query(monkeypatch, search, text, fixture, bound):
     r = search(load_model(ROOT / "models" / f"{fixture}.model"), parse_formula(text))
     assert (r.outcome, r.bound) == ("finite", bound)
     assert len(calls) == 1
+
+
+def _fixture_queries():
+    """(search, formula text) for the sup and inf formulas of
+    `scripts/report_matrix.py`, which runs each over every fixture."""
+    spec = importlib.util.spec_from_file_location(
+        "report_matrix", ROOT / "scripts" / "report_matrix.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(compute_sup_bound, text) for text in module.SUP_FORMULAS] + [
+        (compute_inf_bound, text) for text in module.INF_FORMULAS
+    ]
+
+
+def test_bound_searches_build_no_product_automaton(monkeypatch):
+    # The searches read the formula x model product node by node: the
+    # formula automaton is the one CounterAutomaton a query builds, and
+    # the only Transitions made of product edges are the witness lassos',
+    # one per trace row that found a run (or the model's own lasso, read
+    # when no row did).
+    built = []
+    validate = CounterAutomaton.__post_init__
+    monkeypatch.setattr(
+        CounterAutomaton, "__post_init__", lambda aut: built.append(aut) or validate(aut)
+    )
+    made = []
+    of_edge = Transition.of_edge
+    monkeypatch.setattr(
+        Transition, "of_edge", staticmethod(lambda edge: made.append(edge) or of_edge(edge))
+    )
+    models = [load_model(p) for p in sorted((ROOT / "models").glob("*.model"))]
+    for search, text in _fixture_queries():
+        phi = parse_formula(text)
+        for m in models:
+            built.clear()
+            made.clear()
+            r = search(m, phi)
+            assert len(built) == 1, (text, built)
+            words = [row.word for row in r.trace if row.word is not None]
+            if not words and r.witness is not None:
+                words = [r.witness]
+            assert len(made) == sum(len(w.prefix) + len(w.cycle) for w in words), text
+
+
+def test_lazy_product_agrees_with_the_whole_product(monkeypatch):
+    # Every lasso a search finds is a run of the whole product
+    # (`synchronized_product`), once its nodes are numbered as there: the
+    # lazy product numbers them as the searches meet them.  The inf side's
+    # Streett row counts the whole product.
+    hits = []
+
+    def spy(find):
+        def found(aut, *args, **kwargs):
+            hit = find(aut, *args, **kwargs)
+            if hit is not None and isinstance(aut, _ModelProduct):
+                hits.append((aut, hit))
+            return hit
+        return found
+
+    for name in ("find_accepting_lasso", "find_bounded_lasso"):
+        monkeypatch.setattr(cltlbound.cegar, name, spy(getattr(cltlbound.cegar, name)))
+    checked = 0
+    for path in sorted((ROOT / "models").glob("*.model")):
+        m = load_model(path)
+        for search, text in _fixture_queries():
+            phi = parse_formula(text)
+            hits.clear()
+            r = search(m, phi)
+            if search is compute_inf_bound:
+                whole = synchronized_product(_pruned(phi), m)
+                streett = r.trace[0]
+                assert (streett.product_states, streett.product_transitions) == (
+                    whole.num_states, len(whole.transitions)), (text, path.name)
+            for product, (run, word) in hits:
+                whole = synchronized_product(product._source, m)
+                fresh = _ModelProduct(product._source, m)
+                fresh.whole()  # numbered as `whole` is
+                number = {pair: i for i, pair in enumerate(fresh.order)}
+
+                def renumber(t):
+                    return replace(t, src=number[product.order[t.src]],
+                                   dst=number[product.order[t.dst]])
+
+                check_lasso_run(whole, LassoRun(
+                    tuple(map(renumber, run.stem)), tuple(map(renumber, run.loop))), word)
+                checked += 1
+    assert checked > 100, checked
 
 
 def test_sup_empty_language_is_zero_without_witness():

@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from cltlbound.automaton import TOP_CUBE, CounterAutomaton, LassoRun, Transition
+from cltlbound.automaton import TOP_CUBE, CounterAutomaton, LassoRun, Transition, _ModelProduct
 from cltlbound.cegar import run_peak
 from cltlbound.emptiness import (
     check_lasso_run,
@@ -11,6 +12,7 @@ from cltlbound.emptiness import (
     reachable_part,
     word_of_run,
 )
+from cltlbound.model import parse_model
 
 from corpus import naive_is_empty, random_automaton
 
@@ -93,6 +95,45 @@ def test_checker_rejects_bad_runs():
     )
     with pytest.raises(ValueError):
         check_lasso_run(half, LassoRun((), (half.transitions[0],)))
+
+
+def test_checker_rejects_forged_runs_of_a_lazy_product():
+    # One counter, incremented on a and observed on !a, times a model
+    # whose state 1 may loop on b through no acceptance set.
+    source = CounterAutomaton(
+        1, 0, 1, 1,
+        (Transition(0, cube("a"), ("i",), frozenset(), 0),
+         Transition(0, cube("!a"), ("or",), frozenset({0}), 0)),
+        ap=("a", "b"),
+    )
+    model = parse_model(
+        "ap: a b\nstates: 2\ninit: 0\naccsets: 1\n"
+        "trans: 0 1 true {0}\ntrans: 1 0 true {}\ntrans: 1 1 b {}\n"
+    )
+    product = _ModelProduct(source, model)
+    run, word = find_accepting_lasso(product, 1)
+    check_lasso_run(product, run, word)
+    # A fresh product expands what the check reads.
+    check_lasso_run(_ModelProduct(source, model), run, word)
+    first = run.loop[0]
+    unreached = product.num_states
+    assert run.loop[1].src != first.src  # so rotating the loop breaks the chain
+    self_loop = Transition(first.src, cube("a&b"), ("i",), frozenset(), first.src)
+    assert (first.src, first.src, frozenset(), ("i",), cube("a&b")) in product.edges(first.src)
+    foreign = "transition not in the automaton"
+    forged = [
+        (LassoRun(run.stem, (replace(first, cube=cube("!a")),) + run.loop[1:]), foreign),
+        (LassoRun(run.stem, (replace(first, acc=first.acc ^ {0}),) + run.loop[1:]), foreign),
+        (LassoRun(run.stem, (replace(first, actions=("or",)),) + run.loop[1:]), foreign),
+        (LassoRun(run.stem, (replace(first, dst=unreached),
+                             replace(first, src=unreached, dst=first.src))), foreign),
+        (LassoRun(run.stem, run.loop[1:] + run.loop[:1]), "broken chain"),
+        # a real edge, through no acceptance set
+        (LassoRun(run.stem, (self_loop,)), "loop misses acceptance set"),
+    ]
+    for bad, message in forged:
+        with pytest.raises(ValueError, match=message):
+            check_lasso_run(product, bad)
 
 
 def test_word_of_run_uses_positive_literals():

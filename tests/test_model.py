@@ -1,11 +1,16 @@
 import pytest
 
+from cltlbound.automaton import Cube
 from cltlbound.model import (
     ModelSyntaxError,
     ModelValidationError,
     load_model,
     parse_model,
 )
+
+def cube(text):
+    return Cube.from_text(text)
+
 
 GOOD = """
 # two states over a, b
@@ -88,6 +93,26 @@ def test_validation_errors():
         parse_model(GOOD + "\ntrans: 0 1 a {5}\n")
     with pytest.raises(ModelValidationError):
         parse_model(GOOD.replace("states: 2", "states: 0"))
+
+
+def test_repeated_texts_are_read_once_and_fail_on_their_first_line():
+    head = "ap: a b\nstates: 2\ninit: 0\naccsets: 1\ntrans: 0 1 a&!b {0}\n"
+    lines = ["trans: 0 1 CUBE ACC", "trans: 1 0 true {}", "trans: 1 1 !a {0}",
+             "trans: 1 0 CUBE ACC"]
+    text = head + "\n".join(lines) + "\n"  # lines 6 to 9
+
+    def model(cube_text, acc_text):
+        return parse_model(text.replace("CUBE", cube_text).replace("ACC", acc_text))
+
+    with pytest.raises(ModelValidationError, match="^line 6: undeclared proposition 'c'$"):
+        model("c", "{}")
+    with pytest.raises(ModelValidationError, match="^line 6: acceptance index out of range$"):
+        model("a", "{5}")
+    aut = model("a&!b", "{0}")
+    first, repeat = aut.transitions[1], aut.transitions[4]
+    assert (first.cube, first.acc) == (repeat.cube, repeat.acc) == (cube("a&!b"), frozenset({0}))
+    assert aut.transitions[0].cube == first.cube
+    assert [(t.src, t.dst) for t in aut.transitions] == [(0, 1), (0, 1), (1, 0), (1, 1), (1, 0)]
 
 
 def test_load_model_reads_files(tmp_path):
