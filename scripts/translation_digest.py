@@ -7,10 +7,10 @@ value mode's answers, as the queries read them.
 Each translation is dumped canonically.  A whole automaton, as the sup
 and inf searches build it (`cegar._pruned`), gives its header and its
 transitions in order.  A lazy `Tableau` read along one lasso word gives
-the word's whole lasso graph (its product with the word,
-`automaton._Product.whole`, as value mode's threshold-0 test builds it;
-its positive tests expand only the nodes they reach): the number of
-nodes, the edges in order, and the number of tableau states reached.
+the word's whole lasso graph (its product with the word, walked by
+`graphs.reachable_part` as value mode's threshold-0 test walks it; its
+positive tests expand only the nodes they reach): the number of nodes,
+the edges in BFS order, and the number of tableau states reached.
 One line per stream gives the stream's number of dumps and digest, and
 the last line the digest of all of them.  The streams, drawn by
 `tests/corpus.py` with criterion 3's rule of redrawing formulas with
@@ -59,6 +59,7 @@ from cltlbound.formula import (  # noqa: E402
     cost_operator_count,
     negate_dual,
 )
+from cltlbound.graphs import reachable_part  # noqa: E402
 from cltlbound.translate import Tableau  # noqa: E402
 from cltlbound.words import ABOVE_CAP  # noqa: E402
 
@@ -84,7 +85,7 @@ def whole(phi) -> str:
 
 
 def lasso_graph(tab, word):
-    return _Product(tab, 0, _word_rows(word, tab.ap)).whole()
+    return reachable_part(_Product(tab, 0, _word_rows(word, tab.ap)))
 
 
 def lazy(phi, word) -> str:

@@ -10,7 +10,7 @@ pairs 90, 109 and 173 carry 5, 6 and 5 U<= operators, pair 195 carries
 ways, and for pair 195 only the first:
 
 - lazily along the pair's word: a `Tableau` read as value mode reads it,
-  by building its product with the word (`automaton._Product.whole`);
+  by walking its whole product with the word (`graphs.reachable_part`);
   it prints the seconds, the tableau states reached and the lasso
   graph's nodes and edges;
 - whole: `build_counter_automaton`, as the sup and inf searches build
@@ -37,6 +37,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from corpus import random_formula, random_lasso  # noqa: E402
 
 from cltlbound.automaton import _Product, _word_rows  # noqa: E402
+from cltlbound.graphs import reachable_part  # noqa: E402
 from cltlbound.translate import Tableau, build_counter_automaton  # noqa: E402
 
 WHOLE_TOO = (90, 109, 173)
@@ -56,7 +57,7 @@ def criterion_1_pairs(count: int) -> list:
 def lazy(phi, word) -> str:
     start = time.perf_counter()
     tab = Tableau(phi)
-    nodes, edges = _Product(tab, 0, _word_rows(word, tab.ap)).whole()
+    nodes, edges = reachable_part(_Product(tab, 0, _word_rows(word, tab.ap)))
     seconds = time.perf_counter() - start
     return (
         f"lazy  {seconds:7.2f} s  {tab.num_states:6d} tableau states  "

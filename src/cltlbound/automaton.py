@@ -6,12 +6,15 @@ acceptance set is visited infinitely often.  A counter takes one of four
 actions per transition: "" (skip), "i" (increment), "or" (observe the
 value, then reset) and "r" (reset).
 
-One pairing loop makes every product (`_Product`): a source that answers
-`successors(state, cube)`, a CounterAutomaton or a formula's
-`translate.Tableau`, paired with a whole model (`_ModelProduct`) or with
-one lasso word, a one-path model (`value_on_lasso`).  It expands a node
-when first asked for its edges; `whole()` expands them all, and
-`synchronized_product` makes a CounterAutomaton of that.
+Every edge is a plain tuple (src, dst, acceptance sets, actions, cube):
+a CounterAutomaton's edges, a `translate.Tableau`'s rows, a model's rows
+and a product's edges alike.  One pairing loop makes every product
+(`_Product`): a source that answers `successors(state, cube)`, a
+CounterAutomaton or a formula's `translate.Tableau`, paired with a whole
+model (`_ModelProduct`) or with one lasso word, a one-path model
+(`value_on_lasso`).  It expands a node when first asked for its edges;
+`graphs.reachable_part` walks them all, and `synchronized_product` makes
+a CounterAutomaton of that.
 
 A threshold test asks whether some accepting run observes every counter
 at t or more.  One engine answers it (`_accepts`): configurations pair a
@@ -29,7 +32,7 @@ the sup and inf searches read node by node, and threads a witness lasso
 through the accepting component the test stops in.  The lasso front end
 (`value_on_lasso`) reads a source's product with one lasso word on the
 fly: a positive threshold test expands a node when it first reaches it.
-Only threshold 0, "is there any accepting run?", builds the whole lasso
+Only threshold 0, "is there any accepting run?", walks the whole lasso
 graph, and it asks its SCCs (`graphs.accepting_components`); the order of
 the probes, set by the caller's guess, asks it only when the bracket
 needs it.
@@ -42,7 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import accepting_components
+from .graphs import accepting_components, reachable_part
 from .words import ABOVE_CAP, NAME_RE, LassoWord
 
 
@@ -155,14 +158,13 @@ class CounterAutomaton:
         return out
 
     def successors(self, state: int, cube: Cube) -> list[tuple]:
-        """The rows (dst, cube, acceptance sets, actions) of the transitions
-        leaving state, cubes as built: `_Product` conjoins each with the
-        model's cubes, so the query cube is not applied here."""
-        return [(t.dst, t.cube, t.acc, t.actions) for t in self.by_source.get(state, ())]
+        """The edges leaving state, cubes as built: `_Product` conjoins each
+        with the model's cubes, so the query cube is not applied here."""
+        return self.edges(state)
 
     def edges(self, state: int) -> list[tuple]:
         """The transitions leaving state as plain edges (src, dst,
-        acceptance sets, actions, cube), the form a product's edges take."""
+        acceptance sets, actions, cube)."""
         return self._edges.get(state, ())
 
     @cached_property
@@ -212,21 +214,22 @@ def _shared_cube(cubes) -> Cube:
 class _Product:
     """The product of source with a model given as rows, node by node.
 
-    rows[q] is (shared, guarded) for model state q: its rows (cube, dst,
-    acceptance sets, actions), and a cube all their cubes imply.  Nodes are
-    the (source state, model state) pairs reached from the initial pair,
-    node 0, numbered in the order the expansions first meet them.  Source
-    is asked once per (source state, shared cube object), and each row
-    (dst, cube, acceptance sets, actions) it returns is paired with each
-    model row, source-major, unless their cubes contradict.  A source may,
-    but need not, narrow its rows to the shared cube or drop the rows that
-    contradict it: that changes no pair.
+    rows[q] is (shared, guarded) for model state q: the edges leaving it,
+    and a cube all their cubes imply.  Nodes are the (source state, model
+    state) pairs reached from the initial pair, node 0, numbered in the
+    order the expansions first meet them.  Source is asked once per
+    (source state, shared cube object), and each edge it returns is paired
+    with each model edge, source-major, unless their cubes contradict.  A
+    source may, but need not, narrow its edges to the shared cube or drop
+    the ones that contradict it: that changes no pair.
     """
 
-    def __init__(self, source, init: int, rows: list[tuple]):
+    init = 0
+
+    def __init__(self, source, model_init: int, rows: list[tuple]):
         self._source = source
         self._rows = rows
-        start = (source.init, init)
+        start = (source.init, model_init)
         self._index = {start: 0}
         self.order = [start]  # the nodes met so far
         self._asked: dict[tuple, list[tuple]] = {}
@@ -248,8 +251,8 @@ class _Product:
         if got is None:
             got = self._asked[p, id(shared)] = self._source.successors(p, shared)
         index, order = self._index, self.order
-        for dst_a, cube_a, acc_a, actions_a in got:
-            for cube_b, dst_b, acc_b, actions_b in guarded:
+        for _, dst_a, acc_a, actions_a, cube_a in got:
+            for _, dst_b, acc_b, actions_b, cube_b in guarded:
                 cube = cube_a if cube_a is cube_b else _narrow(cube_a, cube_b)
                 if cube is None:
                     continue
@@ -262,14 +265,6 @@ class _Product:
                 edges.append((s, d, acc, actions_a + actions_b, cube))
         return edges
 
-    def whole(self) -> tuple[int, list[tuple]]:
-        """Every node expanded, in the order met (BFS from a fresh
-        product): the number of nodes and the edges, source by source."""
-        edges: list[tuple] = []
-        for s, _ in enumerate(self.order):  # it grows as nodes are met
-            edges += self.edges(s)
-        return len(self.order), edges
-
 
 class _ModelProduct(_Product):
     """Counter automaton a's product with a whole model b, node by node,
@@ -281,8 +276,6 @@ class _ModelProduct(_Product):
     `Transition`.  num_states counts the nodes met so far.
     """
 
-    init = 0
-
     def __init__(self, a: CounterAutomaton, b: CounterAutomaton):
         shift = a.num_acc_sets
         by_source = b.by_source
@@ -290,7 +283,9 @@ class _ModelProduct(_Product):
         shared_cubes: dict[Cube, Cube] = {}  # one object per value, for the source's memo
         for q in range(b.num_states):
             out = by_source.get(q, ())
-            guarded = [(t.cube, t.dst, frozenset(shift + i for i in t.acc), t.actions) for t in out]
+            guarded = [
+                (q, t.dst, frozenset(shift + i for i in t.acc), t.actions, t.cube) for t in out
+            ]
             shared = _shared_cube([t.cube for t in out]) if out else TOP_CUBE
             rows.append((shared_cubes.setdefault(shared, shared), guarded))
         super().__init__(a, b.init, rows)
@@ -332,10 +327,10 @@ class _ModelProduct(_Product):
 
 def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAutomaton:
     """Synchronous product as a whole automaton (`_ModelProduct`, every
-    node expanded): states are numbered in BFS discovery order from the
-    initial pair (`_Product.whole`)."""
+    node expanded by `reachable_part`): states are numbered in BFS
+    discovery order from the initial pair."""
     product = _ModelProduct(a, b)
-    num_states, edges = product.whole()
+    num_states, edges = reachable_part(product)
     transitions = tuple(map(Transition.of_edge, edges))
     return CounterAutomaton(
         num_states, 0, product.num_counters, product.num_acc_sets, transitions, product.ap,
@@ -343,21 +338,22 @@ def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAut
 
 
 def _word_rows(word: LassoWord, ap) -> list[tuple]:
-    """A lasso word as a one-path model's rows: position p reads its
-    letter, as a cube fixing every proposition of ap, into the next."""
+    """A lasso word as a one-path model's rows: position p has one edge,
+    reading its letter, as a cube fixing every proposition of ap, into the
+    next."""
     props = frozenset(ap)
     letters = word.prefix + word.cycle
     cubes: dict[frozenset, Cube] = {}  # by letter, and by its part over ap
     no_sets = frozenset()
     rows = []
-    for nxt, letter in enumerate(letters, 1):
+    for p, letter in enumerate(letters):
         cube = cubes.get(letter)
         if cube is None:
             own = letter & props
             cube = cubes[letter] = cubes.setdefault(own, Cube(own, props - own))
-        rows.append((cube, ((cube, nxt, no_sets, ()),)))
-    cube = rows[-1][0]  # the last position reads into the cycle's first
-    rows[-1] = (cube, ((cube, len(word.prefix), no_sets, ()),))
+        rows.append((cube, ((p, p + 1, no_sets, (), cube),)))
+    p = len(letters) - 1  # the last position reads into the cycle's first
+    rows[-1] = (cube, ((p, len(word.prefix), no_sets, (), cube),))
     return rows
 
 
@@ -587,9 +583,9 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
     time the search looks it up, and kept for the later tests.  Every
     counter of aut is tracked: one that no transition observes never
     changes a verdict.  Threshold 0 ("is there any accepting run?")
-    expands the whole graph and asks its SCC decomposition
-    (`accepting_components`): with no accepting run every reachable node
-    is explored anyway.
+    walks the whole graph (`reachable_part`) and asks its SCC
+    decomposition (`accepting_components`): with no accepting run every
+    reachable node is explored anyway.
 
     Thresholds are monotone, so the search narrows a bracket: the highest
     threshold known to pass (-1 until one does) and the lowest known to
@@ -611,7 +607,7 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
     def passes(t: int) -> bool:
         if t > 0:
             return _accepts(succ, 0, t)[0] is not None
-        return bool(accepting_components(*product.whole(), aut.num_acc_sets)[1])
+        return bool(accepting_components(*reachable_part(product), aut.num_acc_sets))
 
     if guess is ABOVE_CAP:
         first: tuple[int, ...] = (cap,)

@@ -250,7 +250,7 @@ def compute_inf_bound(
     product = _ModelProduct(aut, model)
     hit = find_bounded_lasso(product)
     hi, word = (None, None) if hit is None else (run_peak(hit[0], product), hit[1])
-    num_states, edges = product.whole()  # every node met, in BFS order
+    num_states, edges = reachable_part(product)  # the check walked it already
     trace = [IterationStats(
         "streett", None, hi, aut.num_states, num_states, len(edges), word,
     )]

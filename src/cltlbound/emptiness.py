@@ -17,10 +17,10 @@ Only the lasso's edges are made `Transition`s.  The search is
 deterministic for a fixed edge order.
 
 `find_bounded_lasso` answers the Streett question on aut's reachable
-part (`reachable_part`): is there an accepting run whose counters stay
-bounded?  Its lasso's stem is a shortest path into the component it
-picks, and its loop also threads one reset edge per counter the loop may
-increment.
+part (`graphs.reachable_part`, aut's own edges in BFS order): is there
+an accepting run whose counters stay bounded?  Its lasso's stem is a
+shortest path into the component it picks, and its loop also threads one
+reset edge per counter the loop may increment.
 
 `check_lasso_run` validates a witness against aut's own edges, which on
 a product are read from the node each transition leaves.
@@ -32,7 +32,7 @@ from collections import deque
 
 from .automaton import CounterAutomaton, LassoRun, Transition, _accepts, _ModelProduct
 from .graphs import accepting_components  # noqa: F401  kept importable here for bench/tracing.py
-from .graphs import bounded_components
+from .graphs import bounded_components, reachable_part
 from .words import LassoWord
 
 
@@ -61,27 +61,11 @@ def find_accepting_lasso(
     if found is None:
         return None
     stem, root, comp = found
+    # The explored edges are (src, dst, acceptance bitmask, edge) over
+    # configurations.
     inside = [e for e in edges if e[0] in comp and e[1] in comp]
-    return _lasso(stem, root, inside, _acceptance_wants(aut))
-
-
-def reachable_part(aut: CounterAutomaton | _ModelProduct) -> tuple[int, list[tuple]]:
-    """The states of aut reachable from its initial state, numbered in BFS
-    order from it, and the edges (src, dst, acceptance sets, edge) leaving
-    them, source by source in that order, each with aut's own edge (src,
-    dst, acceptance sets, actions, cube).  A product read from a fresh
-    `automaton._ModelProduct` is numbered this way already."""
-    index = {aut.init: 0}
-    order = [aut.init]
-    edges = []
-    for s, state in enumerate(order):
-        for e in aut.edges(state):
-            d = index.get(e[1])
-            if d is None:
-                d = index[e[1]] = len(order)
-                order.append(e[1])
-            edges.append((s, d, e[2], e))
-    return len(order), edges
+    wants = [lambda e, i=i: e[2] >> i & 1 for i in range(aut.num_acc_sets)]
+    return _lasso(stem, [e[3] for e in _cycle(root, inside, wants)])
 
 
 def find_bounded_lasso(aut: CounterAutomaton | _ModelProduct) -> tuple[LassoRun, LassoWord] | None:
@@ -91,23 +75,24 @@ def find_bounded_lasso(aut: CounterAutomaton | _ModelProduct) -> tuple[LassoRun,
 
     aut is a CounterAutomaton or a `automaton._ModelProduct`.  The Streett
     check (`graphs.bounded_components`) runs on aut's reachable part, so
-    it expands every node of a product.  The loop stays inside the
-    surviving component entered first in BFS order and threads, besides
-    one edge per acceptance set, one reset edge of each counter the
-    component increments.
+    it expands every node of a product.  The edges come source by source
+    in BFS order, so the surviving component entered first in that order
+    holds the least edge index.  The loop stays inside it and threads,
+    besides one edge per acceptance set, one reset edge of each counter
+    the component increments.
     """
     _, edges = reachable_part(aut)
-    marks = [_counter_marks(e[3][3]) for e in edges]
+    marks = [_counter_marks(e[3]) for e in edges]
     good = bounded_components(edges, aut.num_acc_sets, marks)
     if not good:
         return None
-    comp = min(good, key=lambda ids: min(edges[k][0] for k in ids))
-    entry = min(edges[k][0] for k in comp)
+    comp = min(good, key=min)
+    entry = edges[min(comp)][0]
     incs = 0
     for k in comp:
         incs |= marks[k][0]
-    wants = _acceptance_wants(aut) + [
-        lambda e, c=c: "r" in e[3][3][c]
+    wants = [lambda e, i=i: i in e[2] for i in range(aut.num_acc_sets)] + [
+        lambda e, c=c: "r" in e[3][c]
         for c in range(aut.num_counters)
         if incs >> c & 1
     ]
@@ -116,10 +101,10 @@ def find_bounded_lasso(aut: CounterAutomaton | _ModelProduct) -> tuple[LassoRun,
     for e in edges:
         parent.setdefault(e[1], e)
     stem, c = [], entry
-    while c != 0:
-        stem.append(parent[c][3])
+    while c != aut.init:
+        stem.append(parent[c])
         c = parent[c][0]
-    return _lasso(stem[::-1], entry, [edges[k] for k in comp], wants)
+    return _lasso(stem[::-1], _cycle(entry, [edges[k] for k in comp], wants))
 
 
 def _counter_marks(actions: tuple[str, ...]) -> tuple[int, int]:
@@ -133,18 +118,19 @@ def _counter_marks(actions: tuple[str, ...]) -> tuple[int, int]:
     return incs, resets
 
 
-def _acceptance_wants(aut: CounterAutomaton | _ModelProduct) -> list:
-    return [lambda e, i=i: i in e[3][2] for i in range(aut.num_acc_sets)]
+def _lasso(stem: list[tuple], loop: list[tuple]) -> tuple[LassoRun, LassoWord]:
+    """The lasso run of the edges stem and loop, (src, dst, acceptance
+    sets, actions, cube) as the automaton or product gives them, and the
+    word it reads.  They are made `Transition`s here, the only ones a
+    search makes."""
+    run = LassoRun(tuple(map(Transition.of_edge, stem)), tuple(map(Transition.of_edge, loop)))
+    return run, word_of_run(run)
 
 
-def _lasso(stem, entry: int, inside: list[tuple], wants) -> tuple[LassoRun, LassoWord]:
-    """The lasso run whose stem is the edges stem, ending at node entry,
-    and whose loop is a cycle through entry inside the component whose
-    edges (src, dst, acceptance, edge) are `inside`, threading one edge
-    that satisfies each of `wants` (or any one edge back to entry); and
-    the word it reads.  Its edges, (src, dst, acceptance sets, actions,
-    cube) as the automaton or product gives them, are made `Transition`s
-    here, the only ones a search makes."""
+def _cycle(entry: int, inside: list[tuple], wants) -> list[tuple]:
+    """A cycle through node entry inside the component whose edges, tuples
+    starting (src, dst), are `inside`, threading one edge that satisfies
+    each of `wants` (or any one edge back to entry)."""
     by_src: dict[int, list[tuple]] = {}
     for e in inside:
         by_src.setdefault(e[0], []).append(e)
@@ -158,10 +144,7 @@ def _lasso(stem, entry: int, inside: list[tuple], wants) -> tuple[LassoRun, Lass
         cur = path[-1][1]
     if cur != entry or not loop:
         loop.extend(_shortest_via(cur, lambda e: e[1] == entry, by_src))
-    run = LassoRun(
-        tuple(map(Transition.of_edge, stem)), tuple(Transition.of_edge(e[3]) for e in loop)
-    )
-    return run, word_of_run(run)
+    return loop
 
 
 def _shortest_via(start: int, want, inside: dict) -> list[tuple]:

@@ -1,8 +1,33 @@
-"""Strongly connected component helpers shared by the automaton passes."""
+"""The whole-graph passes: the reachable walk and the SCC helpers.
+
+A graph is given as edges, tuples starting (src, dst, acceptance-set
+indices), the form automata and products give theirs (`reachable_part`).
+Components come out as the indices of their internal edges, whether
+plain (`accepting_components`) or refined (`bounded_components`).
+"""
 
 from __future__ import annotations
 
 from typing import Sequence
+
+
+def reachable_part(aut) -> tuple[int, list[tuple]]:
+    """The number of states of aut reachable from aut.init, and the edges
+    leaving them, aut's own (src, dst, acceptance sets, actions, cube),
+    source by source in BFS order from aut.init.  aut is anything with
+    `init` and `edges(state)`: a CounterAutomaton or a product, which
+    expands every node it reaches here."""
+    seen = {aut.init}
+    order = [aut.init]
+    edges: list[tuple] = []
+    for state in order:  # it grows as states are met
+        out = aut.edges(state)
+        edges += out
+        for e in out:
+            if e[1] not in seen:
+                seen.add(e[1])
+                order.append(e[1])
+    return len(order), edges
 
 
 def tarjan_sccs(num_nodes: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -60,37 +85,20 @@ def accepting_components(
     num_nodes: int,
     edges: Sequence[tuple],
     num_acc_sets: int,
-) -> tuple[list[int], set[int]]:
-    """Partition into SCCs and pick out the accepting ones.
+) -> list[list[int]]:
+    """The accepting SCCs, each as the indices of its internal edges: the
+    unrefined case of `bounded_components`.
 
     edges are tuples starting (src, dst, acceptance-set-indices); further
     fields are ignored.  A component is accepting when it holds at least
     one internal edge and, for every acceptance set, an internal edge
     belonging to it; with zero acceptance sets any internal edge qualifies
-    (every infinite run accepts).
-    Returns (component id per node, ids of accepting components).
+    (every infinite run accepts).  The edges name every node on a cycle,
+    so num_nodes, the number of nodes, is not read; a trace reads it as
+    the graph's size.
     """
-    succ: list[list[int]] = [[] for _ in range(num_nodes)]
-    for e in edges:
-        succ[e[0]].append(e[1])
-    comps = tarjan_sccs(num_nodes, succ)
-    comp_of = [0] * num_nodes
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = cid
-
     full = (1 << num_acc_sets) - 1
-    internal = [False] * len(comps)
-    cover = [0] * len(comps)
-    for e in edges:
-        cid = comp_of[e[0]]
-        if comp_of[e[1]] != cid:
-            continue
-        internal[cid] = True
-        for a in e[2]:
-            cover[cid] |= 1 << a
-    accepting = {cid for cid in range(len(comps)) if internal[cid] and cover[cid] == full}
-    return comp_of, accepting
+    return [comp for comp in _split(range(len(edges)), edges) if _covers(comp, edges, full)]
 
 
 def coreachable(num_nodes: int, edges: Sequence[tuple], targets) -> set[int]:
@@ -140,14 +148,12 @@ def bounded_components(
     work: list[Sequence[int]] = [range(len(edges))]
     while work:
         for comp in _split(work.pop(), edges):
-            incs = resets = cover = 0
+            if not _covers(comp, edges, full):
+                continue  # dropping edges never covers more sets
+            incs = resets = 0
             for k in comp:
                 incs |= marks[k][0]
                 resets |= marks[k][1]
-                for a in edges[k][2]:
-                    cover |= 1 << a
-            if cover != full:
-                continue  # dropping edges never covers more sets
             bad = incs & ~resets
             if bad:
                 work.append([k for k in comp if not marks[k][0] & bad])
@@ -177,3 +183,12 @@ def _split(ids: Sequence[int], edges: Sequence[tuple]) -> list[list[int]]:
         if comp_of[local[edges[k][1]]] == cid:
             groups.setdefault(cid, []).append(k)
     return list(groups.values())
+
+
+def _covers(comp: Sequence[int], edges: Sequence[tuple], full: int) -> bool:
+    """Do the edges comp cover every acceptance set of the mask full?"""
+    cover = 0
+    for k in comp:
+        for a in edges[k][2]:
+            cover |= 1 << a
+    return cover == full

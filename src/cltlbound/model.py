@@ -18,6 +18,7 @@ import re
 from .automaton import CounterAutomaton, Cube, Transition
 from .words import NAME_RE
 
+_DECLARATIONS = ("ap", "states", "init", "accsets")
 _ACC_RE = re.compile(r"\{\s*((\d+\s*(,\s*\d+\s*)*)?)\}\Z")
 
 
@@ -32,8 +33,7 @@ class ModelValidationError(ValueError):
 
 
 def parse_model(text: str) -> CounterAutomaton:
-    ap: tuple[str, ...] | None = None
-    num_states = init = num_acc = None
+    declared: dict[str, object] = {}  # by directive, each given once
     raw_trans: list[tuple[int, list[str]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -45,46 +45,36 @@ def parse_model(text: str) -> CounterAutomaton:
             raise ModelSyntaxError(f"expected 'key: value', got {line!r}", lineno)
         key = key.strip()
         rest = rest.strip()
-        if key == "ap":
-            if ap is not None:
-                raise ModelSyntaxError("duplicate ap declaration", lineno)
-            names = rest.split()
-            for name in names:
-                if not NAME_RE.match(name):
-                    raise ModelSyntaxError(f"bad proposition name {name!r}", lineno)
-            if len(set(names)) != len(names):
-                raise ModelSyntaxError("repeated proposition name", lineno)
-            ap = tuple(names)
-        elif key in ("states", "init", "accsets"):
-            try:
-                value = int(rest)
-            except ValueError:
-                raise ModelSyntaxError(f"{key} takes an integer, got {rest!r}", lineno) from None
-            if key == "states":
-                if num_states is not None:
-                    raise ModelSyntaxError("duplicate states declaration", lineno)
-                num_states = value
-            elif key == "init":
-                if init is not None:
-                    raise ModelSyntaxError("duplicate init declaration", lineno)
-                init = value
-            else:
-                if num_acc is not None:
-                    raise ModelSyntaxError("duplicate accsets declaration", lineno)
-                num_acc = value
-        elif key == "trans":
+        if key == "trans":
             fields = rest.split()
             if len(fields) != 4:
                 raise ModelSyntaxError(
                     "trans takes exactly: SRC DST CUBE ACC", lineno
                 )
             raw_trans.append((lineno, fields))
-        else:
+            continue
+        if key not in _DECLARATIONS:
             raise ModelSyntaxError(f"unknown directive {key!r}", lineno)
+        if key in declared:
+            raise ModelSyntaxError(f"duplicate {key} declaration", lineno)
+        if key == "ap":
+            names = rest.split()
+            for name in names:
+                if not NAME_RE.match(name):
+                    raise ModelSyntaxError(f"bad proposition name {name!r}", lineno)
+            if len(set(names)) != len(names):
+                raise ModelSyntaxError("repeated proposition name", lineno)
+            declared[key] = tuple(names)
+        else:
+            try:
+                declared[key] = int(rest)
+            except ValueError:
+                raise ModelSyntaxError(f"{key} takes an integer, got {rest!r}", lineno) from None
 
-    for name, value in (("ap", ap), ("states", num_states), ("init", init), ("accsets", num_acc)):
-        if value is None:
+    for name in _DECLARATIONS:
+        if name not in declared:
             raise ModelValidationError(f"missing {name} declaration")
+    ap, num_states, init, num_acc = (declared[name] for name in _DECLARATIONS)
     if num_states < 1:
         raise ModelValidationError("states must be at least 1")
     if num_acc < 0:

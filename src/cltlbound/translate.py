@@ -41,13 +41,14 @@ tests of `automaton._accepts`).
 
 There is one tableau per formula, a `Tableau`, and it is built on demand:
 `successors(state, cube)` collapses the epsilon paths of one state under
-the letters of a cube into rows (target, cube, acceptance sets, actions),
-each once, and drops the dominated rows: it is the one dominance point.
-`build_counter_automaton` explores it whole, under the cube true, makes
-the rows its transitions and removes the states that cannot reach an
-accepting cycle.  `automaton.value_on_lasso` reads it lazily along one
-lasso word, asking only for the (state, letter) pairs its threshold
-tests reach (a positive test, only those it explores before it stops):
+the letters of a cube into rows, plain edges (state, target, acceptance
+sets, actions, cube) as `automaton` gives them, each once, and drops the
+dominated rows: it is the one dominance point.  `build_counter_automaton`
+explores it whole, under the cube true, makes the rows its transitions
+and removes the states that cannot reach an accepting cycle.
+`automaton.value_on_lasso` reads it lazily along one lasso word, asking
+only for the (state, letter) pairs its threshold tests reach (a
+positive test, only those it explores before it stops):
 the on-the-fly construction of Gerth, Peled, Vardi and Wolper ("Simple
 on-the-fly automatic verification of linear temporal logic", 1995).
 
@@ -201,12 +202,12 @@ def _paired_occurrences(phi: Formula) -> frozenset:
 class Tableau:
     """The tableau of one formula, built on demand.
 
-    `successors(state, cube)` returns the rows (target, cube, acceptance
-    sets, actions) of the transitions leaving a state that a letter of the
-    cube can take; the cube true returns every one.  States are numbered
-    in the order they are first reached, so exploring them in that order
-    under the cube true numbers them breadth-first from the initial state
-    0, as `build_counter_automaton` does.
+    `successors(state, cube)` returns the rows (state, target, acceptance
+    sets, actions, cube) of the transitions leaving a state that a letter
+    of the cube can take; the cube true returns every one.  States are
+    numbered in the order they are first reached, so exploring them in
+    that order under the cube true numbers them breadth-first from the
+    initial state 0, as `build_counter_automaton` does.
 
     Under a cube the closure skips every step that adds a literal the cube
     falsifies, before the steps below it are enumerated, and a state whose
@@ -530,7 +531,7 @@ class Tableau:
         return own, members ^ own, clash, carried
 
     def successors(self, state: int, cube: Cube) -> list[tuple]:
-        """The rows (target, cube, acceptance sets, actions) of the
+        """The rows (state, target, acceptance sets, actions, cube) of the
         transitions leaving state that a letter of cube can take, each once
         and narrowed to cube, minus those a sibling dominates."""
         members = self._sets[state]
@@ -582,7 +583,9 @@ class Tableau:
                 seen.add(key)
                 rows.append((dst, _narrow(own_cube, cube), marks, code))
         kept = undominated(rows, self._inf)
-        return [(dst, c, self._acc(marks), self._actions(code)) for dst, c, marks, code in kept]
+        return [
+            (state, dst, self._acc(marks), self._actions(code), c) for dst, c, marks, code in kept
+        ]
 
     def _cross(self, endpoint: int):
         """Cross one letter from a reduced endpoint: its cube, and the set
@@ -674,14 +677,12 @@ def build_counter_automaton(phi: Formula) -> CounterAutomaton:
     rows = []
     state = 0
     while state < tab.num_states:
-        rows += [(state, *row) for row in tab.successors(state, TOP_CUBE)]
+        rows += tab.successors(state, TOP_CUBE)
         state += 1
-    num_states, init, number = _live_slice(
-        tab.num_states, tab.init, [(s, d, acc) for s, d, _, acc, _ in rows], tab.num_acc_sets
-    )
+    num_states, init, number = _live_slice(tab.num_states, tab.init, rows, tab.num_acc_sets)
     transitions = tuple(
         Transition(number[s], cube, actions, acc, number[d])
-        for s, d, cube, acc, actions in rows
+        for s, d, acc, actions, cube in rows
         if s in number and d in number
     )
     return CounterAutomaton(
@@ -692,13 +693,12 @@ def build_counter_automaton(phi: Formula) -> CounterAutomaton:
 def _live_slice(num_states, init, edges, num_acc_sets):
     """Restrict to states from which an accepting cycle is reachable (plus
     the initial state); this never changes the language or the values.
-    edges are (src, dst, acceptance sets).  Returns the number of states
-    kept, the new initial state and the new number of each live state: an
-    edge stays when both its ends are live."""
-    comp_of, accepting = accepting_components(num_states, edges, num_acc_sets)
-    live = coreachable(
-        num_states, edges, [s for s in range(num_states) if comp_of[s] in accepting]
-    )
+    edges are tuples starting (src, dst, acceptance sets).  Returns the
+    number of states kept, the new initial state and the new number of
+    each live state: an edge stays when both its ends are live."""
+    comps = accepting_components(num_states, edges, num_acc_sets)
+    # Every state of a component is the source of one of its edges.
+    live = coreachable(num_states, edges, [edges[k][0] for comp in comps for k in comp])
     keep = sorted(live | {init})
     new = {old: i for i, old in enumerate(keep)}
     return len(keep), new[init], {s: new[s] for s in live}

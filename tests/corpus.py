@@ -299,7 +299,7 @@ def whole_unfolding(aut: CounterAutomaton, t: int, bounded: bool = False) -> tup
 def whole_unfolding_accepts(aut: CounterAutomaton, t: int, bounded: bool = False) -> bool:
     """Does `whole_unfolding(aut, t, bounded)` hold an accepting component?"""
     num_configs, edges = whole_unfolding(aut, t, bounded)
-    return bool(accepting_components(num_configs, edges, aut.num_acc_sets)[1])
+    return bool(accepting_components(num_configs, edges, aut.num_acc_sets))
 
 
 def brute_eval(phi: Formula, word: LassoWord, pos: int = 0, fuel: int | None = None) -> bool:

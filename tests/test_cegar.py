@@ -21,7 +21,7 @@ from cltlbound.cegar import (
     compute_sup_bound,
     run_value,
 )
-from cltlbound.emptiness import check_lasso_run, find_accepting_lasso
+from cltlbound.emptiness import check_lasso_run, find_accepting_lasso, reachable_part
 from cltlbound.formula import (
     COST_GT,
     COST_LE,
@@ -353,7 +353,7 @@ def test_lazy_product_agrees_with_the_whole_product(monkeypatch):
             for product, (run, word) in hits:
                 whole = synchronized_product(product._source, m)
                 fresh = _ModelProduct(product._source, m)
-                fresh.whole()  # numbered as `whole` is
+                reachable_part(fresh)  # every node met, in BFS order
                 number = {pair: i for i, pair in enumerate(fresh.order)}
 
                 def renumber(t):

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -402,3 +405,16 @@ def test_inf_infinite_by_the_streett_check(tmp_path, capsys):
         )
         assert (code, data["outcome"], data["bound"]) == (3, "infinite-inf", None)
         assert len(data["trace"]) <= 2
+
+
+# SHA-256 of `scripts/report_matrix.py`'s output.  A change that alters
+# some report on purpose updates it and says why in CHANGES.md.
+REPORT_MATRIX_SHA256 = "1cc3bead4092d2ebfa8bbab7ba5fc555c8ab2a21ef0aecd2fc39ea026256c0a6"
+
+
+def test_report_matrix_is_unchanged():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "report_matrix.py")],
+        capture_output=True, check=True, cwd=ROOT,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == REPORT_MATRIX_SHA256

@@ -1,10 +1,18 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from cltlbound.automaton import TOP_CUBE, CounterAutomaton, LassoRun, Transition, _ModelProduct
-from cltlbound.cegar import run_peak
+from cltlbound.automaton import (
+    TOP_CUBE,
+    CounterAutomaton,
+    LassoRun,
+    Transition,
+    _ModelProduct,
+    synchronized_product,
+)
+from cltlbound.cegar import _pruned, run_peak
 from cltlbound.emptiness import (
     check_lasso_run,
     find_accepting_lasso,
@@ -12,7 +20,8 @@ from cltlbound.emptiness import (
     reachable_part,
     word_of_run,
 )
-from cltlbound.model import parse_model
+from cltlbound.formula import parse_formula
+from cltlbound.model import load_model, parse_model
 
 from corpus import naive_is_empty, random_automaton
 
@@ -198,3 +207,34 @@ def test_streett_check_agrees_with_a_deep_bounded_unfolding():
             assert "i" not in acts or any("r" in a for a in acts), (aut, run)
     # both answers occur, and some accepting automata have no bounded run
     assert found > 50 and empty > 10, (found, empty)
+
+
+def test_reachable_part_walks_a_product_in_any_state():
+    # On a fresh product the walk numbers nodes as it meets them, so its
+    # edges are the whole product's transitions, in order.  On a product a
+    # depth-first test already expanded, nodes carry other numbers, but
+    # the walk finds the same nodes and edges.
+    def named(product, edges):
+        return {(product.order[e[0]], product.order[e[1]], *e[2:]) for e in edges}
+
+    root = Path(__file__).resolve().parent.parent / "models"
+    renumbered = 0
+    for name in ("L3", "aab_cycle", "ants", "neg_first"):
+        m = load_model(root / f"{name}.model")
+        for text in ("G (F<= !a)", "(G> a) & F (G> !a)"):
+            aut = _pruned(parse_formula(text))
+            fresh = _ModelProduct(aut, m)
+            count, edges = reachable_part(fresh)
+            assert [e[0] for e in edges] == sorted(e[0] for e in edges)
+            assert list(dict.fromkeys([0] + [e[1] for e in edges])) == list(range(count))
+            whole = synchronized_product(aut, m)
+            assert count == whole.num_states
+            assert list(map(Transition.of_edge, edges)) == list(whole.transitions)
+
+            used = _ModelProduct(aut, m)
+            find_accepting_lasso(used, 1)
+            renumbered += used.order[:count] != fresh.order[:count]
+            got = reachable_part(used)
+            assert (got[0], len(got[1])) == (count, len(edges))
+            assert named(used, got[1]) == named(fresh, edges)
+    assert renumbered > 0

@@ -56,10 +56,12 @@ def test_comments_and_blanks_ignored():
 
 
 def test_duplicate_directives_rejected():
-    with pytest.raises(ModelSyntaxError):
-        parse_model(GOOD + "\nstates: 2\n")
-    with pytest.raises(ModelSyntaxError):
-        parse_model(GOOD + "\nap: c\n")
+    line = len(GOOD.splitlines()) + 2  # after GOOD and a blank line
+    for key, value in (("ap", "c"), ("states", "2"), ("init", "1"), ("accsets", "1")):
+        message = f"^line {line}: duplicate {key} declaration$"
+        with pytest.raises(ModelSyntaxError, match=message) as err:
+            parse_model(GOOD + f"\n{key}: {value}\n")
+        assert err.value.line == line
 
 
 def test_missing_directives_rejected():

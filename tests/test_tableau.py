@@ -111,14 +111,14 @@ def letter_cube(letter):
 
 def reference_successors(ref, state, letter, inf):
     """What `Tableau.successors` should return, from the reference's
-    transitions under the letter: rows (target, cube, acceptance sets,
-    actions), each cube conjoined with the query cube, each row once,
-    minus the ones a sibling dominates under the formula's rule."""
+    transitions under the letter: rows (state, target, acceptance sets,
+    actions, cube), each cube conjoined with the query cube, each row
+    once, minus the ones a sibling dominates under the formula's rule."""
     cube = letter_cube(letter)
     rows = dict.fromkeys(
-        (t.dst, t.cube.merge(cube), t.acc, t.actions) for t in ref.successors(state, letter)
+        (state, t.dst, t.acc, t.actions, t.cube.merge(cube)) for t in ref.successors(state, letter)
     )
-    coded = [(*row[:3], action_code(row[3]), row) for row in rows]
+    coded = [(row[1], row[4], row[2], action_code(row[3]), row) for row in rows]
     return [row[4] for row in undominated(coded, inf)]
 
 
@@ -213,7 +213,7 @@ def test_own_literal_contradicts_a_literal_added_two_rewrites_down():
     members = [sorted(map(str, tab._members(tab._sets[s]))) for s in (1, 2)]
     assert members == [["!a", "b & (b & a)"], ["a", "b & (b & a)"]]
     assert rows[1] == []
-    assert rows[2] == [(3, Cube(frozenset("ab")), frozenset(), ())]
+    assert rows[2] == [(2, 3, frozenset(), (), Cube(frozenset("ab")))]
     ((added, _, _, _),) = tab._closures[0][1 << tab._intern(phi.right.operand)]
     assert tab._members(added) == {Lit("a"), Lit("b")}
     ref = ReferenceTableau(phi)
@@ -228,7 +228,7 @@ def test_falsified_literal_added_two_rewrites_down():
     tab = Tableau(parse_formula("X (b & (b & a))"))
     explore_whole(tab)
     assert len(tab._reduced) == 2
-    ab = [(2, Cube(frozenset("ab")), frozenset(), ())]
+    ab = [(1, 2, frozenset(), (), Cube(frozenset("ab")))]
     for letter, want in (("ab", ab), ("b", []), ("a", []), ("", [])):
         assert tab.successors(1, letter_cube(frozenset(letter))) == want, letter
     assert len(tab._reduced) == 2
