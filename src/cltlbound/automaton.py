@@ -25,7 +25,8 @@ the runs whose every counter stays at t or below: a U<= automaton's run
 is worth its largest counter value.  A test reads one `_Succ`, which
 every front end builds alike from a node's edges, plain tuples (src,
 dst, acceptance sets, actions, cube): it compiles a node's rows when a
-test first reaches it and carries the test's reading.  The model front
+test first reaches it, best first under the capped reading, and carries
+the test's reading.  The model front
 end (`emptiness.find_accepting_lasso`) keeps one per reading of a
 CounterAutomaton or of a `_ModelProduct`, the formula × model product
 the sup and inf searches read node by node, and threads a witness lasso
@@ -368,7 +369,13 @@ class _Succ(dict):
 
     edges_of returns the edges (src, dst, acceptance sets, actions, cube)
     leaving a node: a node's rows are compiled from them when the search
-    first looks it up, and kept, each row labelled with its edge.
+    first looks it up, and kept, each row labelled with its edge.  Capped,
+    a node's rows come best first (`_row_rank`, computed once per distinct
+    counter ops): those that observe least, then reset least, then
+    increment most, ties in edge order.  The depth-first test meets them in
+    that order, so a passing test tends to return a run of high value; the
+    order never changes a verdict, since an empty test explores every row.
+    Bounded, the rows keep the edge order.
     """
 
     def __init__(self, edges_of, tracked, bounded: bool, num_acc_sets: int):
@@ -380,10 +387,13 @@ class _Succ(dict):
         self.full = (1 << num_acc_sets) - 1
         self._kept = "ir" if bounded else "ior"
         self._ops: dict[tuple[str, ...], tuple[tuple[int, str], ...]] = {}
+        self._rank: dict[tuple[tuple[int, str], ...], tuple] | None = None if bounded else {}
         self._masks: dict[frozenset, int] = {}  # the sets are few, and mostly shared
 
     def __missing__(self, node: int) -> list[tuple]:
-        slot, kept, compiled, masks = self._slot, self._kept, self._ops, self._masks
+        slot, kept, compiled, rank, masks = (
+            self._slot, self._kept, self._ops, self._rank, self._masks
+        )
         rows = self[node] = []
         for edge in self._edges_of(node):
             _, dst, acc, actions, _ = edge
@@ -396,11 +406,23 @@ class _Succ(dict):
                     for ch in acts
                     if ch in kept
                 )
+                if rank is not None and ops not in rank:
+                    rank[ops] = _row_rank(ops)
             mask = masks.get(acc)
             if mask is None:
                 mask = masks[acc] = sum(1 << a for a in acc)
             rows.append((dst, mask, ops, edge))
+        if rank is not None and len(rows) > 1:
+            rows.sort(key=lambda row: rank[row[2]])
         return rows
+
+
+def _row_rank(ops: tuple[tuple[int, str], ...]) -> tuple[int, int, int]:
+    """The sort key of a capped row's counter ops, least first: the fewest
+    observations, then the fewest resets, then the most increments.  A
+    passing test then tends to close a lasso of high value."""
+    chars = [ch for _, ch in ops]
+    return chars.count("o"), chars.count("r"), -chars.count("i")
 
 
 # A counter's action as a 2-bit code; a row of actions is the int whose

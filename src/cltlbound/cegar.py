@@ -8,16 +8,24 @@ No product automaton is built.
 On the sup side, each pass asks whether some model word has an R> value
 above a threshold n: the threshold test at n + 1 finds an accepting
 lasso of the product exactly when one does, and that lasso's run value
-is a lower bound on the sup.  The threshold gallops (doubling past each
-value found) until a pass comes back empty, then bisects between the
-best value found and that threshold; the best value is the sup.  The
-first pass looks for a run that observes no counter first, a word of
-infinite value, where the test at 1 may find a run worth just 1: it
-reads the product without the edges that observe a counter
-(`_ModelProduct.unobserving`).  The best value starts at -1, the sup
-when the product accepts no model word: an empty test at n = 0 makes the
-bisection test n = -1, which asks whether the product accepts any word
-at all.
+is a lower bound on the sup.  The test tries each node's edges best
+first (`automaton._Succ`), so the lasso it closes tends to be worth far
+more than n + 1, often the sup itself.  The next pass asks for more than
+the best value found, or for more than 2n + 1 when that is higher, so
+each passing test at least doubles n + 1.  Once a pass comes back empty,
+the search bisects between the best value found and that threshold; the
+best value is the sup.  When the first witness is the best word, a
+finite sup costs one passing test and one empty test, at n = sup.  The
+result stays exact whatever the order finds: an empty test explores the
+whole unfolding, and the last test of every finite search is the empty
+one at n = sup, the one a search that climbed by one value at a time
+would also end on.  The first pass looks for a run that observes no
+counter first, a word of infinite value, where the test at 1 may find a
+finite one: it reads the product without the edges that observe a
+counter (`_ModelProduct.unobserving`).  The best value starts at -1, the
+sup when the product accepts no model word: an empty test at n = 0 makes
+the bisection test n = -1, which asks whether the product accepts any
+word at all.
 A U<= formula goes through its R> dual: a word fails phi[n] exactly when
 its dual value is n or more, so the U<= sup is the dual's sup plus one.
 A plain formula is a U<= formula without counters (value 0 where it holds,
@@ -51,11 +59,14 @@ resets infinitely often, and `graphs.bounded_components` decides that by
 SCC refinement.
 No surviving component proves `infinite-inf` exactly, with no cutoff.
 Otherwise the check returns a lasso whose loop resets every counter it
-increments, so its counters stay at or below some U, and the bounded
-test at U succeeds.  That is why the search terminates:
-n gallops 0, 1, 2, 4, ... below U until a test succeeds, then
-bisects between the last empty n and the least value found.  A user
-cutoff caps n; an empty test at the cutoff ends the search with
+increments, so its counters stay at or below some U, its largest value,
+and the bounded test at U succeeds.  That is why the search terminates.
+The first bounded test is at U - 1: when it is empty, U is the inf, and
+the query costs the Streett check and that one test.  Otherwise each
+next n doubles the last (1 after 0) but never passes the middle of the
+bracket between the last empty n and the least value found, so the
+search bisects that bracket.  A user cutoff caps n, the first test
+included; an empty test at the cutoff ends the search with
 `cutoff-reached` (the inf is finite, and above the cutoff).
 """
 
@@ -190,7 +201,7 @@ def _sup_direct(model, phi, cutoff):
         # Is there a model word of value > n?  The test keeps the runs of
         # the product whose every observation reaches n + 1.  The first
         # row looks for a run that observes nothing first: its value is
-        # infinite, where a run found at n + 1 may be worth just n + 1.
+        # infinite, where a run found at n + 1 may be finite.
         explored: list[int] = []
         hit = None
         if n == 0:
@@ -212,10 +223,11 @@ def _sup_direct(model, phi, cutoff):
             return BoundResult(outcome, None, hit[1], limit, tuple(trace))
         else:
             best, best_word = p, hit[1]
-        # Gallop past each value found until a test comes back empty, then
-        # bisect between the best value and that test's threshold.
+        # Ask for more than the best value found, or than 2n + 1 when that
+        # is higher, until a test comes back empty, then bisect between
+        # the best value and that test's threshold.
         if ceiling is None:
-            n = min(2 * best, limit)
+            n = min(max(best, 2 * n + 1), limit)
         elif best < ceiling:
             n = (best + ceiling) // 2
         else:
@@ -248,17 +260,16 @@ def compute_inf_bound(
         raise FragmentError("inf bounds apply to the U<= fragment")
     aut = _pruned(phi)
     product = _ModelProduct(aut, model)
-    hit = find_bounded_lasso(product)
+    walked: list[int] = []
+    hit = find_bounded_lasso(product, explored=walked)
     hi, word = (None, None) if hit is None else (run_peak(hit[0], product), hit[1])
-    num_states, edges = reachable_part(product)  # the check walked it already
-    trace = [IterationStats(
-        "streett", None, hi, aut.num_states, num_states, len(edges), word,
-    )]
+    trace = [IterationStats("streett", None, hi, aut.num_states, *walked, word)]
     if hit is None:
         return BoundResult("infinite-inf", None, None, cutoff, tuple(trace))
     # The least nonempty n lies in (lo, hi]: the test at lo is empty
-    # (lo = -1 says nothing yet) and a run of value hi is known.
-    lo, n = -1, 0
+    # (lo = -1 says nothing yet) and a run of value hi is known.  The
+    # first test is just below hi, where an empty one settles the inf.
+    lo, n = -1, hi - 1 if cutoff is None else min(hi - 1, cutoff)
     while lo + 1 < hi:
         if cutoff is not None and lo >= cutoff:
             return BoundResult("cutoff-reached", None, None, cutoff, tuple(trace))

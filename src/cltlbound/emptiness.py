@@ -68,20 +68,25 @@ def find_accepting_lasso(
     return _lasso(stem, [e[3] for e in _cycle(root, inside, wants)])
 
 
-def find_bounded_lasso(aut: CounterAutomaton | _ModelProduct) -> tuple[LassoRun, LassoWord] | None:
+def find_bounded_lasso(
+    aut: CounterAutomaton | _ModelProduct, explored: list | None = None
+) -> tuple[LassoRun, LassoWord] | None:
     """A lasso run of aut whose loop resets every counter it increments,
     plus the word it reads; None when no accepting run of aut keeps its
     counters bounded.
 
     aut is a CounterAutomaton or a `automaton._ModelProduct`.  The Streett
     check (`graphs.bounded_components`) runs on aut's reachable part, so
-    it expands every node of a product.  The edges come source by source
-    in BFS order, so the surviving component entered first in that order
-    holds the least edge index.  The loop stays inside it and threads,
-    besides one edge per acceptance set, one reset edge of each counter
-    the component increments.
+    it expands every node of a product.  When explored is a list, it
+    receives the numbers of reachable states and edges.  The edges come
+    source by source in BFS order, so the surviving component entered
+    first in that order holds the least edge index.  The loop stays inside
+    it and threads, besides one edge per acceptance set, one reset edge of
+    each counter the component increments.
     """
-    _, edges = reachable_part(aut)
+    num_states, edges = reachable_part(aut)
+    if explored is not None:
+        explored[:] = (num_states, len(edges))
     marks = [_counter_marks(e[3]) for e in edges]
     good = bounded_components(edges, aut.num_acc_sets, marks)
     if not good:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import cltlbound.automaton
 import cltlbound.cegar
 from cltlbound.automaton import (
     CounterAutomaton,
@@ -21,13 +22,16 @@ from cltlbound.cegar import (
     compute_sup_bound,
     run_value,
 )
+from cltlbound.cli import _check_bound as check_bound
 from cltlbound.emptiness import check_lasso_run, find_accepting_lasso, reachable_part
 from cltlbound.formula import (
     COST_GT,
     COST_LE,
     LTL,
+    MIXED,
     And,
     FragmentError,
+    Lit,
     classify_fragment,
     cost_operator_count,
     instantiate,
@@ -184,8 +188,29 @@ def test_sup_trace_gallops():
                 assert value_sup(negate_dual(phi), row.word, row.n + 1) is ABOVE_CAP
         assert any(row.p == dual_bound for row in search)
         assert any(row.word is None and row.n == dual_bound for row in search)
-        # doubling up to the bound, then bisecting back down to it
+        # each passing test at least doubles n + 1 on its way up to the
+        # bound, and bisection follows the first empty test
         assert len(search) <= 2 * math.ceil(math.log2(k + 2)) + 2, k
+
+
+@pytest.mark.parametrize("k", [5, 40, 160])
+@pytest.mark.parametrize("text", ["G> a", "G (F<= !a)"])
+def test_sup_tests_its_first_witness_next(text, k):
+    # Best-first rows make the test at 1 return a word of the largest
+    # value, k - 1 (for G (F<= !a), of its dual), and the next test asks
+    # for more: one passing test and the empty one at the sup.
+    r = compute_sup_bound(_lk_model(k), parse_formula(text))
+    assert [(row.n, row.p) for row in r.trace] == [(0, k - 1), (k - 1, None)]
+
+
+def test_sup_gallop_stays_logarithmic_where_the_order_misses():
+    # Two counters on L40: the first witness is worth 1, far below the sup
+    # of 19, so the search gallops as before, within test_sup_trace_gallops'
+    # limit.
+    r = compute_sup_bound(_lk_model(40), parse_formula("G> (a & X (G> a))"))
+    assert (r.outcome, r.bound) == ("finite", 19)
+    assert r.trace[0].p == 1
+    assert len(r.trace) <= 2 * math.ceil(math.log2(r.bound + 2)) + 2
 
 
 def _agreement_corpus(count):
@@ -462,17 +487,27 @@ def test_inf_cutoff_override():
     assert r.outcome == "infinite-inf"
     assert r.cutoff == 3 and r.iterations == 0
     # Every word starts with a^3, so the inf is 3 and the Streett run has
-    # value 3.  With a cutoff of 1 the search stops at 1 without a claim;
-    # with 2 the empty unfolding at 2 and the Streett run pin the inf.
+    # value 3.  With a cutoff of 1 the first test is at the cutoff, not
+    # just below 3, and the search stops there without a claim; with 2 the
+    # empty unfolding at 2 and the Streett run pin the inf.
     three = load_model(ROOT / "models" / "three_leading_a.model")
     phi = parse_formula("F<= !a")
     r = compute_inf_bound(three, phi, cutoff=1)
     assert (r.outcome, r.bound, r.witness, r.cutoff) == ("cutoff-reached", None, None, 1)
-    assert [(row.kind, row.n) for row in r.trace] == [
-        ("streett", None), ("search", 0), ("search", 1),
-    ]
+    assert [(row.kind, row.n) for row in r.trace] == [("streett", None), ("search", 1)]
     r = compute_inf_bound(three, phi, cutoff=2)
     assert (r.outcome, r.bound, r.cutoff) == ("finite", 3, 2)
+
+
+def test_inf_tests_just_below_its_streett_witness():
+    # The Streett run has value 3, the inf: the one threshold test, at 2,
+    # is empty and settles it.
+    three = load_model(ROOT / "models" / "three_leading_a.model")
+    r = compute_inf_bound(three, parse_formula("F<= !a"))
+    assert (r.outcome, r.bound) == ("finite", 3)
+    assert [(row.kind, row.n, row.p) for row in r.trace] == [
+        ("streett", None, 3), ("search", 2, None),
+    ]
 
 
 def test_inf_rejects_gt():
@@ -564,3 +599,53 @@ def test_sup_is_at_least_inf_on_random_models():
         sup, inf = compute_sup_bound(m, phi), compute_inf_bound(m, phi)
         assert _number(sup) >= _number(inf), (str(phi), m)
         pairs[classify_fragment(phi)] += 1
+
+
+def test_row_order_changes_no_answer(monkeypatch):
+    # The capped reading tries the rows that observe least, reset least and
+    # increment most first (`automaton._row_rank`), so that a passing test
+    # tends to return a word of high value.  That is a heuristic: an empty
+    # test explores everything whatever the order.  Ranked the other way
+    # round, every search gives the same answer, and every witness passes
+    # the oracle check.
+    # The U<= draws speak of a only, which the fixtures constrain (a free b
+    # would give most infs 0); the plain ones are not a bare literal.
+    rng = random.Random(21)
+    formulas = []
+    for fragment, props, count in (
+        ("CostGT", ("a", "b"), 8), ("CostLE", ("a",), 8), ("LTL", ("a", "b"), 4),
+    ):
+        drawn = 0
+        while drawn < count:
+            phi = random_formula(rng, depth=3, props=props, fragment=fragment)
+            wanted = (
+                cost_operator_count(phi) in (1, 2) if fragment != "LTL"
+                else not isinstance(phi, Lit)
+            )
+            if wanted and classify_fragment(phi) != MIXED:
+                formulas.append(phi)
+                drawn += 1
+    models = [load_model(p) for p in sorted((ROOT / "models").glob("*.model"))]
+    queries = [(compute_sup_bound, phi, m) for phi in formulas for m in models] + [
+        (compute_inf_bound, phi, m)
+        for phi in formulas if classify_fragment(phi) != COST_GT
+        for m in models
+    ]
+
+    def answers():
+        out = []
+        for search, phi, m in queries:
+            r = search(m, phi)
+            assert check_bound(phi, r) == "ok", (search.__name__, str(phi), m)
+            out.append(((r.outcome, r.bound), [(row.n, row.p) for row in r.trace]))
+        return out
+
+    ranked = answers()
+    rank = cltlbound.automaton._row_rank
+    monkeypatch.setattr(
+        cltlbound.automaton, "_row_rank", lambda ops: tuple(-x for x in rank(ops))
+    )
+    reversed_ = answers()
+    assert [a for a, _ in ranked] == [a for a, _ in reversed_]
+    # the reversed order did reach the searches: some trace differs
+    assert any(a != b for a, b in zip(ranked, reversed_))
