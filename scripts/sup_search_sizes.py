@@ -11,6 +11,9 @@ Two families of models, written to a temporary directory:
   with a `!a&!b` edge into an accepting sink that loops on `true`, under
   `G> a`, `(G> a) & (G> b)` and `G> (a & X (G> b))`, all unbounded.
 
+Then `G (F<= !a)` on the fixtures `models/three_leading_a.model` and
+`models/universal.model`, both unbounded.
+
 Each query is one in-process `cli.main` call with `--json --trace
 --witness --oracle-check`, run three times.  A row prints the outcome,
 the bound, the threshold tests (the report's `iterations`), the
@@ -42,6 +45,8 @@ LK_FORMULAS = ("G> a", "G (F<= !a)", "G> (a & X (G> a))")
 LK_SIZES = (40, 160, 640)
 RING_FORMULAS = ("G> a", "(G> a) & (G> b)", "G> (a & X (G> b))")
 RING_SIZES = (20, 80, 160)
+FIXTURE_FORMULAS = ("G (F<= !a)",)
+FIXTURES = ("three_leading_a", "universal")
 RUNS = 3
 
 
@@ -91,6 +96,10 @@ def main() -> None:
                 handle.write(text)
             for formula in formulas:
                 print(f"{formula:>19} on {name:<7} {measure(formula, path)}", flush=True)
+    for name in FIXTURES:
+        path = os.path.join(ROOT, "models", f"{name}.model")
+        for formula in FIXTURE_FORMULAS:
+            print(f"{formula:>19} on {name:<7} {measure(formula, path)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ A threshold test asks whether some accepting run observes every counter
 at t or more.  One engine answers it (`_accepts`): configurations pair a
 node with counter values capped at t, and the test explores them depth
 first as it generates them and stops at the first accepting cycle it
-meets.  With counters bounded instead of capped, the same engine keeps
+meets; with one tracked counter it skips the configurations a finished
+one covers.  With counters bounded instead of capped, the same engine keeps
 the runs whose every counter stays at t or below: a U<= automaton's run
 is worth its largest counter value.  A test reads one `_Succ`, which
 every front end builds alike from a node's edges, plain tuples (src,
@@ -41,7 +42,6 @@ needs it.
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -273,8 +273,8 @@ class _ModelProduct(_Product):
     reindexed disjointly (b's shifted after a's), and node 0 is the
     initial pair.  The sup and inf searches test it as they reach it
     (`emptiness.find_accepting_lasso`), through the same two readings a
-    `CounterAutomaton` keeps, and `unobserving`; none of them builds a
-    `Transition`.  num_states counts the nodes met so far.
+    `CounterAutomaton` keeps; neither builds a `Transition`.  num_states
+    counts the nodes met so far.
     """
 
     def __init__(self, a: CounterAutomaton, b: CounterAutomaton):
@@ -311,19 +311,6 @@ class _ModelProduct(_Product):
         a, b = self._parts
         tracked = _touched(a, key) + [a.num_counters + c for c in _touched(b, key)]
         return _Succ(self.edges, tracked, bounded, self.num_acc_sets)
-
-    @cached_property
-    def unobserving(self) -> _ModelProduct:
-        """This product whose capped reading drops every edge that observes
-        a counter: its accepting runs are the product's runs of infinite
-        value.  A shallow copy, so it shares this product's node numbering
-        and expansions, and its runs are this product's runs."""
-        view = copy.copy(self)
-        view._capped = _Succ(
-            lambda s: [e for e in self.edges(s) if not any("o" in a for a in e[3])],
-            (), False, self.num_acc_sets,
-        )
-        return view
 
 
 def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAutomaton:
@@ -369,16 +356,19 @@ class _Succ(dict):
 
     edges_of returns the edges (src, dst, acceptance sets, actions, cube)
     leaving a node: a node's rows are compiled from them when the search
-    first looks it up, and kept, each row labelled with its edge.  Capped,
-    a node's rows come best first (`_row_rank`, computed once per distinct
-    counter ops): those that observe least, then reset least, then
-    increment most, ties in edge order.  The depth-first test meets them in
-    that order, so a passing test tends to return a run of high value; the
-    order never changes a verdict, since an empty test explores every row.
-    Bounded, the rows keep the edge order.
+    first looks it up, and kept, each row labelled with its edge.  With
+    best_first (capped only), a node's rows come best first (`_row_rank`,
+    computed once per distinct counter ops): those that observe least,
+    then reset least, then increment most, ties in edge order.  The
+    depth-first test meets them in that order, so a passing test tends to
+    return a run of high value; the order never changes a verdict, since
+    an empty test rules out every row.  Otherwise, and always bounded, the
+    rows keep the edge order: `value_on_lasso` reads verdicts alone.
     """
 
-    def __init__(self, edges_of, tracked, bounded: bool, num_acc_sets: int):
+    def __init__(
+        self, edges_of, tracked, bounded: bool, num_acc_sets: int, best_first: bool = True
+    ):
         super().__init__()
         self._edges_of = edges_of
         self._slot = {c: i for i, c in enumerate(tracked)}
@@ -387,7 +377,9 @@ class _Succ(dict):
         self.full = (1 << num_acc_sets) - 1
         self._kept = "ir" if bounded else "ior"
         self._ops: dict[tuple[str, ...], tuple[tuple[int, str], ...]] = {}
-        self._rank: dict[tuple[tuple[int, str], ...], tuple] | None = None if bounded else {}
+        self._rank: dict[tuple[tuple[int, str], ...], tuple] | None = (
+            {} if best_first and not bounded else None
+        )
         self._masks: dict[frozenset, int] = {}  # the sets are few, and mostly shared
 
     def __missing__(self, node: int) -> list[tuple]:
@@ -511,8 +503,33 @@ def _accepts(
     every set; with no sets, at the first cycle.  Finished components are
     marked dead and never merged.
 
-    Returns (found, configurations explored), which on a failed test is
-    the whole unfolding.  found is None or (stem, root, component): the
+    With one tracked counter, a dead configuration also rules out the ones
+    it covers at its node.  The step is monotone: capped, (q, x) covers
+    (q, y) when x >= y, since an increment or a reset leaves the two
+    values in the same order and an observation that passes at y passes
+    at x; bounded, when x <= y, since an increment that stays within t at
+    y stays within it at x.  So a path from (q, y) replays from (q, x),
+    through the same rows and acceptance sets, to configurations that
+    cover its own.  A lasso from (q, y) through every set thus replays
+    from (q, x); replaying its loop over and over must come back to a
+    configuration at the loop's node it has met, since values lie in
+    0..t, and the stretch in between runs the loop at least once: an
+    accepting cycle of the unfolding reached from (q, x).  The test keeps
+    per node the value of the dead configuration that covers most (the
+    largest capped, the least bounded), and drops as dead, unnumbered and
+    unexplored, every new configuration at that node it covers.  By
+    induction over the order in which configurations die or are dropped,
+    none of them reaches an accepting cycle: a dropped one is covered by
+    a dead one; a component dies with every row of its configurations
+    explored, so outside it they reach only dead or dropped ones, and an
+    accepting cycle inside it would have been met.  Live configurations
+    cover nothing, so no verdict changes, and a cycle found is one of the
+    unfolding.  With several tracked counters no record is kept: one
+    vector per node seldom covers another there, and a list per node
+    costs more than it saves.
+
+    Returns (found, configurations explored), which on a failed test is at
+    most the whole unfolding.  found is None or (stem, root, component): the
     edges of the rows that entered the DFS frames down to the accepting
     component's root, the root's index, and the indices of the
     component's configurations (the live ones from the root on).  When
@@ -523,6 +540,12 @@ def _accepts(
     start = (init, (0,) * succ.num_slots)
     index = {start: 0}
     dead: set[int] = set()
+    # One tracked counter: per node, the key of the dead configuration
+    # that covers most, its value capped and minus its value bounded, so
+    # that a configuration covers the ones of lower key at its node.
+    cover: dict[int, int] | None = {} if succ.num_slots == 1 else None
+    sign = -1 if bounded else 1
+    configs = [start]  # by index, kept only for the covering
     live = [0]  # configurations of unfinished components, in order
     roots = [0]  # index of each unfinished component's root
     sets = [0]  # acceptance sets met inside each of those components
@@ -556,6 +579,11 @@ def _accepts(
                 w = (dst, vals)
             i = index.get(w)
             if i is None:
+                if cover is not None:
+                    key = cover.get(dst)
+                    if key is not None and sign * w[1][0] <= key:
+                        continue  # covered by a dead configuration
+                    configs.append(w)
                 i = index[w] = len(index)
                 if edges is not None:
                     edges.append((s, i, mask, edge))
@@ -586,6 +614,11 @@ def _accepts(
                 while True:
                     u = live.pop()
                     dead.add(u)
+                    if cover is not None:
+                        q, (x,) = configs[u]
+                        x *= sign
+                        if cover.get(q, x - 1) < x:
+                            cover[q] = x
                     if u == s:
                         break
     return None, len(index)
@@ -624,7 +657,9 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
     if cap < 1:
         raise ValueError("cap must be at least 1")
     product = _Product(aut, 0, _word_rows(word, aut.ap))
-    succ = _Succ(product.edges, range(aut.num_counters), False, aut.num_acc_sets)
+    succ = _Succ(
+        product.edges, range(aut.num_counters), False, aut.num_acc_sets, best_first=False
+    )
 
     def passes(t: int) -> bool:
         if t > 0:

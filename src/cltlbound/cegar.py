@@ -15,17 +15,20 @@ the best value found, or for more than 2n + 1 when that is higher, so
 each passing test at least doubles n + 1.  Once a pass comes back empty,
 the search bisects between the best value found and that threshold; the
 best value is the sup.  When the first witness is the best word, a
-finite sup costs one passing test and one empty test, at n = sup.  The
-result stays exact whatever the order finds: an empty test explores the
-whole unfolding, and the last test of every finite search is the empty
-one at n = sup, the one a search that climbed by one value at a time
-would also end on.  The first pass looks for a run that observes no
-counter first, a word of infinite value, where the test at 1 may find a
-finite one: it reads the product without the edges that observe a
-counter (`_ModelProduct.unobserving`).  The best value starts at -1, the
-sup when the product accepts no model word: an empty test at n = 0 makes
-the bisection test n = -1, which asks whether the product accepts any
-word at all.
+finite sup costs exactly two tests: the passing one at 1 and the empty
+one at n = sup.  The result stays exact whatever the order finds: an
+empty test rules out the whole unfolding (it skips only what a finished
+configuration covers, `automaton._accepts`), and the last test of every
+finite search is the empty one at n = sup, the one a search that climbed
+by one value at a time would also end on.  A run that observes no
+counter is worth infinity, and the order tries the edges that observe
+least first, so the test at 1 tends to find such a run of an unbounded
+sup at once.  When it finds a finite run instead, every later test
+passes too, and since each at least doubles n + 1 up to the cutoff, the
+search ends at `unbounded` within ceil(log2(cutoff + 1)) + 1 tests.  The
+best value starts at -1, the sup when the product accepts no model word:
+an empty test at n = 0 makes the bisection test n = -1, which asks
+whether the product accepts any word at all.
 A U<= formula goes through its R> dual: a word fails phi[n] exactly when
 its dual value is n or more, so the U<= sup is the dual's sup plus one.
 A plain formula is a U<= formula without counters (value 0 where it holds,
@@ -199,15 +202,9 @@ def _sup_direct(model, phi, cutoff):
     n = 0
     while True:
         # Is there a model word of value > n?  The test keeps the runs of
-        # the product whose every observation reaches n + 1.  The first
-        # row looks for a run that observes nothing first: its value is
-        # infinite, where a run found at n + 1 may be finite.
+        # the product whose every observation reaches n + 1.
         explored: list[int] = []
-        hit = None
-        if n == 0:
-            hit = find_accepting_lasso(product.unobserving, explored=explored)
-        if hit is None:
-            hit = find_accepting_lasso(product, n + 1, explored=explored)
+        hit = find_accepting_lasso(product, n + 1, explored=explored)
         p = None
         if hit is not None:
             p = run_value(hit[0], product)

@@ -47,10 +47,12 @@ def find_accepting_lasso(
     The run found observes every counter at t or more, or with bounded=True
     keeps every counter at t or below; at the default t = 0 the search
     ignores counters.  aut is a CounterAutomaton or a
-    `automaton._ModelProduct` (or its `unobserving` reading), and the test
-    reads the `_Succ` it keeps for each reading.  When explored is a list,
-    it receives the numbers of configurations and edges the search
-    explored.
+    `automaton._ModelProduct`, and the test reads the `_Succ` it keeps for
+    each reading.  When explored is a list, it receives the numbers of
+    configurations and edges the search explored: with one tracked
+    counter an empty test skips the configurations a finished one covers
+    (`automaton._accepts`), so it may explore less than the whole
+    unfolding.
     """
     if t < 0:
         raise ValueError("threshold must be nonnegative")

@@ -314,21 +314,24 @@ def test_early_exit_agrees_with_the_whole_unfolding():
     # The threshold test stops at the first accepting cycle it meets; the
     # accepting components of the whole unfolding give the same answer at
     # every threshold, capped and bounded.  A lasso found is a run of the
-    # automaton that passes the test; a failed test explored the whole
-    # unfolding.
+    # automaton that passes the test.  A failed test explored at most the
+    # whole unfolding: with one tracked counter it skips the configurations
+    # a dead one covers, and some tests here do.
     rng = random.Random(47)
-    accepted = 0
-    for _ in range(300):
+    accepted = covered = 0
+    for _ in range(1000):
         aut = random_automaton(rng, max_states=8, max_acc=3, max_counters=3)
         for bounded in (False, True):
-            for t in range(4):
+            for t in range(6):
                 explored = []
                 hit = find_accepting_lasso(aut, t, bounded, explored)
                 whole = whole_unfolding_accepts(aut, t, bounded)
                 assert (hit is not None) == whole, (aut, t, bounded)
                 if hit is None:
                     num_configs, edges = whole_unfolding(aut, t, bounded)
-                    assert explored == [num_configs, len(edges)], (aut, t, bounded)
+                    assert explored[0] <= num_configs, (aut, t, bounded)
+                    assert explored[1] <= len(edges), (aut, t, bounded)
+                    covered += explored[0] < num_configs
                     continue
                 run, word = hit
                 check_lasso_run(aut, run, word)
@@ -337,7 +340,41 @@ def test_early_exit_agrees_with_the_whole_unfolding():
                 else:
                     assert run_value(run, aut) >= t, (aut, t, run)
                 accepted += 1
-    assert accepted > 200
+    assert accepted > 1000
+    assert covered > 50, covered
+
+
+def test_covering_runs_one_way_per_reading():
+    # Each automaton reaches node 1 first at one counter value, which dies
+    # with no accepting cycle, then at another, from which node 2's
+    # accepting loop is reached.  Only a dead configuration whose value is
+    # at least as large (capped) or at most as large (bounded) rules one
+    # out; the other way round would drop the second visit and answer
+    # empty.
+    a, true = cube("a"), TOP_CUBE
+    capped = CounterAutomaton(4, 0, 1, 1, (
+        Transition(0, true, ("",), frozenset(), 1),  # to (1, 0), dead at t = 1
+        Transition(0, true, ("",), frozenset(), 3),
+        Transition(3, a, ("i",), frozenset(), 1),  # to (1, 1)
+        Transition(1, true, ("or",), frozenset(), 2),
+        Transition(2, true, ("",), frozenset({0}), 2),
+    ), ap=("a",))
+    bounded = CounterAutomaton(3, 0, 1, 1, (
+        Transition(0, true, ("i",), frozenset(), 1),  # to (1, 1), dead at t = 1
+        Transition(0, a, ("",), frozenset(), 1),  # to (1, 0)
+        Transition(1, true, ("i",), frozenset(), 2),
+        Transition(2, true, ("",), frozenset({0}), 2),
+    ), ap=("a",))
+    for aut, is_bounded in ((capped, False), (bounded, True)):
+        assert whole_unfolding_accepts(aut, 1, is_bounded)
+        run, word = find_accepting_lasso(aut, 1, is_bounded)
+        check_lasso_run(aut, run, word)
+        assert word.prefix[-2:] == (frozenset({"a"}), frozenset())
+        if is_bounded:
+            assert run_peak(run, aut) == 1
+        else:
+            assert run_value(run, aut) == 1
+
 
 def test_product_shifts_acceptance_sets():
     a = block_counter()

@@ -605,9 +605,9 @@ def test_row_order_changes_no_answer(monkeypatch):
     # The capped reading tries the rows that observe least, reset least and
     # increment most first (`automaton._row_rank`), so that a passing test
     # tends to return a word of high value.  That is a heuristic: an empty
-    # test explores everything whatever the order.  Ranked the other way
-    # round, every search gives the same answer, and every witness passes
-    # the oracle check.
+    # test rules out every configuration whatever the order.  Ranked the
+    # other way round, every search gives the same answer, and every
+    # witness passes the oracle check.
     # The U<= draws speak of a only, which the fixtures constrain (a free b
     # would give most infs 0); the plain ones are not a bare literal.
     rng = random.Random(21)
