@@ -35,9 +35,8 @@ through the accepting component the test stops in.  The lasso front end
 (`value_on_lasso`) reads a source's product with one lasso word on the
 fly: a positive threshold test expands a node when it first reaches it.
 Only threshold 0, "is there any accepting run?", walks the whole lasso
-graph, and it asks its SCCs (`graphs.accepting_components`); the order of
-the probes, set by the caller's guess, asks it only when the bracket
-needs it.
+graph, and it asks its SCCs (`graphs.accepting_components`).  The sup,
+inf and value searches all pick their thresholds with `narrow`.
 """
 
 from __future__ import annotations
@@ -624,6 +623,33 @@ def _accepts(
     return None, len(index)
 
 
+def narrow(test, lo: int, hi: int | None, top: int, first) -> tuple[int, int | None]:
+    """Narrow the bracket (lo, hi) of a monotone threshold test.
+
+    Every threshold up to lo passes and every one from hi up fails; hi is
+    None while no failing threshold is known.  test(t, lo, hi) runs the
+    test at a t strictly inside the bracket and returns the narrowed
+    bracket: a run the test finds may move one end past t.  The probes
+    are first the caller's `first`, capped at top, that still lie inside
+    the bracket, then min(max(lo + 1, 2t), (lo + hi) // 2, top) for the
+    last probe t, the middle left out while hi is None: a gallop that
+    doubles t until a test fails, then a bisection (Bentley and Yao's
+    unbounded search).  The search stops once the bracket closes or lo
+    reaches top, and returns the bracket.
+    """
+    probes = (min(g, top) for g in first)
+    t = lo
+    while lo < top and (hi is None or lo + 1 < hi):
+        g = next((g for g in probes if lo < g and (hi is None or g < hi)), None)
+        if g is None:
+            g = min(max(lo + 1, 2 * t), top)
+            if hi is not None:
+                g = min(g, (lo + hi) // 2)
+        t = g
+        lo, hi = test(t, lo, hi)
+    return lo, hi
+
+
 def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
     """Exact sup-semantics value of the automaton on the given lasso.
 
@@ -642,17 +668,12 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
     decomposition (`accepting_components`): with no accepting run every
     reachable node is explored anyway.
 
-    Thresholds are monotone, so the search narrows a bracket: the highest
-    threshold known to pass (-1 until one does) and the lowest known to
-    fail (cap + 1 until the cap is tested).  guess, the answer the caller
-    expects (an int or ABOVE_CAP), picks the first tests: a finite g >= 1
-    tests g and g + 1, and ABOVE_CAP tests cap.  After them, or with no
-    guess, 0, 1 and then cap are tested, and the largest achievable
-    threshold is found by doubling from the lowest pass and then bisecting
-    the bracket; so a guess below 1 tests 0 and then 1.  A right guess is
-    confirmed by those at most two tests, and a right positive one never
-    expands the whole graph.  Every test is made from the bracket, so the
-    answer is the same whatever the guess.
+    The tests narrow the bracket (-1, cap + 1) up to cap (`narrow`).
+    guess, the answer the caller expects (an int or ABOVE_CAP), picks the
+    first probes: g and g + 1, or cap for ABOVE_CAP; then come 0, 1 and
+    cap.  A right guess is confirmed by at most two tests, and a right
+    positive one never expands the whole graph.  Every test is made from
+    the bracket, so the answer is the same whatever the guess.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -661,34 +682,15 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
         product.edges, range(aut.num_counters), False, aut.num_acc_sets, best_first=False
     )
 
-    def passes(t: int) -> bool:
+    def test(t: int, lo: int, hi: int) -> tuple[int, int]:
         if t > 0:
-            return _accepts(succ, 0, t)[0] is not None
-        return bool(accepting_components(*reachable_part(product), aut.num_acc_sets))
-
-    if guess is ABOVE_CAP:
-        first: tuple[int, ...] = (cap,)
-    elif isinstance(guess, int) and guess >= 1:
-        first = (min(guess, cap), min(guess + 1, cap))
-    else:  # no guess, or below 1: the search starts at 0, then 1
-        first = ()
-    # The highest threshold known to pass (-1 until one does) and the
-    # lowest known to fail (cap + 1 until the cap is tested).
-    lo, hi = -1, cap + 1
-    probes = iter(first)
-    while hi - lo > 1:
-        t = next((g for g in probes if lo < g < hi), None)
-        if t is None:
-            if lo < 1:
-                t = lo + 1  # 0, then 1
-            elif hi > cap:
-                t = cap
-            else:
-                t = lo * 2 if lo * 2 < hi else (lo + hi) // 2
-        if passes(t):
-            lo = t
+            passes = _accepts(succ, 0, t)[0] is not None
         else:
-            hi = t
+            passes = bool(accepting_components(*reachable_part(product), aut.num_acc_sets))
+        return (t, hi) if passes else (lo, t)
+
+    guessed = (cap,) if guess is ABOVE_CAP else () if guess is None else (guess, guess + 1)
+    lo, _ = narrow(test, -1, cap + 1, cap, guessed + (0, 1, cap))
     return ABOVE_CAP if lo == cap else lo
 
 

@@ -5,30 +5,28 @@ model node by node (`automaton._ModelProduct`): each test expands the
 product nodes it reaches, and the later tests of the query reuse them.
 No product automaton is built.
 
-On the sup side, each pass asks whether some model word has an R> value
-above a threshold n: the threshold test at n + 1 finds an accepting
-lasso of the product exactly when one does, and that lasso's run value
-is a lower bound on the sup.  The test tries each node's edges best
-first (`automaton._Succ`), so the lasso it closes tends to be worth far
-more than n + 1, often the sup itself.  The next pass asks for more than
-the best value found, or for more than 2n + 1 when that is higher, so
-each passing test at least doubles n + 1.  Once a pass comes back empty,
-the search bisects between the best value found and that threshold; the
-best value is the sup.  When the first witness is the best word, a
-finite sup costs exactly two tests: the passing one at 1 and the empty
-one at n = sup.  The result stays exact whatever the order finds: an
-empty test rules out the whole unfolding (it skips only what a finished
-configuration covers, `automaton._accepts`), and the last test of every
-finite search is the empty one at n = sup, the one a search that climbed
-by one value at a time would also end on.  A run that observes no
-counter is worth infinity, and the order tries the edges that observe
-least first, so the test at 1 tends to find such a run of an unbounded
-sup at once.  When it finds a finite run instead, every later test
-passes too, and since each at least doubles n + 1 up to the cutoff, the
-search ends at `unbounded` within ceil(log2(cutoff + 1)) + 1 tests.  The
-best value starts at -1, the sup when the product accepts no model word:
-an empty test at n = 0 makes the bisection test n = -1, which asks
-whether the product accepts any word at all.
+On the sup side, the test at threshold t = n + 1 asks whether some model
+word has an R> value above n: it finds an accepting lasso of the product
+exactly when one does, and that lasso's run value is a lower bound on
+the sup.  The test tries each node's edges best first
+(`automaton._Succ`), so the lasso it closes tends to be worth far more
+than t, often the sup itself, and the bracket's lower end jumps to that
+value.  `automaton.narrow` picks the thresholds, here and on the inf
+side; the first is t = 1, and the sup is the last passing one.
+When the first witness is the best word, a finite sup costs exactly two
+tests: the passing one at 1 and the empty one at n = sup.  The result
+stays exact whatever the order finds: an empty test rules out the whole
+unfolding (it skips only what a finished configuration covers,
+`automaton._accepts`), and the last test of every finite search is the
+empty one at n = sup, the one a search that climbed by one value at a
+time would also end on.  A run that observes no counter is worth
+infinity, and the order tries the edges that observe least first, so the
+test at 1 tends to find such a run of an unbounded sup at once.  When it
+finds a finite run instead, every later test passes too, and the gallop
+ends at `unbounded` within ceil(log2(cutoff + 1)) + 1 tests.  The lower
+end starts at -1, the sup when the product accepts no model word: an
+empty test at n = 0 makes the bisection test n = -1, which asks whether
+the product accepts any word at all.
 A U<= formula goes through its R> dual: a word fails phi[n] exactly when
 its dual value is n or more, so the U<= sup is the dual's sup plus one.
 A plain formula is a U<= formula without counters (value 0 where it holds,
@@ -64,13 +62,13 @@ No surviving component proves `infinite-inf` exactly, with no cutoff.
 Otherwise the check returns a lasso whose loop resets every counter it
 increments, so its counters stay at or below some U, its largest value,
 and the bounded test at U succeeds.  That is why the search terminates.
-The first bounded test is at U - 1: when it is empty, U is the inf, and
-the query costs the Streett check and that one test.  Otherwise each
-next n doubles the last (1 after 0) but never passes the middle of the
-bracket between the last empty n and the least value found, so the
-search bisects that bracket.  A user cutoff caps n, the first test
-included; an empty test at the cutoff ends the search with
-`cutoff-reached` (the inf is finite, and above the cutoff).
+The bracket of n is (-1, U]: the test at -1 counts as empty, and a run
+of value U is known.  The first probe is U - 1: when it is empty, U is
+the inf, and the query costs the Streett check and that one test.  A run
+the test finds at n moves the upper end down to its value.  A user cutoff
+caps n, the first test included; a bracket still open once the cutoff
+test is empty ends the search with `cutoff-reached` (the inf is finite,
+and above the cutoff).
 """
 
 from __future__ import annotations
@@ -78,7 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .automaton import CounterAutomaton, LassoRun, _ModelProduct
+from .automaton import CounterAutomaton, LassoRun, _ModelProduct, narrow
 from .automaton import synchronized_product  # noqa: F401  kept importable here for bench/tracing.py
 from .emptiness import check_lasso_run, find_accepting_lasso, find_bounded_lasso, reachable_part
 from .formula import (
@@ -197,41 +195,35 @@ def _sup_direct(model, phi, cutoff):
     limit = sound if cutoff is None else cutoff
     product = _ModelProduct(aut, model)
     trace: list[IterationStats] = []
-    best, best_word = -1, None  # largest value found so far, and its word
-    ceiling = None  # least n shown to bound every value, once one is
-    n = 0
-    while True:
-        # Is there a model word of value > n?  The test keeps the runs of
-        # the product whose every observation reaches n + 1.
+    word = None  # the word of the last run found, worth lo
+
+    def test(t, lo, hi):
+        # Is there a model word of value >= t?  The test keeps the runs of
+        # the product whose every observation reaches t.
+        nonlocal word
         explored: list[int] = []
-        hit = find_accepting_lasso(product, n + 1, explored=explored)
+        hit = find_accepting_lasso(product, t, explored=explored)
         p = None
         if hit is not None:
             p = run_value(hit[0], product)
-            if p <= n:
-                raise RuntimeError(f"run of value {p} accepted at threshold {n + 1}")
+            if p < t:
+                raise RuntimeError(f"run of value {p} accepted at threshold {t}")
         trace.append(IterationStats(
-            "search", n, p, aut.num_states, *explored, None if hit is None else hit[1]
+            "search", t - 1, p, aut.num_states, *explored, None if hit is None else hit[1]
         ))
         if hit is None:
-            ceiling = n
-        elif p > limit:
-            outcome = "unbounded" if limit >= sound else "cutoff-reached"
-            return BoundResult(outcome, None, hit[1], limit, tuple(trace))
-        else:
-            best, best_word = p, hit[1]
-        # Ask for more than the best value found, or than 2n + 1 when that
-        # is higher, until a test comes back empty, then bisect between
-        # the best value and that test's threshold.
-        if ceiling is None:
-            n = min(max(best, 2 * n + 1), limit)
-        elif best < ceiling:
-            n = (best + ceiling) // 2
-        else:
-            break
+            return lo, t
+        word = hit[1]
+        return p, hi
+
+    # Thresholds t = n + 1: the sup is the last passing one.
+    best, _ = narrow(test, -1, None, limit + 1, (1,))
+    if best > limit:
+        outcome = "unbounded" if limit >= sound else "cutoff-reached"
+        return BoundResult(outcome, None, word, limit, tuple(trace))
     if best == -1:
-        best_word = _fish_word(model)
-    return BoundResult("finite", best, best_word, limit, tuple(trace))
+        word = _fish_word(model)
+    return BoundResult("finite", best, word, limit, tuple(trace))
 
 
 def _sup_via_dual(model, phi, cutoff):
@@ -245,8 +237,8 @@ def compute_inf_bound(
     """inf of the value of phi over the model's language.
 
     Translates phi once, runs the Streett check on its product with the
-    model and then gallops over bounded threshold tests of the same
-    product (see the module docstring).  No cutoff is needed; a user
+    model and then narrows the bracket of bounded threshold tests of the
+    same product (see the module docstring).  No cutoff is needed; a user
     `cutoff` caps the thresholds tried.
     """
     if model.num_counters:
@@ -266,10 +258,9 @@ def compute_inf_bound(
     # The least nonempty n lies in (lo, hi]: the test at lo is empty
     # (lo = -1 says nothing yet) and a run of value hi is known.  The
     # first test is just below hi, where an empty one settles the inf.
-    lo, n = -1, hi - 1 if cutoff is None else min(hi - 1, cutoff)
-    while lo + 1 < hi:
-        if cutoff is not None and lo >= cutoff:
-            return BoundResult("cutoff-reached", None, None, cutoff, tuple(trace))
+
+    def test(n, lo, hi):
+        nonlocal word
         explored = []
         hit = find_accepting_lasso(product, n, bounded=True, explored=explored)
         p = None if hit is None else run_peak(hit[0], product)
@@ -277,12 +268,12 @@ def compute_inf_bound(
             "search", n, p, aut.num_states, *explored, None if hit is None else hit[1]
         ))
         if hit is None:
-            lo = n
-        else:
-            hi, word = p, hit[1]
-        # Gallop, but never past the middle of the bracket: once a run
-        # turns up at n, hi <= n and the middle wins, so this bisects.
-        n = min(max(1, 2 * n), (lo + hi) // 2)
-        if cutoff is not None:
-            n = min(n, cutoff)
+            return n, hi
+        word = hit[1]
+        return lo, p
+
+    top = hi - 1 if cutoff is None else min(hi - 1, cutoff)
+    lo, hi = narrow(test, -1, hi, top, (top,))
+    if lo + 1 < hi:
+        return BoundResult("cutoff-reached", None, None, cutoff, tuple(trace))
     return BoundResult("finite", hi, word, cutoff, tuple(trace))

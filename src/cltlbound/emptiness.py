@@ -129,7 +129,10 @@ def _lasso(stem: list[tuple], loop: list[tuple]) -> tuple[LassoRun, LassoWord]:
     """The lasso run of the edges stem and loop, (src, dst, acceptance
     sets, actions, cube) as the automaton or product gives them, and the
     word it reads.  They are made `Transition`s here, the only ones a
-    search makes."""
+    search makes.  A stem that ends on the loop's last edge is folded
+    into the loop, which reads the same run."""
+    while stem and stem[-1] == loop[-1]:
+        loop = [stem.pop()] + loop[:-1]
     run = LassoRun(tuple(map(Transition.of_edge, stem)), tuple(map(Transition.of_edge, loop)))
     return run, word_of_run(run)
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cltlbound.automaton
 from cltlbound.automaton import (
@@ -9,6 +11,7 @@ from cltlbound.automaton import (
     Cube,
     Transition,
     _shared_cube,
+    narrow,
     synchronized_product,
     to_dot,
     value_on_lasso,
@@ -213,6 +216,44 @@ def test_a_right_guess_costs_at_most_two_threshold_tests(monkeypatch):
         assert value_on_lasso(aut, word, 10, want) == want
         assert calls == ([] if want == -1 else [1]), (text, calls)
         assert len(graphs) == 1, (text, graphs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    boundary=st.integers(-1, 300),
+    known_fail=st.none() | st.integers(1, 100),
+    top=st.integers(0, 400),
+    first=st.lists(st.integers(-5, 450), max_size=4),
+    data=st.data(),
+)
+def test_narrow_finds_the_boundary_of_any_monotone_test(boundary, known_fail, top, first, data):
+    # Thresholds up to the boundary pass and those above it fail.  The test
+    # may jump: a passing t can raise lo to any threshold up to the
+    # boundary, and a failing one lower hi to any threshold past it.
+    jumps = data.draw(st.booleans())
+    hi0 = None if known_fail is None else boundary + known_fail
+    calls = []
+
+    def test(t, lo, hi):
+        assert lo < t <= top and (hi is None or t < hi), (t, lo, hi)
+        calls.append(t)
+        if t <= boundary:
+            return (data.draw(st.integers(t, boundary)) if jumps else t), hi
+        return lo, (data.draw(st.integers(boundary + 1, t)) if jumps else t)
+
+    lo, hi = narrow(test, -1, hi0, top, first)
+    assert lo <= boundary and (hi is None or boundary < hi)
+    assert (lo, hi) == (boundary, boundary + 1) or lo >= top
+    if not first:
+        # With no first probes and no failing threshold known at the start,
+        # the gallop and the bisection each take about log2(m) tests, m
+        # the number of thresholds from 0 up to min(boundary, top); a
+        # known failing one caps the gallop by bisecting from the start.
+        m = min(boundary, top) + 1
+        if hi0 is None:
+            assert len(calls) <= 2 * m.bit_length() + 1, calls
+        else:
+            assert len(calls) <= m.bit_length() + (hi0 + 1).bit_length(), calls
 
 
 def test_product_against_membership_brute():

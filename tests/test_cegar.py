@@ -213,6 +213,17 @@ def test_sup_gallop_stays_logarithmic_where_the_order_misses():
     assert len(r.trace) <= 2 * math.ceil(math.log2(r.bound + 2)) + 2
 
 
+def test_sup_bisects_at_the_lower_middle():
+    # X (G> a) over L4 has sup 3.  The gallop passes at n = 0 and 2 and
+    # comes back empty at 5; the bisection of the bracket (3, 6) of
+    # thresholds n + 1 then tests its lower middle, 4 (n = 3), whose empty
+    # answer closes the bracket.
+    r = compute_sup_bound(model((ROOT / "models" / "L4.model").read_text()),
+                          parse_formula("X (G> a)"))
+    assert (r.outcome, r.bound) == ("finite", 3)
+    assert [(row.n, row.p) for row in r.trace] == [(0, 2), (2, 3), (5, None), (3, None)]
+
+
 def _agreement_corpus(count):
     """R> formulas with one cost operator.  The instantiation route
     retranslates phi & phi[n+1] per threshold, and that translation grows

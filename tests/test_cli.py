@@ -62,7 +62,7 @@ def test_undeclared_formula_propositions_are_unconstrained(capsys):
     code, data = run_json(capsys, "-f", "G> c", "-m", L3, "--mode", "sup", "--witness")
     assert code == 2
     assert data["outcome"] == "unbounded"
-    assert data["witness"] == "{a,c} | {a,c} {a,c} {c} {a,c}"
+    assert data["witness"] == "| {a,c} {a,c} {a,c} {c}"
 
 
 def test_inf_infinite_exit_three(capsys):
@@ -186,7 +186,7 @@ def test_sup_gallops_from_a_finite_run_to_unbounded(capsys, monkeypatch):
     )
     assert (code, data["outcome"], data["iterations"]) == (2, "unbounded", 1)
     assert [(r["n"], r["p"]) for r in data["trace"]] == [(0, "infinite")]
-    assert (data["witness"], data["oracle"]) == ("{a} | {a}", "ok")
+    assert (data["witness"], data["oracle"]) == ("| {a}", "ok")
 
 
 def test_cutoffs_count_reachable_model_states(tmp_path, capsys):
@@ -422,7 +422,7 @@ def test_inf_infinite_by_the_streett_check(tmp_path, capsys):
 
 # SHA-256 of `scripts/report_matrix.py`'s output.  A change that alters
 # some report on purpose updates it and says why in CHANGES.md.
-REPORT_MATRIX_SHA256 = "621c657188d1382c3533a652a63eb9ff99a886b59036a1a56afda1842b48e899"
+REPORT_MATRIX_SHA256 = "6a3d08db49706393635c7220030904cd3db4fe411e9a2bcd547b3112c7e2f27a"
 
 
 def test_report_matrix_is_unchanged():
@@ -431,3 +431,28 @@ def test_report_matrix_is_unchanged():
         capture_output=True, check=True, cwd=ROOT,
     ).stdout
     assert hashlib.sha256(out).hexdigest() == REPORT_MATRIX_SHA256
+
+
+def test_diff_reports_counts_and_lists_changed_fields(tmp_path):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    lines = [
+        {"argv": ["--mode", "sup", "-f", "G> a"], "exit": 0, "iterations": 3, "witness": "{a} | {a}"},
+        {"argv": ["--mode", "inf", "-f", "F<= b"], "exit": 0, "bound": 2},
+    ]
+    a.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    lines[0].update(iterations=2, witness="| {a}")
+    b.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    script = [sys.executable, str(ROOT / "scripts" / "diff_reports.py")]
+    done = subprocess.run(script + [str(a), str(b)], capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [
+        "1 of 2 lines differ",
+        "  iterations: 1",
+        "  witness: 1",
+        "",
+        "--mode sup -f G> a",
+        "  iterations: 3 -> 2",
+        '  witness: "{a} | {a}" -> "| {a}"',
+    ]
+    same = subprocess.run(script + [str(a), str(a)], capture_output=True, text=True)
+    assert (same.returncode, same.stdout) == (0, "0 of 2 lines differ\n")

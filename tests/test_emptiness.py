@@ -124,11 +124,18 @@ def test_checker_rejects_forged_runs_of_a_lazy_product():
     check_lasso_run(product, run, word)
     # A fresh product expands what the check reads.
     check_lasso_run(_ModelProduct(source, model), run, word)
+    # Start the loop at the node of the run that has the a&b self-loop
+    # (model state 1), and unfold the loop up to it into the stem: the
+    # same run, whose stem now leads into the loop.
+    k = next(k for k, t in enumerate(run.loop)
+             if (t.src, t.src, frozenset(), ("i",), cube("a&b")) in product.edges(t.src))
+    assert k > 0
+    run = LassoRun(run.stem + run.loop[:k], run.loop[k:] + run.loop[:k])
+    check_lasso_run(product, run)
     first = run.loop[0]
     unreached = product.num_states
     assert run.loop[1].src != first.src  # so rotating the loop breaks the chain
     self_loop = Transition(first.src, cube("a&b"), ("i",), frozenset(), first.src)
-    assert (first.src, first.src, frozenset(), ("i",), cube("a&b")) in product.edges(first.src)
     foreign = "transition not in the automaton"
     forged = [
         (LassoRun(run.stem, (replace(first, cube=cube("!a")),) + run.loop[1:]), foreign),
