@@ -7,10 +7,11 @@ value mode's answers, as the queries read them.
 Each translation is dumped canonically.  A whole automaton, as the sup
 and inf searches build it (`cegar._pruned`), gives its header and its
 transitions in order.  A lazy `Tableau` read along one lasso word gives
-the word's whole lasso graph (its product with the word, walked by
-`graphs.reachable_part` as value mode's threshold-0 test walks it; its
-positive tests expand only the nodes they reach): the number of nodes,
-the edges in BFS order, and the number of tableau states reached.
+the word's whole lasso graph (its product with the word,
+`automaton._LassoGraph`, walked by `graphs.reachable_part` as value
+mode's threshold-0 test walks it; its positive tests expand only the
+nodes they reach): the number of nodes, the edges in BFS order, and the
+number of tableau states reached.
 One line per stream gives the stream's number of dumps and digest, and
 the last line the digest of all of them.  The streams, drawn by
 `tests/corpus.py` with criterion 3's rule of redrawing formulas with
@@ -27,7 +28,8 @@ more than four cost operators:
   the 900 formula/word pairs above at cap 10, read as its check reads it
   (`cli._check_value`: an R> formula itself, any other formula's R>
   dual), once with no guess and once with the guess the check passes;
-  an answer reads -1 where no run accepts.
+  every bracket starts at -1, where the check starts an R> formula's at
+  0, so an answer reads -1 where no run accepts.
 
 That is 1,400 whole translations, 900 lazy ones and 900 value pairs.
 The script imports the package from the `src` directory next to it, so
@@ -50,7 +52,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from corpus import random_formula, random_lasso  # noqa: E402
 
 from cltlbound import oracle  # noqa: E402
-from cltlbound.automaton import _Product, _word_rows, value_on_lasso  # noqa: E402
+from cltlbound.automaton import _LassoGraph, value_on_lasso  # noqa: E402
 from cltlbound.cegar import _pruned  # noqa: E402
 from cltlbound.formula import (  # noqa: E402
     COST_GT,
@@ -85,7 +87,7 @@ def whole(phi) -> str:
 
 
 def lasso_graph(tab, word):
-    return reachable_part(_Product(tab, 0, _word_rows(word, tab.ap)))
+    return reachable_part(_LassoGraph(tab, word))
 
 
 def lazy(phi, word) -> str:

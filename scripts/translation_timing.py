@@ -36,7 +36,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from corpus import random_formula, random_lasso  # noqa: E402
 
-from cltlbound.automaton import _Product, _word_rows  # noqa: E402
+from cltlbound.automaton import _LassoGraph  # noqa: E402
 from cltlbound.graphs import reachable_part  # noqa: E402
 from cltlbound.translate import Tableau, build_counter_automaton  # noqa: E402
 
@@ -57,7 +57,7 @@ def criterion_1_pairs(count: int) -> list:
 def lazy(phi, word) -> str:
     start = time.perf_counter()
     tab = Tableau(phi)
-    nodes, edges = reachable_part(_Product(tab, 0, _word_rows(word, tab.ap)))
+    nodes, edges = reachable_part(_LassoGraph(tab, word))
     seconds = time.perf_counter() - start
     return (
         f"lazy  {seconds:7.2f} s  {tab.num_states:6d} tableau states  "

@@ -8,13 +8,15 @@ value, then reset) and "r" (reset).
 
 Every edge is a plain tuple (src, dst, acceptance sets, actions, cube):
 a CounterAutomaton's edges, a `translate.Tableau`'s rows, a model's rows
-and a product's edges alike.  One pairing loop makes every product
-(`_Product`): a source that answers `successors(state, cube)`, a
-CounterAutomaton or a formula's `translate.Tableau`, paired with a whole
-model (`_ModelProduct`) or with one lasso word, a one-path model
-(`value_on_lasso`).  It expands a node when first asked for its edges;
-`graphs.reachable_part` walks them all, and `synchronized_product` makes
-a CounterAutomaton of that.
+and a product's edges alike.  A source answers `successors(state,
+cube)`: a CounterAutomaton, or a formula's `translate.Tableau`.  Its
+product with a whole model (`_ModelProduct`) pairs each of its edges
+with each model edge, node by node, since a model state's edges carry
+their own cubes and acceptance sets; `graphs.reachable_part` walks it
+whole, and `synchronized_product` makes a CounterAutomaton of that.  Its
+product with one lasso word (`_LassoGraph`) reads the word's letters
+alone, so it asks the source once per (state, letter), not once per
+position.
 
 A threshold test asks whether some accepting run observes every counter
 at t or more.  One engine answers it (`_accepts`): configurations pair a
@@ -23,20 +25,20 @@ first as it generates them and stops at the first accepting cycle it
 meets; with one tracked counter it skips the configurations a finished
 one covers.  With counters bounded instead of capped, the same engine keeps
 the runs whose every counter stays at t or below: a U<= automaton's run
-is worth its largest counter value.  A test reads one `_Succ`, which
-every front end builds alike from a node's edges, plain tuples (src,
-dst, acceptance sets, actions, cube): it compiles a node's rows when a
-test first reaches it, best first under the capped reading, and carries
-the test's reading.  The model front
-end (`emptiness.find_accepting_lasso`) keeps one per reading of a
-CounterAutomaton or of a `_ModelProduct`, the formula × model product
-the sup and inf searches read node by node, and threads a witness lasso
-through the accepting component the test stops in.  The lasso front end
-(`value_on_lasso`) reads a source's product with one lasso word on the
-fly: a positive threshold test expands a node when it first reaches it.
-Only threshold 0, "is there any accepting run?", walks the whole lasso
-graph, and it asks its SCCs (`graphs.accepting_components`).  The sup,
-inf and value searches all pick their thresholds with `narrow`.
+is worth its largest counter value.  A test reads a `_Succ`, which
+compiles the plain edges leaving a key into rows when a test first
+reaches it, best first under the capped reading, and carries the test's
+reading.  The model front end (`emptiness.find_accepting_lasso`) keeps
+one per reading of a CounterAutomaton or of a `_ModelProduct`, the
+formula × model product the sup and inf searches read node by node, and
+threads a witness lasso through the accepting component the test stops
+in.  The lasso front end (`value_on_lasso`) reads a `_LassoGraph`, whose
+one `_Succ` is keyed by (source state, letter): a node takes the rows of
+its state and letter, their destinations paired with the next position,
+when a positive threshold test first reaches it.  Only threshold 0, "is
+there any accepting run?", walks the whole lasso graph, and it asks its
+SCCs (`graphs.accepting_components`).  The sup, inf and value searches
+all pick their thresholds with `narrow`.
 """
 
 from __future__ import annotations
@@ -158,8 +160,9 @@ class CounterAutomaton:
         return out
 
     def successors(self, state: int, cube: Cube) -> list[tuple]:
-        """The edges leaving state, cubes as built: `_Product` conjoins each
-        with the model's cubes, so the query cube is not applied here."""
+        """The edges leaving state, cubes as built: `_ModelProduct`
+        conjoins each with the model's cubes and `_LassoGraph` drops the
+        ones a letter contradicts, so the query cube is not applied here."""
         return self.edges(state)
 
     def edges(self, state: int) -> list[tuple]:
@@ -211,34 +214,56 @@ def _shared_cube(cubes) -> Cube:
     return Cube(pos, neg) if pos or neg else TOP_CUBE
 
 
-class _Product:
-    """The product of source with a model given as rows, node by node.
+class _ModelProduct:
+    """Counter automaton a's product with a whole model b, node by node,
+    read as a counter automaton: counters and acceptance sets are
+    reindexed disjointly (b's shifted after a's), and node 0 is the
+    initial pair.  The sup and inf searches test it as they reach it
+    (`emptiness.find_accepting_lasso`), through the same two readings a
+    `CounterAutomaton` keeps; neither builds a `Transition`.
 
-    rows[q] is (shared, guarded) for model state q: the edges leaving it,
-    and a cube all their cubes imply.  Nodes are the (source state, model
-    state) pairs reached from the initial pair, node 0, numbered in the
-    order the expansions first meet them.  Source is asked once per
-    (source state, shared cube object), and each edge it returns is paired
-    with each model edge, source-major, unless their cubes contradict.  A
-    source may, but need not, narrow its edges to the shared cube or drop
-    the ones that contradict it: that changes no pair.
+    Nodes are the (a state, b state) pairs reached from the initial pair,
+    numbered in the order the expansions first meet them; num_states
+    counts the nodes met so far.  Each b state keeps its edges and a cube
+    all their cubes imply, its shared cube.  a is asked once per (a state,
+    shared cube object), and each edge it returns is paired with each of
+    b's edges, a-major, unless their cubes contradict.  a may, but need
+    not, narrow its edges to the shared cube or drop the ones that
+    contradict it: that changes no pair.
     """
 
     init = 0
 
-    def __init__(self, source, model_init: int, rows: list[tuple]):
-        self._source = source
-        self._rows = rows
-        start = (source.init, model_init)
+    def __init__(self, a: CounterAutomaton, b: CounterAutomaton):
+        shift = a.num_acc_sets
+        by_source = b.by_source
+        self._rows = []  # (shared cube, edges) per b state
+        shared_cubes: dict[Cube, Cube] = {}  # one object per value, for the memo of a
+        for q in range(b.num_states):
+            out = by_source.get(q, ())
+            guarded = [
+                (q, t.dst, frozenset(shift + i for i in t.acc), t.actions, t.cube) for t in out
+            ]
+            shared = _shared_cube([t.cube for t in out]) if out else TOP_CUBE
+            self._rows.append((shared_cubes.setdefault(shared, shared), guarded))
+        self._source, self._model = a, b
+        start = (a.init, b.init)
         self._index = {start: 0}
         self.order = [start]  # the nodes met so far
         self._asked: dict[tuple, list[tuple]] = {}
         self._expanded: dict[int, list[tuple]] = {}
+        self.num_counters = a.num_counters + b.num_counters
+        self.num_acc_sets = a.num_acc_sets + b.num_acc_sets
+        self.ap = tuple(sorted(set(a.ap) | set(b.ap)))
+
+    @property
+    def num_states(self) -> int:
+        return len(self.order)
 
     def edges(self, s: int) -> list[tuple]:
         """The edges (src, dst, acceptance sets, actions, cube) leaving
-        node s, the source's sets and actions first.  Node s is expanded
-        when first asked for, and its edges kept."""
+        node s, a's sets and actions first.  Node s is expanded when first
+        asked for, and its edges kept."""
         edges = self._expanded.get(s)
         if edges is not None:
             return edges
@@ -247,7 +272,7 @@ class _Product:
         shared, guarded = self._rows[q]
         if not guarded:
             return edges
-        got = self._asked.get((p, id(shared)))  # rows keeps shared alive
+        got = self._asked.get((p, id(shared)))  # _rows keeps shared alive
         if got is None:
             got = self._asked[p, id(shared)] = self._source.successors(p, shared)
         index, order = self._index, self.order
@@ -265,39 +290,6 @@ class _Product:
                 edges.append((s, d, acc, actions_a + actions_b, cube))
         return edges
 
-
-class _ModelProduct(_Product):
-    """Counter automaton a's product with a whole model b, node by node,
-    read as a counter automaton: counters and acceptance sets are
-    reindexed disjointly (b's shifted after a's), and node 0 is the
-    initial pair.  The sup and inf searches test it as they reach it
-    (`emptiness.find_accepting_lasso`), through the same two readings a
-    `CounterAutomaton` keeps; neither builds a `Transition`.  num_states
-    counts the nodes met so far.
-    """
-
-    def __init__(self, a: CounterAutomaton, b: CounterAutomaton):
-        shift = a.num_acc_sets
-        by_source = b.by_source
-        rows = []
-        shared_cubes: dict[Cube, Cube] = {}  # one object per value, for the source's memo
-        for q in range(b.num_states):
-            out = by_source.get(q, ())
-            guarded = [
-                (q, t.dst, frozenset(shift + i for i in t.acc), t.actions, t.cube) for t in out
-            ]
-            shared = _shared_cube([t.cube for t in out]) if out else TOP_CUBE
-            rows.append((shared_cubes.setdefault(shared, shared), guarded))
-        super().__init__(a, b.init, rows)
-        self._parts = (a, b)
-        self.num_counters = a.num_counters + b.num_counters
-        self.num_acc_sets = a.num_acc_sets + b.num_acc_sets
-        self.ap = tuple(sorted(set(a.ap) | set(b.ap)))
-
-    @property
-    def num_states(self) -> int:
-        return len(self.order)
-
     @cached_property
     def _capped(self) -> _Succ:
         return self._succ("o", bounded=False)
@@ -307,7 +299,7 @@ class _ModelProduct(_Product):
         return self._succ("i", bounded=True)
 
     def _succ(self, key: str, bounded: bool) -> _Succ:
-        a, b = self._parts
+        a, b = self._source, self._model
         tracked = _touched(a, key) + [a.num_counters + c for c in _touched(b, key)]
         return _Succ(self.edges, tracked, bounded, self.num_acc_sets)
 
@@ -324,45 +316,28 @@ def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAut
     )
 
 
-def _word_rows(word: LassoWord, ap) -> list[tuple]:
-    """A lasso word as a one-path model's rows: position p has one edge,
-    reading its letter, as a cube fixing every proposition of ap, into the
-    next."""
-    props = frozenset(ap)
-    letters = word.prefix + word.cycle
-    cubes: dict[frozenset, Cube] = {}  # by letter, and by its part over ap
-    no_sets = frozenset()
-    rows = []
-    for p, letter in enumerate(letters):
-        cube = cubes.get(letter)
-        if cube is None:
-            own = letter & props
-            cube = cubes[letter] = cubes.setdefault(own, Cube(own, props - own))
-        rows.append((cube, ((p, p + 1, no_sets, (), cube),)))
-    p = len(letters) - 1  # the last position reads into the cycle's first
-    rows[-1] = (cube, ((p, len(word.prefix), no_sets, (), cube),))
-    return rows
-
-
 class _Succ(dict):
-    """A threshold test's graph and reading, all `_accepts` reads: node ->
+    """A threshold test's graph and reading, all `_accepts` reads: key ->
     the rows leaving it, as (dst, acceptance bitmask, counter ops, edge),
-    in order.  A counter op is (slot, action char), and the tracked
-    counters take the slots in the order given.  Capped, a tracked counter
-    keeps its increments, resets and observations; bounded, its increments
-    and resets only.  bounded, num_slots and full (the mask of all
-    num_acc_sets acceptance sets) are kept for the test.
+    in order.  A key is a node, or for the rows a `_LassoGraph` shares
+    among positions, a (source state, letter) pair.  A counter op is
+    (slot, action char), and the tracked counters take the slots in the
+    order given.  Capped, a tracked counter keeps its increments, resets
+    and observations; bounded, its increments and resets only.  bounded,
+    num_slots and full (the mask of all num_acc_sets acceptance sets) are
+    kept for the test.
 
     edges_of returns the edges (src, dst, acceptance sets, actions, cube)
-    leaving a node: a node's rows are compiled from them when the search
-    first looks it up, and kept, each row labelled with its edge.  With
-    best_first (capped only), a node's rows come best first (`_row_rank`,
-    computed once per distinct counter ops): those that observe least,
-    then reset least, then increment most, ties in edge order.  The
-    depth-first test meets them in that order, so a passing test tends to
-    return a run of high value; the order never changes a verdict, since
-    an empty test rules out every row.  Otherwise, and always bounded, the
-    rows keep the edge order: `value_on_lasso` reads verdicts alone.
+    leaving a key: its rows are compiled from them when first looked up,
+    and kept, each row labelled with its edge.  With best_first (capped
+    only), the rows come best first (`_row_rank`, computed once per
+    distinct counter ops): those that observe least, then reset least,
+    then increment most, ties in edge order.  The depth-first test meets
+    them in that order, so a passing test tends to return a run of high
+    value; the order never changes a verdict, since an empty test rules
+    out every row.  Otherwise, and always bounded, the rows keep the edge
+    order: `_LassoGraph` serves `value_on_lasso`, which reads verdicts
+    alone.
     """
 
     def __init__(
@@ -414,6 +389,108 @@ def _row_rank(ops: tuple[tuple[int, str], ...]) -> tuple[int, int, int]:
     passing test then tends to close a lasso of high value."""
     chars = [ch for _, ch in ops]
     return chars.count("o"), chars.count("r"), -chars.count("i")
+
+
+class _LassoGraph(dict):
+    """A source's product with one lasso word, read as `_accepts` reads a
+    `_Succ`: node -> its rows (dst, acceptance bitmask, counter ops, the
+    source's edge), in the source's order.  Every counter of the source is
+    tracked, under the capped reading.
+
+    Nodes are the (source state, position) pairs reached from (source
+    init, 0), node 0, numbered in the order the expansions first meet
+    them; the position after the last one is the cycle's first.  A
+    position reads its letter as a cube fixing every proposition of the
+    source's ap, one cube object per distinct letter over ap.  One `_Succ`
+    keyed by (source state, letter) compiles the rows of each such pair
+    once: the source is asked for its edges under the letter's cube, and
+    the edges whose cube contradicts it are dropped.  Node (p, position)
+    takes the rows of (p, its letter), each destination state paired with
+    the next position.
+
+    edges(node) gives a node's edges as plain tuples (src, dst, acceptance
+    sets, actions, cube), the cube its letter's, for the whole walk of
+    threshold 0 (`graphs.reachable_part`): it reads the source's edges of
+    (state, letter), kept once per pair, and compiles no row.  Both
+    readings number a node's destinations in edge order, so the numbers
+    do not depend on which one expands a node first.
+    """
+
+    init = 0
+
+    def __init__(self, source, word: LassoWord):
+        super().__init__()
+        props = frozenset(source.ap)
+        numbers: dict[frozenset, int] = {}  # a cube's number, by letter and by its part over ap
+        self._cubes: list[Cube] = []
+        self._letter = []  # the number of each position's cube
+        for letter in word.prefix + word.cycle:
+            k = numbers.get(letter)
+            if k is None:
+                own = letter & props
+                k = numbers.get(own)
+                if k is None:
+                    k = numbers[own] = len(self._cubes)
+                    self._cubes.append(Cube(own, props - own))
+                numbers[letter] = k
+            self._letter.append(k)
+        self._next = list(range(1, len(self._letter))) + [len(word.prefix)]
+        self._source = source
+        self._asked: dict[tuple[int, int], list[tuple]] = {}
+        self._compiled = _Succ(
+            self._letter_edges,
+            range(source.num_counters),
+            False,
+            source.num_acc_sets,
+            best_first=False,
+        )
+        self.bounded = False
+        self.num_slots, self.full = self._compiled.num_slots, self._compiled.full
+        start = (source.init, 0)
+        self._index = {start: 0}
+        self.order = [start]  # the nodes met so far
+
+    def _letter_edges(self, key: tuple[int, int]) -> list[tuple]:
+        """The source's edges from a state under a letter's cube, minus
+        those that contradict it; key is (state, letter number)."""
+        got = self._asked.get(key)
+        if got is None:
+            state, k = key
+            cube = self._cubes[k]
+            got = self._asked[key] = [
+                e for e in self._source.successors(state, cube)
+                if e[4] is cube or _narrow(e[4], cube) is not None
+            ]
+        return got
+
+    def __missing__(self, node: int) -> list[tuple]:
+        p, q = self.order[node]
+        after = self._next[q]
+        index, order = self._index, self.order
+        rows = self[node] = []
+        for dst, mask, ops, edge in self._compiled[p, self._letter[q]]:
+            tgt = (dst, after)
+            d = index.get(tgt)
+            if d is None:
+                d = index[tgt] = len(order)
+                order.append(tgt)
+            rows.append((d, mask, ops, edge))
+        return rows
+
+    def edges(self, node: int) -> list[tuple]:
+        p, q = self.order[node]
+        k, after = self._letter[q], self._next[q]
+        cube = self._cubes[k]
+        index, order = self._index, self.order
+        out = []
+        for _, dst, acc, actions, _ in self._letter_edges((p, k)):
+            tgt = (dst, after)
+            d = index.get(tgt)
+            if d is None:
+                d = index[tgt] = len(order)
+                order.append(tgt)
+            out.append((node, d, acc, actions, cube))
+        return out
 
 
 # A counter's action as a 2-bit code; a row of actions is the int whose
@@ -479,7 +556,7 @@ def undominated(rows: list, inf: bool) -> list:
 
 
 def _accepts(
-    succ: _Succ, init: int, t: int, edges: list | None = None
+    succ: _Succ | _LassoGraph, init: int, t: int, edges: list | None = None
 ) -> tuple[tuple | None, int]:
     """The threshold test: does the unfolding at t hold an accepting cycle?
 
@@ -494,13 +571,13 @@ def _accepts(
     verification of linear temporal logic", FM'99; see also Renault et
     al., LPAR 2013).  succ maps a node to its rows (dst node, acceptance
     bitmask, counter ops, edge), made when the search first looks the
-    node up (`_Succ`); succ.full is the mask of every set.  Each root
-    of a component still on the stack carries the sets met inside the
-    component, and the set of the edge that entered it, which joins the
-    component only when an edge back into a live configuration merges it
-    with an older root.  The search stops at the first merge covering
-    every set; with no sets, at the first cycle.  Finished components are
-    marked dead and never merged.
+    node up (`_Succ`, or `_LassoGraph` for a lasso word); succ.full is
+    the mask of every set.  Each root of a component still on the stack
+    carries the sets met inside the component, and the set of the edge
+    that entered it, which joins the component only when an edge back
+    into a live configuration merges it with an older root.  The search
+    stops at the first merge covering every set; with no sets, at the
+    first cycle.  Finished components are marked dead and never merged.
 
     With one tracked counter, a dead configuration also rules out the ones
     it covers at its node.  The step is monotone: capped, (q, x) covers
@@ -650,25 +727,28 @@ def narrow(test, lo: int, hi: int | None, top: int, first) -> tuple[int, int | N
     return lo, hi
 
 
-def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
+def value_on_lasso(aut, word: LassoWord, cap: int, guess=None, lo: int = -1):
     """Exact sup-semantics value of the automaton on the given lasso.
 
     aut is a CounterAutomaton, or a `translate.Tableau` read lazily along
-    the word: the lasso graph is aut's product with the word (`_Product`).
+    the word: the lasso graph is aut's product with the word
+    (`_LassoGraph`), whose rows are compiled once per (state, letter).
     Returns -1 when no accepting run exists (the value is then 0 by the
     empty-sup convention), ABOVE_CAP when every threshold up to cap is
     achievable (covers infinite values), and the exact value otherwise.
 
     A positive threshold test runs `_accepts` on the lasso graph as the
-    test reaches it: a node is expanded, and its rows compiled, the first
-    time the search looks it up, and kept for the later tests.  Every
-    counter of aut is tracked: one that no transition observes never
-    changes a verdict.  Threshold 0 ("is there any accepting run?")
-    walks the whole graph (`reachable_part`) and asks its SCC
-    decomposition (`accepting_components`): with no accepting run every
-    reachable node is explored anyway.
+    test reaches it: a node is expanded the first time the search looks it
+    up, and kept for the later tests.  Every counter of aut is tracked:
+    one that no transition observes never changes a verdict.  Threshold 0
+    ("is there any accepting run?") walks the whole graph
+    (`reachable_part`) and asks its SCC decomposition
+    (`accepting_components`): with no accepting run every reachable node
+    is explored anyway.
 
-    The tests narrow the bracket (-1, cap + 1) up to cap (`narrow`).
+    The tests narrow the bracket (lo, cap + 1) up to cap (`narrow`).  lo
+    is -1, or 0 for a caller that reads "no run" as the value 0: the
+    answer is then max(0, value), and threshold 0 is never tested.
     guess, the answer the caller expects (an int or ABOVE_CAP), picks the
     first probes: g and g + 1, or cap for ABOVE_CAP; then come 0, 1 and
     cap.  A right guess is confirmed by at most two tests, and a right
@@ -677,20 +757,17 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None):
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    product = _Product(aut, 0, _word_rows(word, aut.ap))
-    succ = _Succ(
-        product.edges, range(aut.num_counters), False, aut.num_acc_sets, best_first=False
-    )
+    graph = _LassoGraph(aut, word)
 
     def test(t: int, lo: int, hi: int) -> tuple[int, int]:
         if t > 0:
-            passes = _accepts(succ, 0, t)[0] is not None
+            passes = _accepts(graph, 0, t)[0] is not None
         else:
-            passes = bool(accepting_components(*reachable_part(product), aut.num_acc_sets))
+            passes = bool(accepting_components(*reachable_part(graph), aut.num_acc_sets))
         return (t, hi) if passes else (lo, t)
 
     guessed = (cap,) if guess is ABOVE_CAP else () if guess is None else (guess, guess + 1)
-    lo, _ = narrow(test, -1, cap + 1, cap, guessed + (0, 1, cap))
+    lo, _ = narrow(test, lo, cap + 1, cap, guessed + (0, 1, cap))
     return ABOVE_CAP if lo == cap else lo
 
 

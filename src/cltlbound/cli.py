@@ -162,8 +162,9 @@ def _check_value(phi, frag: str, word, cap: int, val) -> str:
     # threshold tests confirm a right one, and a wrong one only starts the
     # search, whose answer does not depend on it.
     if frag == COST_GT:
-        side = value_on_lasso(Tableau(phi), word, cap, val)
-        side = 0 if side == -1 else side  # no run: the empty-sup convention
+        # No run means the value 0 (the empty-sup convention), so the
+        # bracket starts at 0 and threshold 0 is never tested.
+        side = value_on_lasso(Tableau(phi), word, cap, val, lo=0)
         expect = val
     else:
         # The dual value is the U<= value minus one, -1 meaning no run; a

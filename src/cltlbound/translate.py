@@ -67,7 +67,8 @@ each one AND of two ints.
 
 The pick order rests on two more values per member: the mask of the
 strict subformulas of its unflagged form (a member on its partner counter
-read as the occurrence itself), and its rank, `formula.sort_key`.  One OR
+read as the occurrence itself), and its rank, `formula.sort_key`, built
+from its parts' ranks when it is numbered (a Carry has none).  One OR
 over the masks of a set's non-reduced members covers every member that
 sits inside another; the lowest rank among the others is rewritten next.
 
@@ -132,7 +133,6 @@ from .formula import (
     cost_operator_count,
     label_counters,
     propositions,
-    sort_key,
     until_subformulas,
 )
 from .graphs import accepting_components, coreachable
@@ -161,6 +161,7 @@ _KIND = {
     And: _AND, Or: _OR, Until: _UNTIL, Release: _RELEASE,
     CostRelease: _COST_REL, CostUntil: _COST_UNTIL,
 }
+_TAG = {_AND: "&", _OR: "|", _UNTIL: "U", _RELEASE: "R"}  # as `formula.sort_key` writes them
 
 
 def _bits(mask: int):
@@ -292,8 +293,8 @@ class Tableau:
             return got
         kind = _KIND[type(f)]
         if kind == _LIT:
-            pos = self._new(Lit(f.name), kind, -1, 0)
-            neg = self._new(Lit(f.name, False), kind, -1, 0)
+            pos = self._new(Lit(f.name), kind, -1, 0, (1, f.name))
+            neg = self._new(Lit(f.name, False), kind, -1, 0, (1, "!" + f.name))
             self._opp[pos], self._opp[neg] = 1 << neg, 1 << pos
             self._literals[f.name] = (1 << pos, 1 << neg)
             return pos if f.positive else neg
@@ -301,7 +302,8 @@ class Tableau:
         strict = 0
         for p in parts:
             strict |= 1 << p | self._strict[p]
-        i = self._new(f, kind, parts[0] if kind in (_NEXT, _CARRY) else -1, strict)
+        rank = None if kind == _CARRY else self._rank_of(f, kind, parts)
+        i = self._new(f, kind, parts[0] if kind in (_NEXT, _CARRY) else -1, strict, rank)
         if kind == _COST_REL:
             occ = abs(f.counter)
             self._label[i] = f.counter
@@ -312,10 +314,23 @@ class Tableau:
             self._carried[i] = 1 << abs(self._label[parts[0]])
         if kind >= _AND:
             self._nonreduced |= 1 << i
-            self._rank[i] = sort_key(f)
         return i
 
-    def _new(self, f, kind: int, arg: int, strict: int) -> int:
+    def _rank_of(self, f, kind: int, parts: list[int]) -> tuple[int, str]:
+        """`formula.sort_key` of formula f, from its parts' ranks: its
+        node count and its canonical text."""
+        ranks = [self._rank[p] for p in parts]
+        count = 1 + sum(r[0] for r in ranks)
+        if kind == _TRUE:
+            return count, "true"
+        if kind == _FALSE:
+            return count, "false"
+        if kind == _NEXT:
+            return count, f"X({ranks[0][1]})"
+        tag = _TAG.get(kind) or ("U<=" if kind == _COST_UNTIL else "R>") + f"[{f.counter}]"
+        return count, f"{tag}({ranks[0][1]},{ranks[1][1]})"
+
+    def _new(self, f, kind: int, arg: int, strict: int, rank) -> int:
         i = len(self._forms)
         self._ids[f] = i
         self._forms.append(f)
@@ -326,7 +341,7 @@ class Tableau:
         self._carried.append(0)
         self._unflagged.append(1 << i)
         self._strict.append(strict)
-        self._rank.append(None)
+        self._rank.append(rank)
         self._templates.append(None)
         return i
 

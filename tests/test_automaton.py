@@ -10,7 +10,11 @@ from cltlbound.automaton import (
     CounterAutomaton,
     Cube,
     Transition,
+    _accepts,
+    _LassoGraph,
+    _ModelProduct,
     _shared_cube,
+    _Succ,
     narrow,
     synchronized_product,
     to_dot,
@@ -19,8 +23,9 @@ from cltlbound.automaton import (
 from cltlbound.cegar import run_peak, run_value
 from cltlbound.emptiness import check_lasso_run, find_accepting_lasso
 from cltlbound.formula import cost_operator_count, negate_dual, parse_formula
+from cltlbound.graphs import reachable_part
 from cltlbound.translate import Tableau
-from cltlbound.words import ABOVE_CAP, parse_lasso
+from cltlbound.words import ABOVE_CAP, LassoWord, parse_lasso
 
 from corpus import (
     naive_accepts,
@@ -349,6 +354,117 @@ def test_capped_unfolding_agrees_with_value_on_lasso():
     assert nonempty > 50
     with pytest.raises(ValueError):
         find_accepting_lasso(block_counter(), -1)
+
+
+def lasso_sources(rng):
+    """Seeded (source, word) pairs for the lasso reading: the Tableaux of
+    R> formulas and of the R> duals of U<= formulas, drawn with criterion
+    3's rule of at most four cost operators, whose words hold a
+    proposition c that no formula reads, and random counter automata,
+    whose cubes often contradict a letter."""
+    out = []
+    for fragment in ("CostGT", "CostLE"):
+        for _ in range(40):
+            phi = random_formula(rng, depth=4, props=("a", "b"), fragment=fragment)
+            while cost_operator_count(phi) > 4:
+                phi = random_formula(rng, depth=4, props=("a", "b"), fragment=fragment)
+            source = Tableau(phi if fragment == "CostGT" else negate_dual(phi))
+            out.append((source, random_lasso(rng, ("a", "b", "c"))))
+    for _ in range(80):
+        aut = random_automaton(rng, max_states=5, max_acc=2, max_counters=2)
+        out.append((aut, random_lasso(rng, ("a", "b"), 4, 4)))
+    return out
+
+
+def over(word, ap):
+    """The word with every letter cut down to the propositions of ap."""
+    props = frozenset(ap)
+    return LassoWord(
+        tuple(letter & props for letter in word.prefix),
+        tuple(letter & props for letter in word.cycle),
+    )
+
+
+def test_lasso_reading_agrees_with_the_one_path_model():
+    # The lasso reading and the word read as a one-path model through
+    # _ModelProduct reach the same (state, position) pairs, numbered
+    # alike, with the same edges per pair, and give the same verdict at
+    # every threshold up to the cap.
+    rng = random.Random(61)
+    cap = 4
+    dropped = passing = 0
+    for source, word in lasso_sources(rng):
+        graph = _LassoGraph(source, word)
+        product = _ModelProduct(source, word_model(over(word, source.ap), source.ap))
+        assert reachable_part(graph) == reachable_part(product), (source, str(word))
+        assert graph.order == product.order
+        for node, (state, _) in enumerate(graph.order):
+            assert graph.edges(node) == product.edges(node)
+            if isinstance(source, CounterAutomaton):
+                dropped += len(source.edges(state)) - len(graph[node])
+        succ = _Succ(
+            product.edges, range(source.num_counters), False, source.num_acc_sets,
+            best_first=False,
+        )
+        value = value_on_lasso(source, word, cap)
+        for t in range(cap + 1):
+            hit = _accepts(graph, 0, t)[0] is not None
+            assert hit == (_accepts(succ, 0, t)[0] is not None), (source, str(word), t)
+            assert hit == (value is ABOVE_CAP or value >= t), (source, str(word), t, value)
+            passing += hit and t > 0
+    assert dropped > 100
+    assert passing > 50
+
+
+class Asking:
+    """A source that records each (state, cube) it is asked for."""
+
+    def __init__(self, source):
+        self.source = source
+        self.asked = []
+
+    def __getattr__(self, name):
+        return getattr(self.source, name)
+
+    def successors(self, state, cube):
+        self.asked.append((state, cube))
+        return self.source.successors(state, cube)
+
+
+def test_each_state_and_letter_is_asked_once():
+    # The lasso reading asks the source once per distinct (state, letter)
+    # its nodes reach, whichever tests expand them, although many
+    # positions read one letter; letters that differ only off the
+    # source's propositions are one letter.
+    rng = random.Random(67)
+    for source, word in lasso_sources(rng) + list(value_cap_pairs()):
+        asking = Asking(source)
+        graph = _LassoGraph(asking, word)
+        for t in (3, 1, 0, 2):
+            _accepts(graph, 0, t)
+        reachable_part(graph)
+        ap = frozenset(source.ap)
+        reached = {
+            (state, Cube(word.letter(q) & ap, ap - word.letter(q))) for state, q in graph.order
+        }
+        assert len(asking.asked) == len(reached), str(word)
+        assert set(asking.asked) == reached, str(word)
+        if len(word.prefix) > 40:  # the value-cap shapes: two letters, long runs
+            assert len(graph.order) > 20 * len(asking.asked), str(word)
+
+
+def test_a_bracket_from_0_reads_no_run_as_0():
+    # value_on_lasso(..., lo=0) is max(0, value): threshold 0 is never
+    # tested, so no run and a run of value 0 both read 0.
+    rng = random.Random(71)
+    seen = set()
+    for source, word in lasso_sources(rng)[::3]:
+        for cap in (1, 3):
+            want = value_on_lasso(source, word, cap)
+            got = value_on_lasso(source, word, cap, lo=0)
+            assert got == (want if want is ABOVE_CAP else max(0, want)), (str(word), cap)
+            seen.add(want if want is ABOVE_CAP else min(want, 1))
+    assert seen == {-1, 0, 1, ABOVE_CAP}
 
 
 def test_early_exit_agrees_with_the_whole_unfolding():

@@ -76,6 +76,33 @@ def test_lazy_route_agrees_on_the_criterion_1_duals():
     assert against_automaton == 179
 
 
+def test_ranks_built_from_parts_equal_sort_key():
+    # A Tableau builds each member's rank from its parts' ranks when it
+    # numbers the member; formula.sort_key, which recomputes the node
+    # count and the canonical text, is the reference.  The first 200
+    # formulas of criterion 3's stream, each explored whole, so that X
+    # members and members moved onto their partner counter are numbered
+    # too.
+    rng = random.Random(3)
+    checked = partners = 0
+    for _ in range(200):
+        phi = random_formula(rng, depth=4, props=("a", "b"), fragment="CostGT")
+        while cost_operator_count(phi) > 4:
+            phi = random_formula(rng, depth=4, props=("a", "b"), fragment="CostGT")
+        random_lasso(rng, props=("a", "b"))  # the stream's word, drawn to keep its formulas
+        tab = Tableau(phi)
+        explore_whole(tab)
+        for f, rank in zip(tab._forms, tab._rank):
+            if isinstance(f, Carry):
+                assert rank is None
+                continue
+            assert rank == sort_key(f), str(f)
+            checked += 1
+            partners += isinstance(f, CostRelease) and f.counter < 0
+    assert checked == 2540
+    assert partners == 112
+
+
 # Pair 24 of the benchmark's U<= value-corpus stream, the costliest query of
 # its pass to translate whole: value mode checks a U<= formula on its dual.
 PAIR_24 = (
