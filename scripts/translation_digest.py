@@ -7,8 +7,8 @@ value mode's answers, as the queries read them.
 Each translation is dumped canonically.  A whole automaton, as the sup
 and inf searches build it (`cegar._pruned`), gives its header and its
 transitions in order.  A lazy `Tableau` read along one lasso word gives
-the word's whole lasso graph (its product with the word,
-`automaton._LassoGraph`, walked by `graphs.reachable_part` as value
+its whole product with the word, the one-path model
+(`automaton._ModelProduct`, walked by `graphs.reachable_part` as value
 mode's threshold-0 test walks it; its positive tests expand only the
 nodes they reach): the number of nodes, the edges in BFS order, and the
 number of tableau states reached.
@@ -52,7 +52,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from corpus import random_formula, random_lasso  # noqa: E402
 
 from cltlbound import oracle  # noqa: E402
-from cltlbound.automaton import _LassoGraph, value_on_lasso  # noqa: E402
+from cltlbound.automaton import _ModelProduct, value_on_lasso  # noqa: E402
 from cltlbound.cegar import _pruned  # noqa: E402
 from cltlbound.formula import (  # noqa: E402
     COST_GT,
@@ -87,7 +87,7 @@ def whole(phi) -> str:
 
 
 def lasso_graph(tab, word):
-    return reachable_part(_LassoGraph(tab, word))
+    return reachable_part(_ModelProduct(tab, word))
 
 
 def lazy(phi, word) -> str:

@@ -11,8 +11,8 @@ ways, and for pair 195 only the first:
 
 - lazily along the pair's word: a `Tableau` read as value mode reads it,
   by walking its whole product with the word (`graphs.reachable_part`);
-  it prints the seconds, the tableau states reached and the lasso
-  graph's nodes and edges;
+  it prints the seconds, the tableau states reached and the product's
+  nodes and edges;
 - whole: `build_counter_automaton`, as the sup and inf searches build
   it; it prints the seconds and the automaton's states and transitions
   after live slicing.
@@ -36,7 +36,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from corpus import random_formula, random_lasso  # noqa: E402
 
-from cltlbound.automaton import _LassoGraph  # noqa: E402
+from cltlbound.automaton import _ModelProduct  # noqa: E402
 from cltlbound.graphs import reachable_part  # noqa: E402
 from cltlbound.translate import Tableau, build_counter_automaton  # noqa: E402
 
@@ -57,7 +57,7 @@ def criterion_1_pairs(count: int) -> list:
 def lazy(phi, word) -> str:
     start = time.perf_counter()
     tab = Tableau(phi)
-    nodes, edges = reachable_part(_LassoGraph(tab, word))
+    nodes, edges = reachable_part(_ModelProduct(tab, word))
     seconds = time.perf_counter() - start
     return (
         f"lazy  {seconds:7.2f} s  {tab.num_states:6d} tableau states  "

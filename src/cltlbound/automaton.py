@@ -9,14 +9,11 @@ value, then reset) and "r" (reset).
 Every edge is a plain tuple (src, dst, acceptance sets, actions, cube):
 a CounterAutomaton's edges, a `translate.Tableau`'s rows, a model's rows
 and a product's edges alike.  A source answers `successors(state,
-cube)`: a CounterAutomaton, or a formula's `translate.Tableau`.  Its
-product with a whole model (`_ModelProduct`) pairs each of its edges
-with each model edge, node by node, since a model state's edges carry
-their own cubes and acceptance sets; `graphs.reachable_part` walks it
-whole, and `synchronized_product` makes a CounterAutomaton of that.  Its
-product with one lasso word (`_LassoGraph`) reads the word's letters
-alone, so it asks the source once per (state, letter), not once per
-position.
+cube)`: a CounterAutomaton, or a formula's `translate.Tableau`.  One
+product (`_ModelProduct`) pairs a source with a whole model or with one
+lasso word, the one-path model, node by node; `graphs.reachable_part`
+walks it whole, and `synchronized_product` makes a CounterAutomaton of
+that.
 
 A threshold test asks whether some accepting run observes every counter
 at t or more.  One engine answers it (`_accepts`): configurations pair a
@@ -25,20 +22,14 @@ first as it generates them and stops at the first accepting cycle it
 meets; with one tracked counter it skips the configurations a finished
 one covers.  With counters bounded instead of capped, the same engine keeps
 the runs whose every counter stays at t or below: a U<= automaton's run
-is worth its largest counter value.  A test reads a `_Succ`, which
-compiles the plain edges leaving a key into rows when a test first
-reaches it, best first under the capped reading, and carries the test's
-reading.  The model front end (`emptiness.find_accepting_lasso`) keeps
-one per reading of a CounterAutomaton or of a `_ModelProduct`, the
-formula × model product the sup and inf searches read node by node, and
+is worth its largest counter value.  A test reads a reading's rows,
+compiled from plain edges by a `_Succ` when the test first reaches
+them: a CounterAutomaton's per state, a product's per (source state,
+shared cube), which `_Rows` maps to each node.  The sup and inf searches
+test a formula × model product (`emptiness.find_accepting_lasso`, which
 threads a witness lasso through the accepting component the test stops
-in.  The lasso front end (`value_on_lasso`) reads a `_LassoGraph`, whose
-one `_Succ` is keyed by (source state, letter): a node takes the rows of
-its state and letter, their destinations paired with the next position,
-when a positive threshold test first reaches it.  Only threshold 0, "is
-there any accepting run?", walks the whole lasso graph, and it asks its
-SCCs (`graphs.accepting_components`).  The sup, inf and value searches
-all pick their thresholds with `narrow`.
+in), value mode a formula × word product (`value_on_lasso`); all three
+pick their thresholds with `narrow`.
 """
 
 from __future__ import annotations
@@ -160,9 +151,9 @@ class CounterAutomaton:
         return out
 
     def successors(self, state: int, cube: Cube) -> list[tuple]:
-        """The edges leaving state, cubes as built: `_ModelProduct`
-        conjoins each with the model's cubes and `_LassoGraph` drops the
-        ones a letter contradicts, so the query cube is not applied here."""
+        """The edges leaving state, cubes as built: `_ModelProduct` drops
+        the ones the query cube contradicts and conjoins the rest with the
+        model's cubes, so the query cube is not applied here."""
         return self.edges(state)
 
     def edges(self, state: int) -> list[tuple]:
@@ -215,69 +206,111 @@ def _shared_cube(cubes) -> Cube:
 
 
 class _ModelProduct:
-    """Counter automaton a's product with a whole model b, node by node,
-    read as a counter automaton: counters and acceptance sets are
-    reindexed disjointly (b's shifted after a's), and node 0 is the
-    initial pair.  The sup and inf searches test it as they reach it
-    (`emptiness.find_accepting_lasso`), through the same two readings a
-    `CounterAutomaton` keeps; neither builds a `Transition`.
+    """A source's product with a model, node by node, read as a counter
+    automaton: counters and acceptance sets are reindexed disjointly (the
+    model's shifted after the source's), and node 0 is the initial pair.
+    The model is a CounterAutomaton, or a `LassoWord` read as the one-path
+    model over the source's ap: position i moves to the next (the cycle's
+    first after the last) under its letter as a cube fixing the whole ap.
 
-    Nodes are the (a state, b state) pairs reached from the initial pair,
-    numbered in the order the expansions first meet them; num_states
-    counts the nodes met so far.  Each b state keeps its edges and a cube
-    all their cubes imply, its shared cube.  a is asked once per (a state,
-    shared cube object), and each edge it returns is paired with each of
-    b's edges, a-major, unless their cubes contradict.  a may, but need
-    not, narrow its edges to the shared cube or drop the ones that
-    contradict it: that changes no pair.
+    Nodes are the (source state, model state) pairs reached from the
+    initial pair, numbered as the expansions first meet them; num_states
+    counts them.  Each model state keeps its edges, its moves, and its
+    shared cube, which all their cubes imply.  The source is asked once
+    per (state, shared cube), and the edges it returns that contradict
+    the shared cube are dropped.  Each edge left is paired with each move
+    whose cube it does not contradict, source-major.
+
+    `edges(s)` makes and keeps node s's edges, the source's sets and
+    actions first, for the whole walks, the Streett check,
+    `check_lasso_run` and `synchronized_product`.  The threshold tests
+    read one of three readings (`_Rows`) instead: capped and best first
+    for sup (`_capped`), bounded for inf (`_bounded`), and capped over
+    every counter in edge order for value mode (`_every`).  A row names
+    the source's edge; `edge` rebuilds the product edge of a witness's.
     """
 
     init = 0
 
-    def __init__(self, a: CounterAutomaton, b: CounterAutomaton):
-        shift = a.num_acc_sets
-        by_source = b.by_source
-        self._rows = []  # (shared cube, edges) per b state
-        shared_cubes: dict[Cube, Cube] = {}  # one object per value, for the memo of a
-        for q in range(b.num_states):
-            out = by_source.get(q, ())
-            guarded = [
-                (q, t.dst, frozenset(shift + i for i in t.acc), t.actions, t.cube) for t in out
-            ]
-            shared = _shared_cube([t.cube for t in out]) if out else TOP_CUBE
-            self._rows.append((shared_cubes.setdefault(shared, shared), guarded))
-        self._source, self._model = a, b
-        start = (a.init, b.init)
+    def __init__(self, source, model: CounterAutomaton | LassoWord):
+        shift = source.num_acc_sets
+        self._shared: list[int] = []  # each model state's shared cube number
+        self._after: list[int | None] = []  # a lone move's target if it has no sets
+        numbers: dict = {}  # a shared cube's number, by cube (a word's, by part over ap)
+        if isinstance(model, LassoWord):
+            props, by_letter = frozenset(source.ap), {}
+            for letter in model.prefix + model.cycle:
+                k = by_letter.get(letter)
+                if k is None:
+                    k = by_letter[letter] = numbers.setdefault(letter & props, len(numbers))
+                self._shared.append(k)
+            self._cubes = [Cube(own, props - own) for own in numbers]  # by number
+            self._after = [*range(1, len(self._shared)), len(model.prefix)]
+            init, counters, sets, ap = 0, 0, 0, ()
+        else:
+            self._moves = []  # set here, it hides the word's `_moves`
+            for q in range(model.num_states):
+                out = model.by_source.get(q, ())
+                shared = _shared_cube([t.cube for t in out]) if out else TOP_CUBE
+                self._shared.append(numbers.setdefault(shared, len(numbers)))
+                moves = []
+                for t in out:
+                    acc = frozenset(shift + i for i in t.acc) if t.acc else t.acc
+                    mask = sum(1 << i for i in acc) if acc else 0
+                    moves.append((t.dst, acc, t.actions, t.cube, mask))
+                self._moves.append(tuple(moves))
+                self._after.append(moves[0][0] if len(moves) == 1 and not moves[0][4] else None)
+            self._cubes = list(numbers)
+            init, counters, sets, ap = model.init, model.num_counters, model.num_acc_sets, model.ap
+        self._source, self._shift = source, shift
+        start = (source.init, init)
         self._index = {start: 0}
         self.order = [start]  # the nodes met so far
-        self._asked: dict[tuple, list[tuple]] = {}
+        self._asked: dict[tuple[int, int], list[tuple]] = {}
         self._expanded: dict[int, list[tuple]] = {}
-        self.num_counters = a.num_counters + b.num_counters
-        self.num_acc_sets = a.num_acc_sets + b.num_acc_sets
-        self.ap = tuple(sorted(set(a.ap) | set(b.ap)))
+        self.num_counters = source.num_counters + counters
+        self.num_acc_sets = shift + sets
+        self.ap = tuple(sorted(set(source.ap) | set(ap)))
 
     @property
     def num_states(self) -> int:
         return len(self.order)
 
+    @cached_property
+    def _moves(self) -> list[tuple[tuple, ...]]:
+        """Each model state's moves (dst, acceptance sets, actions, cube,
+        sets' bitmask): a word's, made here when first asked for; the
+        tests read `_after` alone."""
+        none, cubes = frozenset(), map(self._cubes.__getitem__, self._shared)
+        return [((d, none, (), cube, 0),) for d, cube in zip(self._after, cubes)]
+
+    def _source_edges(self, key: tuple[int, int]) -> list[tuple]:
+        """The source's edges from a state under a shared cube, minus those
+        that contradict it; key is (state, shared cube number)."""
+        got = self._asked.get(key)
+        if got is None:
+            cube = self._cubes[key[1]]
+            got = self._asked[key] = [
+                e for e in self._source.successors(key[0], cube)
+                if e[4] is cube or _narrow(e[4], cube) is not None
+            ]
+        return got
+
     def edges(self, s: int) -> list[tuple]:
         """The edges (src, dst, acceptance sets, actions, cube) leaving
-        node s, a's sets and actions first.  Node s is expanded when first
-        asked for, and its edges kept."""
+        node s, the source's sets and actions first.  Node s is expanded
+        when first asked for, and its edges kept."""
         edges = self._expanded.get(s)
         if edges is not None:
             return edges
         edges = self._expanded[s] = []
         p, q = self.order[s]
-        shared, guarded = self._rows[q]
-        if not guarded:
+        moves = self._moves[q]
+        if not moves:
             return edges
-        got = self._asked.get((p, id(shared)))  # _rows keeps shared alive
-        if got is None:
-            got = self._asked[p, id(shared)] = self._source.successors(p, shared)
         index, order = self._index, self.order
-        for _, dst_a, acc_a, actions_a, cube_a in got:
-            for _, dst_b, acc_b, actions_b, cube_b in guarded:
+        for _, dst_a, acc_a, actions_a, cube_a in self._source_edges((p, self._shared[q])):
+            for dst_b, acc_b, actions_b, cube_b, _ in moves:
                 cube = cube_a if cube_a is cube_b else _narrow(cube_a, cube_b)
                 if cube is None:
                     continue
@@ -290,18 +323,84 @@ class _ModelProduct:
                 edges.append((s, d, acc, actions_a + actions_b, cube))
         return edges
 
-    @cached_property
-    def _capped(self) -> _Succ:
-        return self._succ("o", bounded=False)
+    def edge(self, s: int, d: int, mask: int, edge: tuple) -> tuple:
+        """The product edge, one of `edges(s)`, of a row from node s to d
+        with bitmask mask and source edge edge: edge paired with the first
+        move to d's model state that completes mask and meets its cube."""
+        _, _, acc_a, actions_a, cube_a = edge
+        after, own = self.order[d][1], mask >> self._shift << self._shift  # the model's sets
+        for dst_b, acc_b, actions_b, cube_b, mask_b in self._moves[self.order[s][1]]:
+            if dst_b != after or mask_b != own:
+                continue
+            cube = cube_a if cube_a is cube_b else _narrow(cube_a, cube_b)
+            if cube is not None:
+                acc = acc_a | acc_b if acc_b else acc_a
+                return (s, d, acc, actions_a + actions_b, cube)
+        raise ValueError(f"no edge of node {s} pairs {edge}")
 
     @cached_property
-    def _bounded(self) -> _Succ:
-        return self._succ("i", bounded=True)
+    def _capped(self) -> _Rows:
+        return self._reading(_touched(self._source, "o"), False, True)
 
-    def _succ(self, key: str, bounded: bool) -> _Succ:
-        a, b = self._source, self._model
-        tracked = _touched(a, key) + [a.num_counters + c for c in _touched(b, key)]
-        return _Succ(self.edges, tracked, bounded, self.num_acc_sets)
+    @cached_property
+    def _bounded(self) -> _Rows:
+        return self._reading(_touched(self._source, "i"), True, False)
+
+    @cached_property
+    def _every(self) -> _Rows:
+        return self._reading(range(self._source.num_counters), False, False)
+
+    def _reading(self, tracked, bounded: bool, best_first: bool) -> _Rows:
+        if self.num_counters > self._source.num_counters:
+            raise ValueError("a threshold test reads no model counters")
+        pairs = _Succ(self._source_edges, tracked, bounded, self.num_acc_sets, best_first)
+        return _Rows(self, pairs)
+
+
+class _Rows(dict):
+    """One reading of a `_ModelProduct`, as `_accepts` reads it: node ->
+    its rows (dst node, acceptance bitmask, counter ops, source edge),
+    made when first looked up.  pairs, a `_Succ` keyed by (source state,
+    shared cube number), compiles each pair's rows once; a node pairs
+    them in order with its model state's moves.  bounded, num_slots and
+    full are pairs'."""
+
+    def __init__(self, product: _ModelProduct, pairs: _Succ):
+        super().__init__()
+        self._product, self._pairs = product, pairs
+        self._index, self._order = product._index, product.order
+        self._after, self._shared = product._after, product._shared
+        self.bounded, self.num_slots, self.full = pairs.bounded, pairs.num_slots, pairs.full
+
+    def __missing__(self, node: int) -> list[tuple]:
+        index, order = self._index, self._order
+        p, q = order[node]
+        rows = self[node] = []
+        dst_b = self._after[q]
+        if dst_b is not None:  # one move, whose cube is the shared cube, and no sets
+            for dst, mask, ops, edge in self._pairs[p, self._shared[q]]:
+                tgt = (dst, dst_b)
+                d = index.get(tgt)
+                if d is None:
+                    d = index[tgt] = len(order)
+                    order.append(tgt)
+                rows.append((d, mask, ops, edge))
+            return rows
+        moves = self._product._moves[q]
+        if not moves:
+            return rows
+        for dst, mask, ops, edge in self._pairs[p, self._shared[q]]:
+            pos, neg = edge[4].positive.isdisjoint, edge[4].negative.isdisjoint
+            for dst_b, _, _, cube_b, mask_b in moves:
+                if not (pos(cube_b.negative) and neg(cube_b.positive)):
+                    continue  # the cubes contradict
+                tgt = (dst, dst_b)
+                d = index.get(tgt)
+                if d is None:
+                    d = index[tgt] = len(order)
+                    order.append(tgt)
+                rows.append((d, mask | mask_b, ops, edge))
+        return rows
 
 
 def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAutomaton:
@@ -317,27 +416,25 @@ def synchronized_product(a: CounterAutomaton, b: CounterAutomaton) -> CounterAut
 
 
 class _Succ(dict):
-    """A threshold test's graph and reading, all `_accepts` reads: key ->
-    the rows leaving it, as (dst, acceptance bitmask, counter ops, edge),
-    in order.  A key is a node, or for the rows a `_LassoGraph` shares
-    among positions, a (source state, letter) pair.  A counter op is
-    (slot, action char), and the tracked counters take the slots in the
-    order given.  Capped, a tracked counter keeps its increments, resets
-    and observations; bounded, its increments and resets only.  bounded,
-    num_slots and full (the mask of all num_acc_sets acceptance sets) are
-    kept for the test.
+    """A threshold test's reading of plain edges: key -> the rows leaving
+    it, as (dst, acceptance bitmask, counter ops, edge), in order, compiled
+    when first looked up from edges_of(key), the edges (src, dst,
+    acceptance sets, actions, cube) leaving a CounterAutomaton's state or
+    a `_ModelProduct`'s (source state, shared cube number).
 
-    edges_of returns the edges (src, dst, acceptance sets, actions, cube)
-    leaving a key: its rows are compiled from them when first looked up,
-    and kept, each row labelled with its edge.  With best_first (capped
-    only), the rows come best first (`_row_rank`, computed once per
-    distinct counter ops): those that observe least, then reset least,
-    then increment most, ties in edge order.  The depth-first test meets
-    them in that order, so a passing test tends to return a run of high
-    value; the order never changes a verdict, since an empty test rules
-    out every row.  Otherwise, and always bounded, the rows keep the edge
-    order: `_LassoGraph` serves `value_on_lasso`, which reads verdicts
-    alone.
+    A counter op is (slot, action char), and the tracked counters take the
+    slots in the order given.  Capped, a tracked counter keeps its
+    increments, resets and observations; bounded, its increments and
+    resets only.  bounded, num_slots and full (the mask of all
+    num_acc_sets acceptance sets) are kept for the test.
+
+    With best_first (capped only), the rows come best first (`_row_rank`,
+    computed once per distinct counter ops): those that observe least,
+    then reset least, then increment most, ties in edge order.  The
+    depth-first test meets them in that order, so a passing test tends to
+    return a run of high value; the order never changes a verdict, since
+    an empty test rules out every row.  Otherwise, and always bounded, the
+    rows keep the edge order: value mode reads verdicts alone.
     """
 
     def __init__(
@@ -356,12 +453,12 @@ class _Succ(dict):
         )
         self._masks: dict[frozenset, int] = {}  # the sets are few, and mostly shared
 
-    def __missing__(self, node: int) -> list[tuple]:
+    def __missing__(self, key) -> list[tuple]:
         slot, kept, compiled, rank, masks = (
             self._slot, self._kept, self._ops, self._rank, self._masks
         )
-        rows = self[node] = []
-        for edge in self._edges_of(node):
+        rows = self[key] = []
+        for edge in self._edges_of(key):
             _, dst, acc, actions, _ = edge
             ops = compiled.get(actions)
             if ops is None:
@@ -389,108 +486,6 @@ def _row_rank(ops: tuple[tuple[int, str], ...]) -> tuple[int, int, int]:
     passing test then tends to close a lasso of high value."""
     chars = [ch for _, ch in ops]
     return chars.count("o"), chars.count("r"), -chars.count("i")
-
-
-class _LassoGraph(dict):
-    """A source's product with one lasso word, read as `_accepts` reads a
-    `_Succ`: node -> its rows (dst, acceptance bitmask, counter ops, the
-    source's edge), in the source's order.  Every counter of the source is
-    tracked, under the capped reading.
-
-    Nodes are the (source state, position) pairs reached from (source
-    init, 0), node 0, numbered in the order the expansions first meet
-    them; the position after the last one is the cycle's first.  A
-    position reads its letter as a cube fixing every proposition of the
-    source's ap, one cube object per distinct letter over ap.  One `_Succ`
-    keyed by (source state, letter) compiles the rows of each such pair
-    once: the source is asked for its edges under the letter's cube, and
-    the edges whose cube contradicts it are dropped.  Node (p, position)
-    takes the rows of (p, its letter), each destination state paired with
-    the next position.
-
-    edges(node) gives a node's edges as plain tuples (src, dst, acceptance
-    sets, actions, cube), the cube its letter's, for the whole walk of
-    threshold 0 (`graphs.reachable_part`): it reads the source's edges of
-    (state, letter), kept once per pair, and compiles no row.  Both
-    readings number a node's destinations in edge order, so the numbers
-    do not depend on which one expands a node first.
-    """
-
-    init = 0
-
-    def __init__(self, source, word: LassoWord):
-        super().__init__()
-        props = frozenset(source.ap)
-        numbers: dict[frozenset, int] = {}  # a cube's number, by letter and by its part over ap
-        self._cubes: list[Cube] = []
-        self._letter = []  # the number of each position's cube
-        for letter in word.prefix + word.cycle:
-            k = numbers.get(letter)
-            if k is None:
-                own = letter & props
-                k = numbers.get(own)
-                if k is None:
-                    k = numbers[own] = len(self._cubes)
-                    self._cubes.append(Cube(own, props - own))
-                numbers[letter] = k
-            self._letter.append(k)
-        self._next = list(range(1, len(self._letter))) + [len(word.prefix)]
-        self._source = source
-        self._asked: dict[tuple[int, int], list[tuple]] = {}
-        self._compiled = _Succ(
-            self._letter_edges,
-            range(source.num_counters),
-            False,
-            source.num_acc_sets,
-            best_first=False,
-        )
-        self.bounded = False
-        self.num_slots, self.full = self._compiled.num_slots, self._compiled.full
-        start = (source.init, 0)
-        self._index = {start: 0}
-        self.order = [start]  # the nodes met so far
-
-    def _letter_edges(self, key: tuple[int, int]) -> list[tuple]:
-        """The source's edges from a state under a letter's cube, minus
-        those that contradict it; key is (state, letter number)."""
-        got = self._asked.get(key)
-        if got is None:
-            state, k = key
-            cube = self._cubes[k]
-            got = self._asked[key] = [
-                e for e in self._source.successors(state, cube)
-                if e[4] is cube or _narrow(e[4], cube) is not None
-            ]
-        return got
-
-    def __missing__(self, node: int) -> list[tuple]:
-        p, q = self.order[node]
-        after = self._next[q]
-        index, order = self._index, self.order
-        rows = self[node] = []
-        for dst, mask, ops, edge in self._compiled[p, self._letter[q]]:
-            tgt = (dst, after)
-            d = index.get(tgt)
-            if d is None:
-                d = index[tgt] = len(order)
-                order.append(tgt)
-            rows.append((d, mask, ops, edge))
-        return rows
-
-    def edges(self, node: int) -> list[tuple]:
-        p, q = self.order[node]
-        k, after = self._letter[q], self._next[q]
-        cube = self._cubes[k]
-        index, order = self._index, self.order
-        out = []
-        for _, dst, acc, actions, _ in self._letter_edges((p, k)):
-            tgt = (dst, after)
-            d = index.get(tgt)
-            if d is None:
-                d = index[tgt] = len(order)
-                order.append(tgt)
-            out.append((node, d, acc, actions, cube))
-        return out
 
 
 # A counter's action as a 2-bit code; a row of actions is the int whose
@@ -556,7 +551,7 @@ def undominated(rows: list, inf: bool) -> list:
 
 
 def _accepts(
-    succ: _Succ | _LassoGraph, init: int, t: int, edges: list | None = None
+    succ: _Succ | _Rows, init: int, t: int, edges: list | None = None
 ) -> tuple[tuple | None, int]:
     """The threshold test: does the unfolding at t hold an accepting cycle?
 
@@ -571,7 +566,7 @@ def _accepts(
     verification of linear temporal logic", FM'99; see also Renault et
     al., LPAR 2013).  succ maps a node to its rows (dst node, acceptance
     bitmask, counter ops, edge), made when the search first looks the
-    node up (`_Succ`, or `_LassoGraph` for a lasso word); succ.full is
+    node up (a `_Succ`, or a product's `_Rows`); succ.full is
     the mask of every set.  Each root of a component still on the stack
     carries the sets met inside the component, and the set of the edge
     that entered it, which joins the component only when an edge back
@@ -605,12 +600,13 @@ def _accepts(
     costs more than it saves.
 
     Returns (found, configurations explored), which on a failed test is at
-    most the whole unfolding.  found is None or (stem, root, component): the
-    edges of the rows that entered the DFS frames down to the accepting
-    component's root, the root's index, and the indices of the
-    component's configurations (the live ones from the root on).  When
-    edges is a list, it receives every kept edge explored as (src, dst,
-    acceptance bitmask, edge); the component's edges cover every set.
+    most the whole unfolding.  found is None, or True when edges is None,
+    or else (stem, root, component): the steps (src node, dst node,
+    acceptance bitmask, the row's edge) that entered the DFS frames down
+    to the accepting component's root, the root's index, and the indices
+    of the component's configurations (the live ones from the root on).
+    edges receives every kept edge explored as its (src, dst)
+    configuration indices and its step; the component's cover every set.
     """
     bounded, full = succ.bounded, succ.full
     start = (init, (0,) * succ.num_slots)
@@ -626,11 +622,12 @@ def _accepts(
     roots = [0]  # index of each unfinished component's root
     sets = [0]  # acceptance sets met inside each of those components
     entry = [0]  # acceptance sets of the edge entering each root
-    # A frame: configuration, its index, its rows left, the edge entering it.
-    todo = [(start, 0, iter(succ[init]), None)]
+    # A frame: configuration, its index, its rows left, and the mask and
+    # edge of the row entering it.
+    todo = [(start, 0, iter(succ[init]), 0, None)]
     while todo:
-        v, s, rows, _ = todo[-1]
-        vals = v[1]
+        v, s, rows, _, _ = todo[-1]
+        node, vals = v
         for dst, mask, ops, edge in rows:
             if ops:
                 # The counter step, inline: it runs once per edge.
@@ -662,15 +659,15 @@ def _accepts(
                     configs.append(w)
                 i = index[w] = len(index)
                 if edges is not None:
-                    edges.append((s, i, mask, edge))
+                    edges.append((s, i, node, dst, mask, edge))
                 live.append(i)
                 roots.append(i)
                 sets.append(0)
                 entry.append(mask)
-                todo.append((w, i, iter(succ[dst]), edge))
+                todo.append((w, i, iter(succ[dst]), mask, edge))
                 break
             if edges is not None:
-                edges.append((s, i, mask, edge))
+                edges.append((s, i, node, dst, mask, edge))
             if i in dead:
                 continue
             while roots[-1] > i:
@@ -678,8 +675,11 @@ def _accepts(
                 mask |= sets.pop() | entry.pop()
             sets[-1] |= mask
             if sets[-1] == full:
+                if edges is None:
+                    return True, len(index)
                 root = roots[-1]
-                stem = [f[3] for f in todo[1:] if f[1] <= root]
+                stem = [(f[0][0], g[0][0], g[3], g[4]) for f, g in zip(todo, todo[1:])
+                        if g[1] <= root]
                 return (stem, root, set(live[bisect_left(live, root):])), len(index)
         else:
             todo.pop()
@@ -731,43 +731,40 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None, lo: int = -1):
     """Exact sup-semantics value of the automaton on the given lasso.
 
     aut is a CounterAutomaton, or a `translate.Tableau` read lazily along
-    the word: the lasso graph is aut's product with the word
-    (`_LassoGraph`), whose rows are compiled once per (state, letter).
-    Returns -1 when no accepting run exists (the value is then 0 by the
-    empty-sup convention), ABOVE_CAP when every threshold up to cap is
-    achievable (covers infinite values), and the exact value otherwise.
+    the word: the tests read aut's product with the word (`_ModelProduct`),
+    which asks aut once per (state, letter).  Returns -1 when no accepting
+    run exists (the value is then 0 by the empty-sup convention),
+    ABOVE_CAP when every threshold up to cap is achievable (covers
+    infinite values), and the exact value otherwise.
 
-    A positive threshold test runs `_accepts` on the lasso graph as the
-    test reaches it: a node is expanded the first time the search looks it
-    up, and kept for the later tests.  Every counter of aut is tracked:
-    one that no transition observes never changes a verdict.  Threshold 0
-    ("is there any accepting run?") walks the whole graph
-    (`reachable_part`) and asks its SCC decomposition
-    (`accepting_components`): with no accepting run every reachable node
-    is explored anyway.
+    A positive threshold test runs `_accepts` on the product's value-mode
+    reading (`_every`).  Threshold 0 ("is there any accepting run?") walks
+    the whole product and asks its SCCs (`accepting_components`): with no
+    accepting run every reachable node is explored anyway.
 
     The tests narrow the bracket (lo, cap + 1) up to cap (`narrow`).  lo
     is -1, or 0 for a caller that reads "no run" as the value 0: the
     answer is then max(0, value), and threshold 0 is never tested.
     guess, the answer the caller expects (an int or ABOVE_CAP), picks the
-    first probes: g and g + 1, or cap for ABOVE_CAP; then come 0, 1 and
-    cap.  A right guess is confirmed by at most two tests, and a right
-    positive one never expands the whole graph.  Every test is made from
-    the bracket, so the answer is the same whatever the guess.
+    first probes: g and g + 1, or cap for ABOVE_CAP; then come 0, cap and
+    1, and the gallop doubles from 1.  A right guess is confirmed by at
+    most two tests, and a right positive one never walks the whole
+    product.  The answer does not depend on the guess.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    graph = _LassoGraph(aut, word)
+    product = _ModelProduct(aut, word)
+    reading = product._every
 
     def test(t: int, lo: int, hi: int) -> tuple[int, int]:
         if t > 0:
-            passes = _accepts(graph, 0, t)[0] is not None
+            passes = _accepts(reading, 0, t)[0] is not None
         else:
-            passes = bool(accepting_components(*reachable_part(graph), aut.num_acc_sets))
+            passes = bool(accepting_components(*reachable_part(product), aut.num_acc_sets))
         return (t, hi) if passes else (lo, t)
 
     guessed = (cap,) if guess is ABOVE_CAP else () if guess is None else (guess, guess + 1)
-    lo, _ = narrow(test, lo, cap + 1, cap, guessed + (0, 1, cap))
+    lo, _ = narrow(test, lo, cap + 1, cap, guessed + (0, cap, 1))
     return ABOVE_CAP if lo == cap else lo
 
 

@@ -6,15 +6,15 @@ read node by node.
 counter observation is at least t?  At t = 0 counters play no part and
 aut is read as a generalized Buchi automaton; with bounded=True the test
 asks instead for a run whose every counter stays at t or below.  aut is a
-CounterAutomaton or an `automaton._ModelProduct`, which the sup and inf
-searches pass: both give their edges as plain tuples (src, dst,
-acceptance sets, actions, cube), and the product expands a node only
-when the test reaches it.  The test explores configurations depth first
-from the initial one and stops at the first accepting cycle.  Its
-witness is a lasso run of aut itself: the DFS path into the accepting
-component's root, then a loop threading one edge per acceptance set.
-Only the lasso's edges are made `Transition`s.  The search is
-deterministic for a fixed edge order.
+CounterAutomaton or the product `automaton._ModelProduct`, which the sup
+and inf searches pass; the product makes a node's rows only when the
+test reaches it.  The test explores configurations depth first from the
+initial one and stops at the first accepting cycle.  Its witness is a
+lasso run of aut itself: the DFS path into the accepting component's
+root, then a loop threading one edge per acceptance set.  A product's
+rows name the source's edges alone, so only the lasso's product edges
+are rebuilt (`_ModelProduct.edge`) and made `Transition`s.  The search
+is deterministic for a fixed edge order.
 
 `find_bounded_lasso` answers the Streett question on aut's reachable
 part (`graphs.reachable_part`, aut's own edges in BFS order): is there
@@ -47,7 +47,7 @@ def find_accepting_lasso(
     The run found observes every counter at t or more, or with bounded=True
     keeps every counter at t or below; at the default t = 0 the search
     ignores counters.  aut is a CounterAutomaton or a
-    `automaton._ModelProduct`, and the test reads the `_Succ` it keeps for
+    `automaton._ModelProduct`, and the test reads the rows it keeps for
     each reading.  When explored is a list, it receives the numbers of
     configurations and edges the search explored: with one tracked
     counter an empty test skips the configurations a finished one covers
@@ -63,11 +63,12 @@ def find_accepting_lasso(
     if found is None:
         return None
     stem, root, comp = found
-    # The explored edges are (src, dst, acceptance bitmask, edge) over
-    # configurations.
+    # The explored edges are (src, dst) configurations, then the step
+    # (src node, dst node, acceptance bitmask, row's edge).
     inside = [e for e in edges if e[0] in comp and e[1] in comp]
-    wants = [lambda e, i=i: e[2] >> i & 1 for i in range(aut.num_acc_sets)]
-    return _lasso(stem, [e[3] for e in _cycle(root, inside, wants)])
+    wants = [lambda e, i=i: e[4] >> i & 1 for i in range(aut.num_acc_sets)]
+    edge = aut.edge if isinstance(aut, _ModelProduct) else lambda s, d, mask, e: e
+    return _lasso([edge(*s) for s in stem], [edge(*e[2:]) for e in _cycle(root, inside, wants)])
 
 
 def find_bounded_lasso(

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,10 @@ from cltlbound.automaton import (
     Cube,
     Transition,
     _accepts,
-    _LassoGraph,
     _ModelProduct,
     _shared_cube,
     _Succ,
+    _touched,
     narrow,
     synchronized_product,
     to_dot,
@@ -24,12 +25,14 @@ from cltlbound.cegar import run_peak, run_value
 from cltlbound.emptiness import check_lasso_run, find_accepting_lasso
 from cltlbound.formula import cost_operator_count, negate_dual, parse_formula
 from cltlbound.graphs import reachable_part
-from cltlbound.translate import Tableau
+from cltlbound.model import load_model
+from cltlbound.translate import Tableau, build_counter_automaton
 from cltlbound.words import ABOVE_CAP, LassoWord, parse_lasso
 
 from corpus import (
     naive_accepts,
     random_automaton,
+    random_cube,
     random_formula,
     random_lasso,
     whole_unfolding,
@@ -185,7 +188,7 @@ def test_the_guess_never_changes_the_value():
 
 def test_a_right_guess_costs_at_most_two_threshold_tests(monkeypatch):
     # Positive thresholds are tested on the fly, so a right positive or
-    # ABOVE_CAP guess never builds the whole lasso graph; threshold 0 asks
+    # ABOVE_CAP guess never builds the whole word product; threshold 0 asks
     # its SCCs, once for a right 0 or -1 guess.
     calls, graphs = [], []
     engine = cltlbound.automaton._accepts
@@ -385,35 +388,106 @@ def over(word, ap):
     )
 
 
-def test_lasso_reading_agrees_with_the_one_path_model():
-    # The lasso reading and the word read as a one-path model through
-    # _ModelProduct reach the same (state, position) pairs, numbered
-    # alike, with the same edges per pair, and give the same verdict at
-    # every threshold up to the cap.
+def product_readings(source):
+    """The readings of a product with source, as (name, tracked counters,
+    bounded, best first): value mode's alone for a `Tableau`, whose
+    counters only a whole translation lists."""
+    out = [("_every", range(source.num_counters), False, False)]
+    if isinstance(source, CounterAutomaton):
+        out += [
+            ("_capped", _touched(source, "o"), False, True),
+            ("_bounded", _touched(source, "i"), True, False),
+        ]
+    return out
+
+
+def check_readings(product, source, thresholds):
+    """Under each reading of product, every node's rows equal, in order,
+    the rows `_Succ` compiles from the node's edges, up to the edge a row
+    names: `edge` re-pairs it into one of the node's edges, alike but for
+    its cube when parallel moves differ only there.  The verdicts of the
+    two agree at each threshold.  Returns how many tests passed."""
+    reachable_part(product)  # every node met
+    passing = 0
+    for name, tracked, bounded, best_first in product_readings(source):
+        reading = getattr(product, name)
+        succ = _Succ(product.edges, tracked, bounded, product.num_acc_sets, best_first)
+        for node in range(product.num_states):
+            rows, want = reading[node], succ[node]
+            assert [row[:3] for row in rows] == [row[:3] for row in want], (name, node)
+            for (d, mask, _, edge), (_, _, _, whole) in zip(rows, want):
+                paired = product.edge(node, d, mask, edge)
+                assert paired in product.edges(node), (name, node)
+                assert paired[:4] == whole[:4], (name, node)
+                assert edge[1] == product.order[d][0], (name, node)
+        for t in thresholds:
+            hit = _accepts(reading, 0, t)[0] is not None
+            assert hit == (_accepts(succ, 0, t)[0] is not None), (name, t)
+            passing += hit
+    return passing
+
+
+def test_a_word_is_read_as_its_one_path_model():
+    # A word's product and its product with the word's one-path
+    # CounterAutomaton reach the same (state, position) pairs, numbered
+    # alike, with the same edges per pair.  Under each reading the word's
+    # rows are those of its edges, and value mode's verdicts are
+    # value_on_lasso's at every threshold up to the cap.
     rng = random.Random(61)
     cap = 4
     dropped = passing = 0
     for source, word in lasso_sources(rng):
-        graph = _LassoGraph(source, word)
-        product = _ModelProduct(source, word_model(over(word, source.ap), source.ap))
-        assert reachable_part(graph) == reachable_part(product), (source, str(word))
-        assert graph.order == product.order
-        for node, (state, _) in enumerate(graph.order):
-            assert graph.edges(node) == product.edges(node)
+        product = _ModelProduct(source, word)
+        model = _ModelProduct(source, word_model(over(word, source.ap), source.ap))
+        assert reachable_part(product) == reachable_part(model), (source, str(word))
+        assert product.order == model.order
+        for node, (state, _) in enumerate(product.order):
+            assert product.edges(node) == model.edges(node)
             if isinstance(source, CounterAutomaton):
-                dropped += len(source.edges(state)) - len(graph[node])
-        succ = _Succ(
-            product.edges, range(source.num_counters), False, source.num_acc_sets,
-            best_first=False,
-        )
+                dropped += len(source.edges(state)) - len(product._every[node])
+        check_readings(product, source, range(cap + 1))
         value = value_on_lasso(source, word, cap)
         for t in range(cap + 1):
-            hit = _accepts(graph, 0, t)[0] is not None
-            assert hit == (_accepts(succ, 0, t)[0] is not None), (source, str(word), t)
+            hit = _accepts(product._every, 0, t)[0] is not None
             assert hit == (value is ABOVE_CAP or value >= t), (source, str(word), t, value)
             passing += hit and t > 0
     assert dropped > 100
     assert passing > 50
+
+
+def several_edges_model(rng, props=("a", "b")):
+    """A model without counters whose every state has one to three edges,
+    of random cubes, targets and acceptance sets."""
+    n, m = rng.randrange(1, 5), rng.randrange(3)
+    transitions = tuple(
+        Transition(
+            q, random_cube(rng, props), (),
+            frozenset(i for i in range(m) if rng.random() < 0.5), rng.randrange(n),
+        )
+        for q in range(n)
+        for _ in range(rng.randrange(1, 4))
+    )
+    return CounterAutomaton(n, 0, 0, m, transitions, ap=props)
+
+
+def test_a_model_is_read_through_its_edges():
+    # Random counter automata times models with several edges per state,
+    # acceptance sets of their own and cubes that often contradict the
+    # source's: under each reading a node's rows are those of its edges.
+    rng = random.Random(59)
+    contradicted = several = passing = 0
+    for _ in range(300):
+        source = random_automaton(rng, max_states=4, max_acc=2, max_counters=2)
+        model = several_edges_model(rng)
+        product = _ModelProduct(source, model)
+        passing += check_readings(product, source, range(5))
+        for node, (p, q) in enumerate(product.order):
+            out = model.edges(q)
+            several += len(out) > 1
+            contradicted += len(source.edges(p)) * len(out) - len(product.edges(node))
+    assert contradicted > 500
+    assert several > 400
+    assert passing > 1000
 
 
 class Asking:
@@ -431,26 +505,107 @@ class Asking:
         return self.source.successors(state, cube)
 
 
-def test_each_state_and_letter_is_asked_once():
-    # The lasso reading asks the source once per distinct (state, letter)
-    # its nodes reach, whichever tests expand them, although many
-    # positions read one letter; letters that differ only off the
+def test_each_state_and_shared_cube_is_asked_once():
+    # The product asks the source once per distinct (state, shared cube)
+    # its nodes reach, whichever tests expand them.  A word's positions
+    # that read one letter share it, and letters that differ only off the
     # source's propositions are one letter.
     rng = random.Random(67)
     for source, word in lasso_sources(rng) + list(value_cap_pairs()):
         asking = Asking(source)
-        graph = _LassoGraph(asking, word)
+        product = _ModelProduct(asking, word)
         for t in (3, 1, 0, 2):
-            _accepts(graph, 0, t)
-        reachable_part(graph)
+            _accepts(product._every, 0, t)
+        reachable_part(product)
         ap = frozenset(source.ap)
         reached = {
-            (state, Cube(word.letter(q) & ap, ap - word.letter(q))) for state, q in graph.order
+            (state, Cube(word.letter(q) & ap, ap - word.letter(q))) for state, q in product.order
         }
         assert len(asking.asked) == len(reached), str(word)
         assert set(asking.asked) == reached, str(word)
         if len(word.prefix) > 40:  # the value-cap shapes: two letters, long runs
-            assert len(graph.order) > 20 * len(asking.asked), str(word)
+            assert len(product.order) > 20 * len(asking.asked), str(word)
+    root = Path(__file__).resolve().parent.parent / "models"
+    for name in ("L3", "L5", "aab_cycle", "ants"):
+        model = load_model(root / f"{name}.model")
+        for text in ("G> a", "(G> a) & F (G> !a)", "G (F<= !a)"):
+            asking = Asking(build_counter_automaton(parse_formula(text)))
+            product = _ModelProduct(asking, model)
+            for t in (2, 0, 1):
+                find_accepting_lasso(product, t)
+                find_accepting_lasso(product, t, bounded=True)
+            reachable_part(product)
+            reached = {
+                (state, _shared_cube([e[4] for e in model.edges(q)]))
+                for state, q in product.order
+                if model.edges(q)
+            }
+            assert len(asking.asked) == len(reached), (name, text)
+            assert set(asking.asked) == reached, (name, text)
+
+
+def test_witnesses_take_parallel_model_edges():
+    # Model state 0 has two edges to state 1 that differ only in cube, and
+    # state 1 two back to 0 that differ only in acceptance set, so a
+    # product row names a source edge that several model edges pair with.
+    # The source counts a&b and observes on !a: its a edge pairs with both
+    # edges out of 0, its a&b edge with one.  The witness rebuilt from such
+    # rows is a run of the product that reads its word, and its loop takes
+    # both edges back to 0.
+    source = CounterAutomaton(
+        1, 0, 1, 1,
+        (Transition(0, cube("a&b"), ("i",), frozenset(), 0),
+         Transition(0, cube("a"), ("",), frozenset(), 0),
+         Transition(0, cube("!a"), ("or",), frozenset({0}), 0)),
+        ap=("a", "b"),
+    )
+    model = CounterAutomaton(
+        2, 0, 0, 2,
+        (Transition(0, cube("a&b"), (), frozenset(), 1),
+         Transition(0, cube("a&!b"), (), frozenset(), 1),
+         Transition(1, cube("!a"), (), frozenset({0}), 0),
+         Transition(1, cube("!a"), (), frozenset({1}), 0)),
+        ap=("a", "b"),
+    )
+    for t in (0, 1):
+        for bounded in (False, True):
+            product = _ModelProduct(source, model)
+            run, word = find_accepting_lasso(product, t, bounded)
+            check_lasso_run(product, run, word)
+            for i in range(product.num_acc_sets):
+                assert any(i in step.acc for step in run.loop), (t, bounded, i)
+    counting = CounterAutomaton(
+        1, 0, 1, 0, (Transition(0, TOP_CUBE, ("i",), frozenset(), 0),), ap=("a", "b")
+    )
+    for name in ("_capped", "_bounded", "_every"):
+        with pytest.raises(ValueError):
+            getattr(_ModelProduct(source, counting), name)
+    with pytest.raises(ValueError):
+        find_accepting_lasso(_ModelProduct(source, counting), 1)
+
+
+def test_with_no_guess_the_gallop_starts_after_the_cap(monkeypatch):
+    # No guess: the probes are 0, the cap and 1, then the gallop doubles
+    # from 1 and bisects below the first failure.  Threshold 0 asks the
+    # SCCs; the other thresholds run the engine.
+    tested = []
+    engine = cltlbound.automaton._accepts
+    sccs = cltlbound.automaton.accepting_components
+    monkeypatch.setattr(
+        cltlbound.automaton, "_accepts", lambda *args: tested.append(args[2]) or engine(*args)
+    )
+    monkeypatch.setattr(
+        cltlbound.automaton, "accepting_components", lambda *args: tested.append(0) or sccs(*args)
+    )
+    g = Tableau(parse_formula("G> a"))
+    for text, want, probes in [
+        ("{a} {a} {a} | {} {a}", 2, [0, 250, 1, 2, 4, 3]),
+        ("| {a}", ABOVE_CAP, [0, 250]),
+        ("| {}", -1, [0]),
+    ]:
+        tested.clear()
+        assert value_on_lasso(g, parse_lasso(text), 250) == want, text
+        assert tested == probes, (text, tested)
 
 
 def test_a_bracket_from_0_reads_no_run_as_0():

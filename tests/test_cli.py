@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -431,6 +432,21 @@ def test_report_matrix_is_unchanged():
         capture_output=True, check=True, cwd=ROOT,
     ).stdout
     assert hashlib.sha256(out).hexdigest() == REPORT_MATRIX_SHA256
+
+
+# The last line of `scripts/translation_digest.py`'s output, the digest of
+# every translation dump, lasso product and value it makes.  It does not
+# depend on the hash seed.
+TRANSLATION_DIGEST = "all: ec52860ec01addda27c342c3d0bab25c65adb94375b21f559fb17c59e981ae3e"
+
+
+def test_translation_digest_is_unchanged():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "translation_digest.py")],
+        capture_output=True, check=True, cwd=ROOT, text=True,
+        env={**os.environ, "PYTHONHASHSEED": "7"},
+    ).stdout
+    assert out.splitlines()[-1] == TRANSLATION_DIGEST
 
 
 def test_diff_reports_counts_and_lists_changed_fields(tmp_path):
