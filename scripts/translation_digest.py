@@ -5,9 +5,9 @@ value mode's answers, as the queries read them.
     python3 scripts/translation_digest.py
 
 Each translation is dumped canonically.  A whole automaton, as the sup
-and inf searches build it (`cegar._pruned`), gives its header and its
-transitions in order.  A lazy `Tableau` read along one lasso word gives
-its whole product with the word, the one-path model
+search builds it and `--dot` writes it (`cegar._pruned`), gives its
+header and its transitions in order.  A lazy `Tableau` read along one
+lasso word gives its whole product with the word, the one-path model
 (`automaton._ModelProduct`, walked by `graphs.reachable_part` as value
 mode's threshold-0 test walks it; its positive tests expand only the
 nodes they reach): the number of nodes, the edges in BFS order, and the

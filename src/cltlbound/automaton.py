@@ -25,11 +25,12 @@ the runs whose every counter stays at t or below: a U<= automaton's run
 is worth its largest counter value.  A test reads a reading's rows,
 compiled from plain edges by a `_Succ` when the test first reaches
 them: a CounterAutomaton's per state, a product's per (source state,
-shared cube), which `_Rows` maps to each node.  The sup and inf searches
-test a formula × model product (`emptiness.find_accepting_lasso`, which
-threads a witness lasso through the accepting component the test stops
-in), value mode a formula × word product (`value_on_lasso`); all three
-pick their thresholds with `narrow`.
+shared cube), which `_Rows` maps to each node; `_touched` picks the
+tracked counters of any source.  The sup search tests a whole formula
+automaton × model product, the inf search a Tableau × model product
+(`emptiness.find_accepting_lasso`, which threads a witness lasso through
+the accepting component the test stops in), value mode a Tableau × word
+product (`value_on_lasso`); all three pick their thresholds with `narrow`.
 """
 
 from __future__ import annotations
@@ -177,14 +178,17 @@ class CounterAutomaton:
         return _Succ(self.edges, _touched(self, "i"), True, self.num_acc_sets)
 
 
-def _touched(aut: CounterAutomaton, key: str) -> list[int]:
-    """The counters some transition of aut acts on with key: a threshold
-    test's tracked counters.  Capped, the observed ones ("o"): a
+def _touched(source, key: str) -> list[int]:
+    """A threshold test's tracked counters: for a CounterAutomaton, the
+    ones some transition acts on with key; for a `translate.Tableau`,
+    which lists no transitions, every counter.  Capped, key is "o": a
     never-observed counter is never tested, and a never-incremented one
     stays at 0, so its observations fail at every positive threshold.
-    Bounded, the incremented ones ("i"): only an increment can push a
-    counter past the bound."""
-    return sorted({c for t in aut.transitions for c, a in enumerate(t.actions) if key in a})
+    Bounded, key is "i": only an increment can push a counter past the
+    bound.  Any superset of these gives the same verdicts."""
+    if not isinstance(source, CounterAutomaton):
+        return list(range(source.num_counters))
+    return sorted({c for t in source.transitions for c, a in enumerate(t.actions) if key in a})
 
 
 def _narrow(own: Cube, cube: Cube) -> Cube | None:
@@ -225,9 +229,9 @@ class _ModelProduct:
     actions first, for the whole walks, the Streett check,
     `check_lasso_run` and `synchronized_product`.  The threshold tests
     read one of three readings (`_Rows`) instead: capped and best first
-    for sup (`_capped`), bounded for inf (`_bounded`), and capped over
-    every counter in edge order for value mode (`_every`).  A row names
-    the source's edge; `edge` rebuilds the product edge of a witness's.
+    for sup (`_capped`), bounded for inf (`_bounded`), and capped in edge
+    order for value mode (`_every`).  A row names the source's edge;
+    `edge` rebuilds the product edge of a witness's.
     """
 
     init = 0
@@ -348,7 +352,7 @@ class _ModelProduct:
 
     @cached_property
     def _every(self) -> _Rows:
-        return self._reading(range(self._source.num_counters), False, False)
+        return self._reading(_touched(self._source, "o"), False, False)
 
     def _reading(self, tracked, bounded: bool, best_first: bool) -> _Rows:
         if self.num_counters > self._source.num_counters:

@@ -1,9 +1,10 @@
 """Iterated bound search: sup and inf of a cost formula over a model.
 
-Both sides translate the formula once and read its product with the
-model node by node (`automaton._ModelProduct`): each test expands the
-product nodes it reaches, and the later tests of the query reuse them.
-No product automaton is built.
+Both sides translate the formula once (sup whole, for its cutoff; inf
+on the fly, a `translate.Tableau`) and read its product with the model
+node by node (`automaton._ModelProduct`): each test expands the product
+nodes it reaches, and the later tests of the query reuse them.  No
+product automaton is built.
 
 On the sup side, the test at threshold t = n + 1 asks whether some model
 word has an R> value above n: it finds an accepting lasso of the product
@@ -49,15 +50,16 @@ A user cutoff below that default proves nothing: a value above it ends
 the search with the outcome `cutoff-reached`, not `unbounded`.  A user
 cutoff at or above the default only caps the work.
 
-On the inf side, the U<= automaton counts, per occurrence, the failures
+On the inf side, the U<= tableau counts, per occurrence, the failures
 of its left operand (see `translate`), and a word's value is the least n
 for which some accepting run keeps every counter at n or below.  So the
 inf is the least n at which the threshold test with counters bounded by
 n finds an accepting lasso of the product.  First comes a Streett check
-on the whole product, which expands every node: a run keeps its
+on the whole product, which expands every reachable node: a run keeps its
 counters bounded iff each counter it increments infinitely often it also
 resets infinitely often, and `graphs.bounded_components` decides that by
-SCC refinement.
+SCC refinement, which keeps none of the tableau states that reach no
+accepting cycle.
 No surviving component proves `infinite-inf` exactly, with no cutoff.
 Otherwise the check returns a lasso whose loop resets every counter it
 increments, so its counters stay at or below some U, its largest value,
@@ -88,7 +90,7 @@ from .formula import (
     instantiate,  # noqa: F401  kept importable here for bench/tracing.py
     negate_dual,
 )
-from .translate import build_counter_automaton
+from .translate import Tableau, build_counter_automaton
 from .translate import prune_dominated  # noqa: F401  kept importable here for bench/tracing.py
 from .words import LassoWord
 
@@ -236,10 +238,10 @@ def compute_inf_bound(
 ) -> BoundResult:
     """inf of the value of phi over the model's language.
 
-    Translates phi once, runs the Streett check on its product with the
-    model and then narrows the bracket of bounded threshold tests of the
-    same product (see the module docstring).  No cutoff is needed; a user
-    `cutoff` caps the thresholds tried.
+    Reads phi's tableau on the fly: runs the Streett check on its
+    product with the model and then narrows the bracket of bounded
+    threshold tests of the same product (see the module docstring).  No
+    cutoff is needed; a user `cutoff` caps the thresholds tried.
     """
     if model.num_counters:
         raise ValueError("the model must not carry counters")
@@ -247,7 +249,7 @@ def compute_inf_bound(
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     if classify_fragment(phi) in (COST_GT, MIXED):
         raise FragmentError("inf bounds apply to the U<= fragment")
-    aut = _pruned(phi)
+    aut = Tableau(phi)
     product = _ModelProduct(aut, model)
     walked: list[int] = []
     hit = find_bounded_lasso(product, explored=walked)
@@ -264,6 +266,8 @@ def compute_inf_bound(
         explored = []
         hit = find_accepting_lasso(product, n, bounded=True, explored=explored)
         p = None if hit is None else run_peak(hit[0], product)
+        if p is not None and p > n:
+            raise RuntimeError(f"run of value {p} accepted at bound {n}")
         trace.append(IterationStats(
             "search", n, p, aut.num_states, *explored, None if hit is None else hit[1]
         ))

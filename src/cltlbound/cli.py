@@ -268,8 +268,9 @@ def main(argv: list[str] | None = None) -> int:
                 text = handle.read()
         phi = parse_formula(text)
         if args.dot is not None:
-            # inf searches a U<= or plain automaton itself, sup and value
-            # its R> dual; an R> formula is searched as it is
+            # inf searches a U<= or plain formula itself, sup and value
+            # its R> dual; an R> formula is searched as it is.  The file
+            # holds the whole automaton, which inf and value read lazily.
             own = args.mode == "inf" or classify_fragment(phi) == COST_GT
             shown = phi if own else negate_dual(phi)
             with open(args.dot, "w", encoding="utf-8") as handle:

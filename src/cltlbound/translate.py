@@ -44,13 +44,14 @@ There is one tableau per formula, a `Tableau`, and it is built on demand:
 the letters of a cube into rows, plain edges (state, target, acceptance
 sets, actions, cube) as `automaton` gives them, each once, and drops the
 dominated rows: it is the one dominance point.  `build_counter_automaton`
-explores it whole, under the cube true, makes the rows its transitions
-and removes the states that cannot reach an accepting cycle.
-`automaton.value_on_lasso` reads it lazily along one lasso word, asking
-only for the (state, letter) pairs its threshold tests reach (a
-positive test, only those it explores before it stops):
-the on-the-fly construction of Gerth, Peled, Vardi and Wolper ("Simple
-on-the-fly automatic verification of linear temporal logic", 1995).
+explores it whole, under the cube true, for the sup search, makes the
+rows its transitions and removes the states that cannot reach an
+accepting cycle.  The inf search and `automaton.value_on_lasso` read it
+lazily, through its product with a model or one word, asking only for
+the (state, shared cube) pairs their tests reach (a positive test, only
+those it explores before it stops): the on-the-fly construction of
+Gerth, Peled, Vardi and Wolper ("Simple on-the-fly automatic
+verification of linear temporal logic", 1995).
 
 A Tableau interns its members.  Each formula a set can hold gets a small
 integer id, and a set is an int whose bit i says that member i is in it.

@@ -389,16 +389,13 @@ def over(word, ap):
 
 
 def product_readings(source):
-    """The readings of a product with source, as (name, tracked counters,
-    bounded, best first): value mode's alone for a `Tableau`, whose
-    counters only a whole translation lists."""
-    out = [("_every", range(source.num_counters), False, False)]
-    if isinstance(source, CounterAutomaton):
-        out += [
-            ("_capped", _touched(source, "o"), False, True),
-            ("_bounded", _touched(source, "i"), True, False),
-        ]
-    return out
+    """The readings of a product with source, a CounterAutomaton or a
+    `Tableau`, as (name, tracked counters, bounded, best first)."""
+    return [
+        ("_every", _touched(source, "o"), False, False),
+        ("_capped", _touched(source, "o"), False, True),
+        ("_bounded", _touched(source, "i"), True, False),
+    ]
 
 
 def check_readings(product, source, thresholds):

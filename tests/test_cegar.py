@@ -8,6 +8,7 @@ import pytest
 
 import cltlbound.automaton
 import cltlbound.cegar
+import cltlbound.cli
 from cltlbound.automaton import (
     CounterAutomaton,
     Cube,
@@ -17,7 +18,6 @@ from cltlbound.automaton import (
     synchronized_product,
 )
 from cltlbound.cegar import (
-    _pruned,
     compute_inf_bound,
     compute_sup_bound,
     run_value,
@@ -40,7 +40,7 @@ from cltlbound.formula import (
 )
 from cltlbound.model import load_model, parse_model
 from cltlbound.oracle import eval_ltl_on_lasso, value_inf, value_sup
-from cltlbound.translate import build_counter_automaton
+from cltlbound.translate import Tableau, build_counter_automaton
 from cltlbound.words import ABOVE_CAP
 
 from corpus import (
@@ -300,18 +300,23 @@ def test_sup_plain_ltl():
     (compute_sup_bound, "G> a", "L3", 2),
     (compute_sup_bound, "G a", "a_only", 0),
     (compute_inf_bound, "F<= !a", "three_leading_a", 3),
+    # value mode with its check, over a word instead of a fixture
+    (cltlbound.cli.main, "G> a", "{a} {a} {a} | {}", 2),
+    (cltlbound.cli.main, "a U<= b", "{} {} | {b}", 2),
 ])
-def test_one_translation_per_query(monkeypatch, search, text, fixture, bound):
-    calls = []
-
-    def counted(phi):
-        calls.append(phi)
-        return build_counter_automaton(phi)
-
-    monkeypatch.setattr(cltlbound.cegar, "build_counter_automaton", counted)
-    r = search(load_model(ROOT / "models" / f"{fixture}.model"), parse_formula(text))
-    assert (r.outcome, r.bound) == ("finite", bound)
-    assert len(calls) == 1
+def test_one_translation_per_query(monkeypatch, capsys, search, text, fixture, bound):
+    # Sup builds its whole automaton from one Tableau; inf and value mode's
+    # check read one Tableau on the fly.
+    made = []
+    init = Tableau.__init__
+    monkeypatch.setattr(Tableau, "__init__", lambda tab, phi: made.append(phi) or init(tab, phi))
+    if search is cltlbound.cli.main:
+        assert search(["--mode", "value", "-f", text, "--word", fixture, "--oracle-check"]) == 0
+        assert f"value: {bound}\noracle: ok" in capsys.readouterr().out
+    else:
+        r = search(load_model(ROOT / "models" / f"{fixture}.model"), parse_formula(text))
+        assert (r.outcome, r.bound) == ("finite", bound)
+    assert len(made) == 1
 
 
 def _fixture_queries():
@@ -329,10 +334,11 @@ def _fixture_queries():
 
 def test_bound_searches_build_no_product_automaton(monkeypatch):
     # The searches read the formula x model product node by node: the
-    # formula automaton is the one CounterAutomaton a query builds, and
-    # the only Transitions made of product edges are the witness lassos',
-    # one per trace row that found a run (or the model's own lasso, read
-    # when no row did).
+    # sup side's formula automaton is the one CounterAutomaton a query
+    # builds (the inf side reads the formula's Tableau and builds none),
+    # and the only Transitions made of product edges are the witness
+    # lassos', one per trace row that found a run (or the model's own
+    # lasso, read when no row did).
     built = []
     validate = CounterAutomaton.__post_init__
     monkeypatch.setattr(
@@ -350,7 +356,7 @@ def test_bound_searches_build_no_product_automaton(monkeypatch):
             built.clear()
             made.clear()
             r = search(m, phi)
-            assert len(built) == 1, (text, built)
+            assert len(built) == (search is compute_sup_bound), (text, built)
             words = [row.word for row in r.trace if row.word is not None]
             if not words and r.witness is not None:
                 words = [r.witness]
@@ -361,7 +367,7 @@ def test_lazy_product_agrees_with_the_whole_product(monkeypatch):
     # Every lasso a search finds is a run of the whole product
     # (`synchronized_product`), once its nodes are numbered as there: the
     # lazy product numbers them as the searches meet them.  The inf side's
-    # Streett row counts the whole product.
+    # Streett row counts the whole product of the formula's Tableau.
     hits = []
 
     def spy(find):
@@ -382,10 +388,10 @@ def test_lazy_product_agrees_with_the_whole_product(monkeypatch):
             hits.clear()
             r = search(m, phi)
             if search is compute_inf_bound:
-                whole = synchronized_product(_pruned(phi), m)
+                nodes, edges = reachable_part(_ModelProduct(Tableau(phi), m))
                 streett = r.trace[0]
                 assert (streett.product_states, streett.product_transitions) == (
-                    whole.num_states, len(whole.transitions)), (text, path.name)
+                    nodes, len(edges)), (text, path.name)
             for product, (run, word) in hits:
                 whole = synchronized_product(product._source, m)
                 fresh = _ModelProduct(product._source, m)
@@ -560,6 +566,47 @@ def test_inf_agrees_with_instantiation_route():
             outcomes.add(got.bound if got.outcome == "finite" else got.outcome)
     # the corpus reaches infinite-inf and finite bounds 0 .. 3
     assert {"infinite-inf", 0, 1, 2, 3} <= outcomes, outcomes
+
+
+def test_lazy_inf_agrees_with_the_whole_automaton(monkeypatch):
+    # The inf search reads the formula's Tableau on the fly.  The whole,
+    # live-sliced U<= automaton it read before is the reference: both
+    # routes give the same outcome and bound, and every witness is worth
+    # the bound.  The queries are seeded formulas over every fixture
+    # (over a only, as in `_inf_corpus`; every fourth plain, the others
+    # with one to three U<= operators), and the first criterion-1 pairs
+    # with at most four cost operators over their one-word models.
+    models = [load_model(p) for p in sorted((ROOT / "models").glob("*.model"))]
+    rng = random.Random(77)
+    queries = []
+    while len(queries) < 40 * len(models):
+        plain = len(queries) % (4 * len(models)) == 0
+        phi = random_formula(rng, depth=4, props=("a",), fragment="LTL" if plain else "CostLE")
+        if plain or 1 <= cost_operator_count(phi) <= 3:
+            queries += [(phi, m) for m in models]
+    rng = random.Random(20260819)  # criterion 1's stream
+    for _ in range(120):
+        phi = random_formula(rng, depth=4, props=("a", "b"), fragment="CostLE")
+        word = random_lasso(rng, props=("a", "b"))
+        if cost_operator_count(phi) <= 4:
+            queries.append((phi, word_model(word, ("a", "b"))))
+
+    def answers():
+        out = []
+        for phi, m in queries:
+            r = compute_inf_bound(m, phi)
+            if r.outcome == "finite":
+                assert value_inf(phi, r.witness, r.bound + 2) == r.bound, (str(phi), m)
+            out.append((r.outcome, r.bound))
+        return out
+
+    lazy = answers()
+    monkeypatch.setattr(cltlbound.cegar, "Tableau", build_counter_automaton)
+    whole = answers()
+    for (phi, m), got, want in zip(queries, lazy, whole):
+        assert got == want, (str(phi), m)
+    # the queries reach infinite-inf and finite bounds 0 .. 3
+    assert {"infinite-inf", 0, 1, 2, 3} <= {b if o == "finite" else o for o, b in lazy}
 
 
 # -- sup, inf and the oracle --------------------------------------------------
