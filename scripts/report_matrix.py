@@ -5,12 +5,14 @@
 
 Each line holds the query's argv, its exit code, its standard error and
 every field of its `--json` report except `seconds`, which differs from
-run to run.  The queries are the README examples, four queries over L3
-with a user `--cutoff` below the sound one, 8 sup formulas over every
-fixture model and 4 inf formulas over every fixture (the plain `F a` is
-among both, so each fixture's plain sup and inf show side by side), all
-but the README examples with `--witness --trace --oracle-check`, then
-value mode with `--oracle-check`:
+run to run.  The queries are the README examples, five with a user
+`--cutoff` (four over L3, whose values past the cutoff prove nothing, and
+`G> a` over every word at cutoff 1, where a run proves the sup
+infinite), 8 sup formulas over every fixture model and 4 inf formulas
+over every fixture (the plain `F a` is among both, so each fixture's
+plain sup and inf show side by side), all but the README examples with
+`--witness --trace --oracle-check`, then value mode with
+`--oracle-check`:
 
 - 4 formulas, each on words of value 0, 1 and above the default cap;
 - `G> a` on a^m | {} {a} (value m - 1) and `F<= b` on a^m | {b} (value
@@ -69,6 +71,7 @@ CUTOFFS = [
     ["--mode", "sup", "-f", "G> a", "-m", "models/L3.model", "--cutoff", "1"],
     ["--mode", "sup", "-f", "G (F<= !a)", "-m", "models/L3.model", "--cutoff", "1"],
     ["--mode", "inf", "-f", "F<= a", "-m", "models/L3.model", "--cutoff", "0"],
+    ["--mode", "sup", "-f", "G> a", "-m", "models/universal.model", "--cutoff", "1"],
 ]
 
 SUP_FORMULAS = [

@@ -4,8 +4,8 @@ value mode's answers, as the queries read them.
 
     python3 scripts/translation_digest.py
 
-Each translation is dumped canonically.  A whole automaton, as the sup
-search builds it and `--dot` writes it (`cegar._pruned`), gives its
+Each translation is dumped canonically.  A whole automaton, as `--dot`
+writes it (`cegar._pruned`), gives its
 header and its transitions in order.  A lazy `Tableau` read along one
 lasso word gives its whole product with the word, the one-path model
 (`automaton._ModelProduct`, walked by `graphs.reachable_part` as value

@@ -14,9 +14,9 @@ ways, and for pair 195 the first and the last:
   by walking its whole product with the word (`graphs.reachable_part`);
   it prints the seconds, the tableau states reached and the product's
   nodes and edges;
-- whole: `build_counter_automaton`, as the sup search builds it and
-  `--dot` writes it; it prints the seconds and the automaton's states
-  and transitions after live slicing;
+- whole: `build_counter_automaton`, as `--dot` writes it; it prints
+  the seconds and the automaton's states and transitions after live
+  slicing;
 - inf: `cegar.compute_inf_bound` over the pair's one-word model
   (`tests/corpus.word_model`); it prints the seconds, the outcome and
   bound, and the sizes on the search's `streett` trace row: formula

@@ -704,7 +704,7 @@ def _accepts(
     return None, len(index)
 
 
-def narrow(test, lo: int, hi: int | None, top: int, first) -> tuple[int, int | None]:
+def narrow(test, lo: int, hi: int | None, top: int | float, first) -> tuple[int, int | None]:
     """Narrow the bracket (lo, hi) of a monotone threshold test.
 
     Every threshold up to lo passes and every one from hi up fails; hi is
@@ -716,7 +716,8 @@ def narrow(test, lo: int, hi: int | None, top: int, first) -> tuple[int, int | N
     last probe t, the middle left out while hi is None: a gallop that
     doubles t until a test fails, then a bisection (Bentley and Yao's
     unbounded search).  The search stops once the bracket closes or lo
-    reaches top, and returns the bracket.
+    reaches top, and returns the bracket.  top may be math.inf: the sup
+    search then stops only when a test moves lo to math.inf.
     """
     probes = (min(g, top) for g in first)
     t = lo

@@ -1,10 +1,10 @@
 """Iterated bound search: sup and inf of a cost formula over a model.
 
-Both sides translate the formula once (sup whole, for its cutoff; inf
-on the fly, a `translate.Tableau`) and read its product with the model
-node by node (`automaton._ModelProduct`): each test expands the product
-nodes it reaches, and the later tests of the query reuse them.  No
-product automaton is built.
+Both sides read the formula's tableau on the fly (`translate.Tableau`)
+through its product with the model, node by node
+(`automaton._ModelProduct`): each test expands the product nodes it
+reaches, and the later tests of the query reuse them.  Neither the
+formula's whole automaton nor a product automaton is built.
 
 On the sup side, the test at threshold t = n + 1 asks whether some model
 word has an R> value above n: it finds an accepting lasso of the product
@@ -24,31 +24,33 @@ time would also end on.  A run that observes no counter is worth
 infinity, and the order tries the edges that observe least first, so the
 test at 1 tends to find such a run of an unbounded sup at once.  When it
 finds a finite run instead, every later test passes too, and the gallop
-ends at `unbounded` within ceil(log2(cutoff + 1)) + 1 tests.  The lower
-end starts at -1, the sup when the product accepts no model word: an
-empty test at n = 0 makes the bisection test n = -1, which asks whether
-the product accepts any word at all.
+doubles the threshold until a passing test's own run proves the sup
+infinite (below).  The lower end starts at -1, the sup when the product
+accepts no model word: an empty test at n = 0 makes the bisection test
+n = -1, which asks whether the product accepts any word at all.
 A U<= formula goes through its R> dual: a word fails phi[n] exactly when
 its dual value is n or more, so the U<= sup is the dual's sup plus one.
 A plain formula is a U<= formula without counters (value 0 where it holds,
 infinite elsewhere) and goes the same way.  R> reads -1 as 0: a word no
 run accepts has value 0.
 
-The default sup cutoff is formula automaton states × model states
-reachable from the model's initial state, which bounds the number of
-product states.  It is sound by pumping.  Take a run whose every counter
-observation exceeds the number of product states.  Between an
-observation and its counter's last reset lie more increments than product
-states, so some product state repeats with an increment in between.
-Repeating that stretch raises the observation.  It lowers no other one: a
-counter reset inside the stretch reads the same values after it, and any
-other counter only gains increments.  Pumping every observation of the
-lasso's stem and loop body this way gives runs of every larger value.  So
-once a value above the cutoff turns up, the sup is infinite.
-
-A user cutoff below that default proves nothing: a value above it ends
-the search with the outcome `cutoff-reached`, not `unbounded`.  A user
-cutoff at or above the default only caps the work.
+A passing test's run proves the sup infinite when the graph of its own
+transitions, a subgraph of the product, has accepting runs of every
+value (`_pumps`).  Then the test's lower end jumps to infinity and the
+search ends at `unbounded`; no cutoff is needed.  `_pumps` runs only
+when the run's value p exceeds the number of distinct product nodes it
+visits.  With one observed counter that alone proves it: between an
+observation and its counter's last reset lie p increments, so some node
+repeats with an increment in between, and repeating that stretch raises
+the observation and reads no other counter.  With two it does not: the
+stretch can hold an observation of the other counter, which reads less
+in each repeat than it did once (the tests hold a sup of 11 whose
+witness is worth 11 on 10 nodes).  The search terminates: the run
+graphs are among the finitely many subgraphs of the reachable product,
+so once t exceeds the product's nodes and the finite sups of those
+subgraphs, every passing test's run proves the sup infinite.  A user
+cutoff caps the thresholds: a value above it that no run proves
+infinite ends the search with the outcome `cutoff-reached`.
 
 On the inf side, the U<= tableau counts, per occurrence, the failures
 of its left operand (see `translate`), and a word's value is the least n
@@ -78,9 +80,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .automaton import CounterAutomaton, LassoRun, _ModelProduct, narrow
+from .automaton import CounterAutomaton, LassoRun, Transition, _ModelProduct, narrow
 from .automaton import synchronized_product  # noqa: F401  kept importable here for bench/tracing.py
-from .emptiness import check_lasso_run, find_accepting_lasso, find_bounded_lasso, reachable_part
+from .emptiness import check_lasso_run, find_accepting_lasso, find_bounded_lasso
+from .graphs import _split, accepting_components
 from .formula import (
     COST_GT,
     MIXED,
@@ -111,7 +114,7 @@ class BoundResult:
     outcome: str  # "finite" | "unbounded" | "infinite-inf" | "cutoff-reached"
     bound: int | None
     witness: LassoWord | None
-    cutoff: int | None  # None for an inf search without a user cutoff
+    cutoff: int | None  # the user's cutoff; None without one
     trace: tuple[IterationStats, ...]
 
     @property
@@ -158,7 +161,71 @@ def run_peak(run: LassoRun, aut: CounterAutomaton | _ModelProduct) -> int:
     return _read_run(run, aut)[1]
 
 
+def _pumps(init: int, steps: tuple[Transition, ...], num_acc_sets: int) -> bool:
+    """Has the graph of these transitions, a run's, accepting runs from
+    node init of every value?
+
+    Decided on states (node, F), F the observed counters known to be
+    large: at least K, for a K as large as wished.  A transition may
+    observe only counters in F, and it drops those it resets or observes.
+    A pump adds to F, at each state of a strongly connected set of steps,
+    every counter the set increments and never resets: a walk round all
+    its steps, K times, leaves each at K or more, and every counter of F
+    too, since the walk ends where it starts.  A pump resets what its
+    steps reset.  A round splits, for each union R of steps' resets, the
+    steps that reset within R (fewer resets may pump fewer counters yet
+    let a later cycle keep more), and adds a pump unless one that adds as
+    much with no more resets is there.  Once a round adds none, the graph
+    has runs of every value if it has a reachable accepting cycle of
+    states: expanding each pump into K rounds of its walk, recursively,
+    gives accepting runs whose every observation reads K or more.  That
+    the converse holds, which the sup search needs to terminate, is
+    checked against the capped unfolding on random automata in the tests.
+    """
+    observed = sorted({c for s in steps for c, a in enumerate(s.actions) if a == "or"})
+    moves: dict[int, list[tuple]] = {}  # node -> (dst, sets, observes, resets, increments)
+    for src, dst, acc, actions in dict.fromkeys((s.src, s.dst, s.acc, s.actions) for s in steps):
+        masks = (sum(1 << j for j, c in enumerate(observed) if actions[c] in keys)
+                 for keys in (("or",), ("or", "r"), ("i",)))
+        moves.setdefault(src, []).append((dst, acc, *masks))
+    pumps: dict[tuple[int, int], set[tuple[int, int]]] = {}  # state -> {(counters, resets)}
+    while True:
+        index, states, edges = {(init, 0): 0}, [(init, 0)], []
+        for s in states:  # it grows as states are met
+            node, large = s
+            out = [((dst, large & ~resets), acc, resets, incs)
+                   for dst, acc, observes, resets, incs in moves.get(node, ())
+                   if not observes & ~large]
+            out += [((node, large | added), (), resets, 0) for added, resets in pumps.get(s, ())]
+            for d, acc, resets, incs in out:
+                if d not in index:
+                    index[d] = len(states)
+                    states.append(d)
+                edges.append((index[s], index[d], acc, resets, incs))
+        grew = False
+        unions = {0}  # every set R that is the union of some steps' resets
+        for resets in {e[3] for e in edges}:
+            unions |= {u | resets for u in unions}
+        for within in sorted(unions):  # subsets before supersets
+            clean = [n for n, e in enumerate(edges) if not e[3] & ~within]
+            for comp in _split(clean, edges):
+                incs = resets = 0
+                for n in comp:
+                    incs |= edges[n][4]
+                    resets |= edges[n][3]
+                for s in {states[edges[n][0]] for n in comp}:
+                    added = incs & ~resets & ~s[1]
+                    have = pumps.setdefault(s, set())
+                    if added and not any(not added & ~a and not r & ~resets for a, r in have):
+                        have.add((added, resets))
+                        grew = True
+        if not grew:
+            return bool(accepting_components(len(states), edges, num_acc_sets))
+
+
 def _pruned(phi: Formula) -> CounterAutomaton:
+    # No search calls it: it and build_counter_automaton stay importable
+    # here for `--dot`, scripts/translation_digest.py and bench/tracing.py.
     return build_counter_automaton(phi)  # the translation prunes itself
 
 
@@ -173,10 +240,9 @@ def compute_sup_bound(
     """sup of the value of phi over the model's language.
 
     R> formulas are searched directly, U<= and plain formulas through the
-    dual search (a plain sup is 0 or unbounded).  Once a word of
-    value above `cutoff` turns up (default: formula automaton states times
-    reachable model states, see the module docstring) the sup is provably
-    infinite.
+    dual search (a plain sup is 0 or unbounded).  The sup is infinite once
+    a passing test's run proves it (see the module docstring); no cutoff
+    is needed, and a user `cutoff` caps the thresholds tried.
     """
     if model.num_counters:
         raise ValueError("the model must not carry counters")
@@ -192,9 +258,7 @@ def compute_sup_bound(
 
 
 def _sup_direct(model, phi, cutoff):
-    aut = _pruned(phi)
-    sound = aut.num_states * reachable_part(model)[0]
-    limit = sound if cutoff is None else cutoff
+    aut = Tableau(phi)
     product = _ModelProduct(aut, model)
     trace: list[IterationStats] = []
     word = None  # the word of the last run found, worth lo
@@ -216,16 +280,23 @@ def _sup_direct(model, phi, cutoff):
         if hit is None:
             return lo, t
         word = hit[1]
+        steps = hit[0].stem + hit[0].loop
+        if math.inf > p > len({s.src for s in steps}) and _pumps(
+            product.init, steps, product.num_acc_sets
+        ):
+            return math.inf, hi
         return p, hi
 
     # Thresholds t = n + 1: the sup is the last passing one.
-    best, _ = narrow(test, -1, None, limit + 1, (1,))
-    if best > limit:
-        outcome = "unbounded" if limit >= sound else "cutoff-reached"
-        return BoundResult(outcome, None, word, limit, tuple(trace))
+    top = math.inf if cutoff is None else cutoff + 1
+    best, _ = narrow(test, -1, None, top, (1,))
+    if best == math.inf:
+        return BoundResult("unbounded", None, word, cutoff, tuple(trace))
+    if best >= top:
+        return BoundResult("cutoff-reached", None, word, cutoff, tuple(trace))
     if best == -1:
         word = _fish_word(model)
-    return BoundResult("finite", best, word, limit, tuple(trace))
+    return BoundResult("finite", best, word, cutoff, tuple(trace))
 
 
 def _sup_via_dual(model, phi, cutoff):

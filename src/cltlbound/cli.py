@@ -8,10 +8,10 @@ same fields.
 Exit codes: 0 finite bound or computed value, 1 usage or input error,
 2 unbounded, 3 infinite inf, 4 oracle cross-check mismatch, 5 cutoff
 reached: a user --cutoff stopped the search before a proof (a sup value
-above a cutoff below the sound one, or an inf above the cutoff).  Exit 1 also
-covers an internal error (RecursionError, MemoryError or RuntimeError),
-reported as `error: internal error: <Type>: <message>` so that a bug is
-not taken for bad input.
+above the cutoff that no run proves infinite, or an inf above the
+cutoff).  Exit 1 also covers an internal error (RecursionError,
+MemoryError or RuntimeError), reported as `error: internal error:
+<Type>: <message>` so that a bug is not taken for bad input.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cutoff", type=int,
-        help="override the search cutoff, or the evaluation cap in value mode",
+        help="cap the thresholds a sup or inf search tries, or the evaluation cap in value mode",
     )
     parser.add_argument(
         "--witness", action="store_true",
@@ -270,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.dot is not None:
             # inf searches a U<= or plain formula itself, sup and value
             # its R> dual; an R> formula is searched as it is.  The file
-            # holds the whole automaton, which inf and value read lazily.
+            # holds the whole automaton, which every search reads lazily.
             own = args.mode == "inf" or classify_fragment(phi) == COST_GT
             shown = phi if own else negate_dual(phi)
             with open(args.dot, "w", encoding="utf-8") as handle:

@@ -8,12 +8,19 @@ loudly in tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from cltlbound.automaton import CounterAutomaton, Cube, Transition, synchronized_product
+from cltlbound.automaton import (
+    CounterAutomaton,
+    Cube,
+    Transition,
+    _ModelProduct,
+    narrow,
+    synchronized_product,
+)
 from cltlbound.cegar import BoundResult, IterationStats, run_value
-from cltlbound.emptiness import find_accepting_lasso
+from cltlbound.emptiness import find_accepting_lasso, reachable_part
 from cltlbound.formula import (
     COST_GT,
     FALSE,
@@ -109,18 +116,17 @@ def random_automaton(
     max_acc: int = 3,
     max_counters: int = 2,
     props=("a", "b"),
+    actions=("", "", "i", "or"),
 ) -> CounterAutomaton:
     n = rng.randrange(1, max_states + 1)
     m = rng.randrange(max_acc + 1)
     k = rng.randrange(max_counters + 1)
     transitions = []
     for _ in range(rng.randrange(3 * n + 1)):
-        actions = tuple(rng.choice(("", "", "i", "or")) for _ in range(k))
+        acts = tuple(rng.choice(actions) for _ in range(k))
         acc = frozenset(i for i in range(m) if rng.random() < 0.4)
         transitions.append(
-            Transition(
-                rng.randrange(n), random_cube(rng, props), actions, acc, rng.randrange(n)
-            )
+            Transition(rng.randrange(n), random_cube(rng, props), acts, acc, rng.randrange(n))
         )
     return CounterAutomaton(
         num_states=n,
@@ -361,6 +367,45 @@ def instantiation_sup(model: CounterAutomaton, phi: Formula, cutoff: int | None 
             bound, word = (0, word) if hit is None else (1, hit[1])
         return BoundResult("finite", bound, word, inner.cutoff, inner.trace)
     return _instantiation_sup_direct(model, phi, cutoff)
+
+
+def cutoff_sup(model: CounterAutomaton, phi: Formula, cutoff: int | None = None) -> BoundResult:
+    """sup of a formula over the model by the pumping cutoff: the sup
+    search before its runs proved `unbounded` themselves.  It builds the
+    formula's whole automaton and takes a value above formula states x
+    reachable model states as proof that the sup is infinite; a value
+    above a user cutoff below that is `cutoff-reached`.  The pumping
+    argument behind the cutoff holds for runs with one observed counter
+    (`cegar._pumps` has the general rule), and the two routes agree on the
+    corpora the tests draw.  A U<= or plain formula goes through its R>
+    dual.  Same result shape as `compute_sup_bound`, without trace rows;
+    the cutoff field holds the cutoff used."""
+    if classify_fragment(phi) != COST_GT:
+        r = _cutoff_sup_direct(model, negate_dual(phi), cutoff)
+        return replace(r, bound=r.bound + 1) if r.outcome == "finite" else r
+    r = _cutoff_sup_direct(model, phi, cutoff)
+    return replace(r, bound=max(r.bound, 0)) if r.outcome == "finite" else r
+
+
+def _cutoff_sup_direct(model, phi, cutoff):
+    aut = build_counter_automaton(phi)
+    sound = aut.num_states * reachable_part(model)[0]
+    limit = sound if cutoff is None else cutoff
+    product = _ModelProduct(aut, model)
+    words = [None]
+
+    def test(t, lo, hi):
+        hit = find_accepting_lasso(product, t)
+        if hit is None:
+            return lo, t
+        words.append(hit[1])
+        return run_value(hit[0], product), hi
+
+    best, _ = narrow(test, -1, None, limit + 1, (1,))
+    if best > limit:
+        outcome = "unbounded" if limit >= sound else "cutoff-reached"
+        return BoundResult(outcome, None, words[-1], limit, ())
+    return BoundResult("finite", best, words[-1], limit, ())
 
 
 def _instantiation_sup_direct(model, phi, cutoff):

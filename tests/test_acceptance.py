@@ -8,8 +8,8 @@ import random
 import time
 from pathlib import Path
 
-from cltlbound.automaton import TOP_CUBE, value_on_lasso
-from cltlbound.cegar import compute_inf_bound, compute_sup_bound
+from cltlbound.automaton import TOP_CUBE, _ModelProduct, value_on_lasso
+from cltlbound.cegar import compute_inf_bound, compute_sup_bound, run_value
 from cltlbound.emptiness import check_lasso_run, find_accepting_lasso
 from cltlbound.formula import (
     cost_operator_count,
@@ -19,7 +19,7 @@ from cltlbound.formula import (
 )
 from cltlbound.model import load_model
 from cltlbound.oracle import eval_ltl_on_lasso, value_inf, value_sup
-from cltlbound.translate import build_counter_automaton, prune_dominated
+from cltlbound.translate import Tableau, build_counter_automaton, prune_dominated
 from cltlbound.words import ABOVE_CAP
 
 from corpus import naive_is_empty, random_automaton, random_formula, random_lasso
@@ -159,13 +159,20 @@ def test_criterion_7_unbounded_detected_via_cutoff():
     result = compute_sup_bound(model, GAP)
     elapsed = time.monotonic() - start
     assert result.outcome == "unbounded"
+    assert result.cutoff is None
+    # The last test's run is worth more than the product nodes it visits,
+    # and more than the old sound cutoff, formula automaton states times
+    # model states.
+    last = result.trace[-1]
+    product = _ModelProduct(Tableau(negate_dual(GAP)), model)
+    run, _ = find_accepting_lasso(product, last.n + 1)
+    assert run_value(run, product) == last.p > len({t.src for t in run.stem + run.loop})
     formula_side = prune_dominated(build_counter_automaton(negate_dual(GAP)))
-    expected = formula_side.num_states * model.num_states
-    assert result.cutoff == expected == 3
-    assert result.trace[-1].p > result.cutoff
+    old_cutoff = formula_side.num_states * model.num_states
+    assert last.p > old_cutoff == 3
     assert elapsed < 30.0
-    print(f"[criterion-7] PASS unbounded at cutoff {result.cutoff}, "
-          f"last threshold {result.trace[-1].p}, {elapsed:.1f}s")
+    print(f"[criterion-7] PASS unbounded with no cutoff, "
+          f"last threshold {last.p}, {elapsed:.1f}s")
 
 
 def test_criterion_8_infimum_bounds():

@@ -18,6 +18,7 @@ from cltlbound.automaton import (
     synchronized_product,
 )
 from cltlbound.cegar import (
+    _pumps,
     compute_inf_bound,
     compute_sup_bound,
     run_value,
@@ -44,11 +45,13 @@ from cltlbound.translate import Tableau, build_counter_automaton
 from cltlbound.words import ABOVE_CAP
 
 from corpus import (
+    cutoff_sup,
     instantiation_inf,
     instantiation_sup,
     random_automaton,
     random_formula,
     random_lasso,
+    whole_unfolding_accepts,
     word_model,
 )
 
@@ -244,8 +247,10 @@ def _agreement_corpus(count):
 def test_sup_agrees_with_instantiation_route():
     # A cutoff of 6 caps the reference's passes; below it both routes
     # give the exact sup, above it both say unbounded, or cutoff-reached
-    # where 6 is below the sound cutoff.  Each draw's U<= dual runs too:
-    # the reference probes not(phi[0]) where the search tests n = -1.
+    # where 6 is below the reference's sound cutoff.  The search says
+    # unbounded there when a run proves it: then the reference, at its
+    # own cutoff, must say so too.  Each draw's U<= dual runs too: the
+    # reference probes not(phi[0]) where the search tests n = -1.
     cutoff = 6
     models = [load_model(p) for p in sorted((ROOT / "models").glob("*.model"))]
     outcomes = {COST_GT: set(), COST_LE: set()}
@@ -256,6 +261,8 @@ def test_sup_agrees_with_instantiation_route():
             for m in models:
                 got = compute_sup_bound(m, phi, cutoff)
                 want = instantiation_sup(m, phi, cutoff)
+                if (got.outcome, want.outcome) == ("unbounded", "cutoff-reached"):
+                    want = instantiation_sup(m, phi)
                 assert (got.outcome, got.bound) == (want.outcome, want.bound), (str(phi), m)
                 outcomes[frag].add((got.outcome, got.bound))
                 if got.witness is None:
@@ -333,12 +340,11 @@ def _fixture_queries():
 
 
 def test_bound_searches_build_no_product_automaton(monkeypatch):
-    # The searches read the formula x model product node by node: the
-    # sup side's formula automaton is the one CounterAutomaton a query
-    # builds (the inf side reads the formula's Tableau and builds none),
-    # and the only Transitions made of product edges are the witness
-    # lassos', one per trace row that found a run (or the model's own
-    # lasso, read when no row did).
+    # The searches read the formula's Tableau x model product node by
+    # node: no query builds a CounterAutomaton, the formula's or a
+    # product's, and the only Transitions made of product edges are the
+    # witness lassos', one per trace row that found a run (or the model's
+    # own lasso, read when no row did).
     built = []
     validate = CounterAutomaton.__post_init__
     monkeypatch.setattr(
@@ -356,7 +362,7 @@ def test_bound_searches_build_no_product_automaton(monkeypatch):
             built.clear()
             made.clear()
             r = search(m, phi)
-            assert len(built) == (search is compute_sup_bound), (text, built)
+            assert len(built) == 0, (text, built)
             words = [row.word for row in r.trace if row.word is not None]
             if not words and r.witness is not None:
                 words = [r.witness]
@@ -415,24 +421,26 @@ def test_sup_empty_language_is_zero_without_witness():
 
 
 def test_sup_cutoff_override():
-    # G> a has 2 automaton states and the model 1, so the sound cutoff is
-    # 2: a value past a user cutoff of 1 proves nothing, past 2 it does.
-    r = compute_sup_bound(model(UNIVERSAL), parse_formula("G> a"), cutoff=1)
+    # The sup of G> a over L3 is 2: its runs are worth 2 at most, so a
+    # value past a user cutoff of 1 proves nothing.  Over every word a run
+    # worth more than its nodes proves the sup infinite, cutoff or not.
+    l3 = load_model(ROOT / "models" / "L3.model")
+    r = compute_sup_bound(l3, parse_formula("G> a"), cutoff=1)
     assert r.outcome == "cutoff-reached"
     assert r.cutoff == 1
     assert r.iterations <= 2
-    r = compute_sup_bound(model(UNIVERSAL), parse_formula("G> a"), cutoff=2)
-    assert (r.outcome, r.cutoff) == ("unbounded", 2)
+    for cutoff in (1, 2, None):
+        r = compute_sup_bound(model(UNIVERSAL), parse_formula("G> a"), cutoff=cutoff)
+        assert (r.outcome, r.cutoff) == ("unbounded", cutoff)
 
 
 def test_default_sup_cutoff_holds_at_four_times_it():
-    # A value above formula states x reachable model states pumps to any
-    # larger value (see the cegar docstring), so an `unbounded` answer at
-    # the default cutoff must stay `unbounded` when the search may go four
-    # times as far.  Formulas with two counting operators of either kind,
-    # over the fixtures and over random 2-letter models.  The 4x searches
-    # have a heavy tail (seed 29 draws one that takes 5 s alone); this
-    # seed keeps the test near 3 s.
+    # The search agrees exactly with the pumping-cutoff reference route
+    # (`corpus.cutoff_sup`, formula automaton states x reachable model
+    # states), and an `unbounded` answer stays `unbounded` when the search
+    # may go four times as far as that cutoff; its witness passes the
+    # oracle check.  Formulas with two counting operators of either kind,
+    # over the fixtures and over random 2-letter models.
     rng = random.Random(31)
     fixtures = [load_model(p) for p in sorted((ROOT / "models").glob("*.model"))]
     unbounded = 0
@@ -446,11 +454,106 @@ def test_default_sup_cutoff_holds_at_four_times_it():
         else:
             m = random_automaton(rng, max_states=4, max_acc=2, max_counters=0)
         r = compute_sup_bound(m, phi)
+        want = cutoff_sup(m, phi)
+        assert (r.outcome, r.bound) == (want.outcome, want.bound), (str(phi), m)
         if r.outcome == "unbounded":
-            further = compute_sup_bound(m, phi, 4 * r.cutoff)
-            assert further.outcome == "unbounded", (str(phi), m, r.cutoff, further.bound)
+            further = compute_sup_bound(m, phi, 4 * want.cutoff)
+            assert further.outcome == "unbounded", (str(phi), m, want.cutoff, further.bound)
+            assert check_bound(phi, r) == "ok", (str(phi), m)
             unbounded += 1
     assert unbounded >= 25
+
+
+def test_pumps_is_exact_on_random_automata():
+    # `_pumps` on a whole automaton against its capped unfolding, the
+    # threshold test built whole: a sup it calls infinite still passes at
+    # 6 x states + 6, and one it calls finite fails there (these automata
+    # have no finite sup that large).  Plain resets as well as
+    # observations, up to three counters.
+    rng = random.Random(5)
+    infinite = 0
+    for _ in range(2000):
+        aut = random_automaton(
+            rng, max_states=4, max_acc=2, max_counters=3, actions=("", "", "i", "i", "or", "r")
+        )
+        big = whole_unfolding_accepts(aut, 6 * aut.num_states + 6)
+        assert _pumps(aut.init, aut.transitions, aut.num_acc_sets) == big, aut
+        infinite += big
+    assert 500 < infinite < 1500, infinite
+
+
+def _graph(num_counters, *edges):
+    # Edges (src, actions, dst) over nodes 0-8; node 9 is an accepting sink.
+    steps = [Transition(s, cube("true"), acts, frozenset(), d) for s, acts, d in edges]
+    steps.append(Transition(9, cube("true"), ("",) * num_counters, frozenset({0}), 9))
+    return CounterAutomaton(10, 0, num_counters, 1, tuple(steps), ("a",))
+
+
+# Counter d pumped at node 0 only, then loops on c at node 1: A resets d,
+# B does not.
+PUMP_D = ((0, ("", "i"), 0), (0, ("", ""), 1), (1, ("or", "or"), 9))
+LOOP_A = ((1, ("i", "r"), 2), (2, ("", ""), 1))
+LOOP_B = ((1, ("i", ""), 3), (3, ("", ""), 1))
+
+
+@pytest.mark.parametrize("aut, infinite", [
+    # A loop i; r before the observation: the counter is 0 when read.
+    (_graph(1, (0, ("i",), 1), (1, ("r",), 0), (0, ("or",), 9)), False),
+    # The same loop with the observation after the increment.
+    (_graph(1, (0, ("i",), 1), (1, ("r",), 0), (1, ("or",), 9)), False),
+    # A plain increment loop.
+    (_graph(1, (0, ("i",), 0), (0, ("or",), 9)), True),
+    # Nested pumps: the outer loop reads d, which an inner loop pumps.
+    (_graph(2, (0, ("", "i"), 0), (0, ("i", "or"), 1), (1, ("", ""), 0), (1, ("or", ""), 9)),
+     True),
+    # The only loop that pumps c also reads d, which nothing pumps.
+    (_graph(2, (0, ("i", ""), 1), (1, ("", "or"), 0), (1, ("or", ""), 9)), False),
+    # c must be pumped after d by a loop that spares d: A alone cannot.
+    (_graph(2, *PUMP_D, *LOOP_A), False),
+    (_graph(2, *PUMP_D, *LOOP_A, *LOOP_B), True),
+    # d grows round a loop that reads c, which the loop through 1 pumps; the
+    # loop through 2 lies in the same component and resets d, so only a
+    # pump of c that leaves it out lets d grow.
+    (_graph(2, (0, ("i", ""), 1), (1, ("", ""), 0), (0, ("", "r"), 2), (2, ("", ""), 0),
+            (0, ("or", "i"), 3), (3, ("", ""), 0), (0, ("", "or"), 9)), True),
+])
+def test_pumps_on_hand_written_graphs(aut, infinite):
+    assert _pumps(aut.init, aut.transitions, aut.num_acc_sets) is infinite
+    assert whole_unfolding_accepts(aut, 6 * aut.num_states + 6) is infinite
+
+
+def _ring(m):
+    # A start move on o, a loop on d, then a ring of m c-moves whose last
+    # state goes back to the first on o or leaves on e for an accepting
+    # sink: words o d* c (c^(m-1) o)* c^(m-1) e ...
+    letter = {p: "&".join(q if q == p else "!" + q for q in "dcoe") for p in "dcoe"}
+    lines = [f"ap: d c o e\nstates: {m + 3}\ninit: 0\naccsets: 1",
+             f"trans: 0 1 {letter['o']} {{}}", f"trans: 1 1 {letter['d']} {{}}",
+             f"trans: 1 2 {letter['c']} {{}}"]
+    lines += [f"trans: {i} {i + 1} {letter['c']} {{}}" for i in range(2, m + 1)]
+    lines += [f"trans: {m + 1} 2 {letter['o']} {{}}", f"trans: {m + 1} {m + 2} {letter['e']} {{}}",
+              f"trans: {m + 2} {m + 2} !d&!c&!o&!e {{0}}"]
+    return model("\n".join(lines))
+
+
+def test_a_run_worth_more_than_its_nodes_can_have_a_finite_sup():
+    # Every o closes a window counting the letters since the one before,
+    # and c starts a window that e closes.  One lap of the ring is worth
+    # as many d-moves as the word makes; two laps give a second o window
+    # of m - 1 letters.  So the sup is 2m - 1, reached by the run that goes
+    # round the ring one and a half times: it visits the ring's nodes
+    # twice, and with m = 6 is worth 11 on 10 nodes.  Pumping it would
+    # repeat an o, so only the run's graph, not its value, can tell.
+    phi = parse_formula("G (!o | X (G> !o)) & F (c & G> !e)")
+    m = _ring(6)
+    r = compute_sup_bound(m, phi)
+    assert (r.outcome, r.bound) == ("finite", 11)
+    assert value_sup(phi, r.witness, 13) == 11
+    product = _ModelProduct(Tableau(phi), m)
+    run, _ = find_accepting_lasso(product, 11)
+    steps = run.stem + run.loop
+    assert run_value(run, product) == 11 > len({s.src for s in steps}) == 10
+    assert not _pumps(product.init, steps, product.num_acc_sets)
 
 
 def test_sup_rejections():

@@ -17,6 +17,7 @@ from cltlbound.cli import main
 from cltlbound.emptiness import find_accepting_lasso
 from cltlbound.formula import negate_dual, parse_formula
 from cltlbound.model import load_model
+from cltlbound.translate import Tableau
 from cltlbound.words import ABOVE_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -161,8 +162,7 @@ def test_sup_gallops_from_a_finite_run_to_unbounded(capsys, monkeypatch):
     # comes first, so the test at threshold 1 finds a lasso worth exactly
     # 1, yet a^w also runs through state 2, observes no counter and is
     # worth infinity.  The next test, at 2, rules out the increment row
-    # and finds that run, so the search answers `unbounded` after two rows
-    # instead of galloping to the cutoff.
+    # and finds that run, so the search answers `unbounded` after two rows.
     aut = CounterAutomaton(3, 0, 1, 1, (
         Transition(0, Cube.from_text("a"), ("i",), frozenset(), 1),
         Transition(0, Cube.from_text("a"), ("",), frozenset(), 2),
@@ -175,7 +175,7 @@ def test_sup_gallops_from_a_finite_run_to_unbounded(capsys, monkeypatch):
     run, _ = find_accepting_lasso(product, 2)
     assert run_value(run, product) == math.inf
     with monkeypatch.context() as patch:
-        patch.setattr(cltlbound.cegar, "_pruned", lambda phi: aut)
+        patch.setattr(cltlbound.cegar, "Tableau", lambda phi: aut)
         r = compute_sup_bound(load_model(UNIVERSAL), parse_formula("G> a"))
     assert r.outcome == "unbounded"
     assert [(row.n, row.p) for row in r.trace] == [(0, 1), (1, math.inf)]
@@ -191,12 +191,12 @@ def test_sup_gallops_from_a_finite_run_to_unbounded(capsys, monkeypatch):
 
 
 def test_cutoffs_count_reachable_model_states(tmp_path, capsys):
-    # One reachable state among the declared ones: the default sup cutoff
-    # multiplies by 1, not by the declared count.  G> b's automaton has 2
-    # states.  The inf search needs no cutoff: its Streett check proves
+    # One reachable state among the declared ones.  Neither search needs a
+    # cutoff, whatever the declared count: the sup search's empty test
+    # proves the sup 0, and the inf search's Streett check proves
     # infinite-inf on the one reachable state.
     for declared, mode, formula, want in [
-        (1000, "sup", "G> b", (0, "finite", 0, 2)),
+        (1000, "sup", "G> b", (0, "finite", 0, None)),
         (2, "inf", "F<= b", (3, "infinite-inf", None, None)),
     ]:
         path = tmp_path / f"unreachable_{declared}.model"
@@ -207,6 +207,29 @@ def test_cutoffs_count_reachable_model_states(tmp_path, capsys):
         )
         code, data = run_json(capsys, "--mode", mode, "-f", formula, "-m", str(path))
         assert (code, data["outcome"], data["bound"], data["cutoff"]) == want, mode
+
+
+def test_sup_unbounded_from_a_finite_run(tmp_path, capsys):
+    # Over one state that reads a freely and accepts on !a, every lasso
+    # word holds a !a in its loop, so F<= !a never waits forever and each
+    # word's value is finite; yet the sup of G (F<= !a) is infinite.  No
+    # run is worth infinity, so the gallop goes on until a run worth more
+    # than the product nodes it visits proves it.
+    path = tmp_path / "one_state.model"
+    path.write_text(
+        "ap: a\nstates: 1\ninit: 0\naccsets: 1\ntrans: 0 0 a {}\ntrans: 0 0 !a {0}\n",
+        encoding="utf-8",
+    )
+    code, data = run_json(
+        capsys, "-f", "G (F<= !a)", "-m", str(path), "--mode", "sup",
+        "--trace", "--witness", "--oracle-check",
+    )
+    assert (code, data["outcome"], data["cutoff"], data["oracle"]) == (2, "unbounded", None, "ok")
+    last = data["trace"][-1]
+    assert last["p"] != "infinite"
+    product = _ModelProduct(Tableau(negate_dual(parse_formula("G (F<= !a)"))), load_model(path))
+    run, _ = find_accepting_lasso(product, last["n"] + 1)
+    assert run_value(run, product) == last["p"] > len({t.src for t in run.stem + run.loop})
 
 
 def test_formula_file(tmp_path, capsys):
@@ -423,7 +446,7 @@ def test_inf_infinite_by_the_streett_check(tmp_path, capsys):
 
 # SHA-256 of `scripts/report_matrix.py`'s output.  A change that alters
 # some report on purpose updates it and says why in CHANGES.md.
-REPORT_MATRIX_SHA256 = "320691f078d8c2ebcc2bed5a091805a9d7c4a7d94e8b09d772f8010e854193a1"
+REPORT_MATRIX_SHA256 = "be75959cddbdff5b6fdfb18d8f5d5415aae4b66be897689b4426ae9f1a7da1bd"
 
 
 def test_report_matrix_is_unchanged():
