@@ -26,11 +26,11 @@ is worth its largest counter value.  A test reads a reading's rows,
 compiled from plain edges by a `_Succ` when the test first reaches
 them: a CounterAutomaton's per state, a product's per (source state,
 shared cube), which `_Rows` maps to each node; `_touched` picks the
-tracked counters of any source.  The sup search tests a whole formula
-automaton × model product, the inf search a Tableau × model product
-(`emptiness.find_accepting_lasso`, which threads a witness lasso through
-the accepting component the test stops in), value mode a Tableau × word
-product (`value_on_lasso`); all three pick their thresholds with `narrow`.
+tracked counters of any source.  The sup and inf searches test a
+Tableau × model product (`emptiness.find_accepting_lasso`, which threads
+a witness lasso through the accepting component the test stops in),
+value mode a Tableau × word product (`value_on_lasso`); all three pick
+their thresholds with `narrow`.
 """
 
 from __future__ import annotations
@@ -223,11 +223,13 @@ class _ModelProduct:
     shared cube, which all their cubes imply.  The source is asked once
     per (state, shared cube), and the edges it returns that contradict
     the shared cube are dropped.  Each edge left is paired with each move
-    whose cube it does not contradict, source-major.
+    whose cube it does not contradict, source-major; a model state with
+    one move and no sets skips the move loop.
 
     `edges(s)` makes and keeps node s's edges, the source's sets and
-    actions first, for the whole walks, the Streett check,
-    `check_lasso_run` and `synchronized_product`.  The threshold tests
+    actions first, for the whole walks, the Streett check and
+    `synchronized_product`; `edges_to(s, d)` builds those that reach
+    node d alone, for `emptiness.check_lasso_run`.  The threshold tests
     read one of three readings (`_Rows`) instead: capped and best first
     for sup (`_capped`), bounded for inf (`_bounded`), and capped in edge
     order for value mode (`_every`).  A row names the source's edge;
@@ -305,15 +307,43 @@ class _ModelProduct:
         node s, the source's sets and actions first.  Node s is expanded
         when first asked for, and its edges kept."""
         edges = self._expanded.get(s)
-        if edges is not None:
+        if edges is None:
+            p, q = self.order[s]
+            edges = self._expanded[s] = self._pair(
+                s, self._source_edges((p, self._shared[q])), self._moves[q]
+            )
+        return edges
+
+    def edges_to(self, s: int, d: int) -> list[tuple]:
+        """The edges of `edges(s)` that reach node d.  When d is a node
+        met already, they are built alone: the source's edges to d's
+        source state paired with the moves to d's model state.
+        Otherwise node s is expanded, which may meet d."""
+        if not 0 <= d < len(self.order):
+            return [e for e in self.edges(s) if e[1] == d]
+        (p, q), (dst_a, dst_b) = self.order[s], self.order[d]
+        pairs = [e for e in self._source_edges((p, self._shared[q])) if e[1] == dst_a]
+        return self._pair(s, pairs, [m for m in self._moves[q] if m[0] == dst_b])
+
+    def _pair(self, s: int, pairs: list[tuple], moves: tuple[tuple, ...]) -> list[tuple]:
+        """Node s's edges of these source edges and model moves, paired
+        source-major where their cubes meet; the nodes they reach are
+        numbered as met."""
+        index, order, edges = self._index, self.order, []
+        if len(moves) == 1 and not moves[0][4]:  # one move and no sets: no move loop
+            (dst_b, _, actions_b, cube_b, _), = moves
+            for _, dst_a, acc_a, actions_a, cube_a in pairs:
+                cube = cube_a if cube_a is cube_b else _narrow(cube_a, cube_b)
+                if cube is None:
+                    continue
+                tgt = (dst_a, dst_b)
+                d = index.get(tgt)
+                if d is None:
+                    d = index[tgt] = len(order)
+                    order.append(tgt)
+                edges.append((s, d, acc_a, actions_a + actions_b, cube))
             return edges
-        edges = self._expanded[s] = []
-        p, q = self.order[s]
-        moves = self._moves[q]
-        if not moves:
-            return edges
-        index, order = self._index, self.order
-        for _, dst_a, acc_a, actions_a, cube_a in self._source_edges((p, self._shared[q])):
+        for _, dst_a, acc_a, actions_a, cube_a in pairs:
             for dst_b, acc_b, actions_b, cube_b, _ in moves:
                 cube = cube_a if cube_a is cube_b else _narrow(cube_a, cube_b)
                 if cube is None:

@@ -39,7 +39,8 @@ transitions, a subgraph of the product, has accepting runs of every
 value (`_pumps`).  Then the test's lower end jumps to infinity and the
 search ends at `unbounded`; no cutoff is needed.  `_pumps` runs only
 when the run's value p exceeds the number of distinct product nodes it
-visits.  With one observed counter that alone proves it: between an
+visits and the run observes two counters or more.  With one observed
+counter, p above the nodes alone proves it: between an
 observation and its counter's last reset lie p increments, so some node
 repeats with an increment in between, and repeating that stretch raises
 the observation and reads no other counter.  With two it does not: the
@@ -281,8 +282,9 @@ def _sup_direct(model, phi, cutoff):
             return lo, t
         word = hit[1]
         steps = hit[0].stem + hit[0].loop
-        if math.inf > p > len({s.src for s in steps}) and _pumps(
-            product.init, steps, product.num_acc_sets
+        if math.inf > p > len({s.src for s in steps}) and (
+            len({c for s in steps for c, a in enumerate(s.actions) if a == "or"}) == 1
+            or _pumps(product.init, steps, product.num_acc_sets)
         ):
             return math.inf, hi
         return p, hi

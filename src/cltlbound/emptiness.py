@@ -22,8 +22,10 @@ an accepting run whose counters stay bounded?  Its lasso's stem is a
 shortest path into the component it picks, and its loop also threads one
 reset edge per counter the loop may increment.
 
-`check_lasso_run` validates a witness against aut's own edges, which on
-a product are read from the node each transition leaves.
+`check_lasso_run` validates a witness against aut's own edges; on a
+product it builds only those between the two nodes each transition
+joins, from the source's edges and the model's moves, not from the rows
+the threshold tests read.
 """
 
 from __future__ import annotations
@@ -193,9 +195,11 @@ def check_lasso_run(
     Checks chaining, loop closure, the initial state, that each transition
     is one of aut's edges leaving its source, acceptance coverage of the
     loop, and (when a word is given) letter-by-letter cube match.  aut is a
-    CounterAutomaton or a `automaton._ModelProduct`: a product's edges are
-    read from the node the transition leaves, which must be one the
-    product has met, and expanded if no search has yet.
+    CounterAutomaton or a `automaton._ModelProduct`.  The node a product's
+    transition leaves must be one the product has met; only its edges to
+    the node the transition enters are built (`_ModelProduct.edges_to`),
+    unless no search has met that node yet, and then the whole node is
+    expanded.
     """
     if not run.loop:
         raise ValueError("loop is empty")
@@ -209,9 +213,10 @@ def check_lasso_run(
     loop_start = run.loop[0].src
     if run.loop[-1].dst != loop_start:
         raise ValueError("loop does not close")
+    edges_to = aut.edges_to if isinstance(aut, _ModelProduct) else lambda s, d: aut.edges(s)
     for t in seq:
         if not (0 <= t.src < aut.num_states
-                and (t.src, t.dst, t.acc, t.actions, t.cube) in aut.edges(t.src)):
+                and (t.src, t.dst, t.acc, t.actions, t.cube) in edges_to(t.src, t.dst)):
             raise ValueError(f"transition not in the automaton: {t}")
     for i in range(aut.num_acc_sets):
         if not any(i in t.acc for t in run.loop):

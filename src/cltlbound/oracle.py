@@ -15,6 +15,14 @@ instantiated formula, whose size grows with n.  An R> formula is the
 dual of a U<= one, and is evaluated through `negate_dual`, as
 `instantiate` unfolds it.
 
+Level-free tables.  Only the tables on the paths from the root down to
+the counting operators depend on n.  A `value_inf` or `value_sup` call
+keeps the rest for all of its probes (`_Tables`, made once per call,
+after the R> dual): the table of every subformula that holds no U<=,
+and the failure counts of every U<= whose operands hold none, which a
+probe only compares with n.  A probe rebuilds the tables of the U<=
+nodes and of the subformulas above them, nothing else.
+
 Why bisection is exact.  A finite count is at most the number of
 positions |w|: the first `r` after a position comes within one turn of
 the cycle.  So for n >= |w| every table is the same as at |w|, and a
@@ -44,6 +52,7 @@ from .formula import (
     Release,
     TrueF,
     Until,
+    children,
     classify_fragment,
     instantiate,  # noqa: F401  kept importable here for bench/tracing.py
     negate_dual,
@@ -51,32 +60,47 @@ from .formula import (
 from .words import ABOVE_CAP, LassoWord
 
 
-def eval_ltl_on_lasso(phi: Formula, word: LassoWord, n: int | None = None) -> bool:
+def eval_ltl_on_lasso(
+    phi: Formula, word: LassoWord, n: int | None = None, tables: _Tables | None = None
+) -> bool:
     """Does the lasso word satisfy phi at position 0?
 
     Without n, phi must be plain LTL.  With n, phi may also count, and
-    the question is whether the word satisfies phi[n]."""
-    frag = classify_fragment(phi)
-    if n is None:
-        if frag != LTL:
-            raise FragmentError("lasso evaluation without a level handles plain LTL only")
-    elif n < 0:
+    the question is whether the word satisfies phi[n].  tables, made by
+    `value_inf` or `value_sup` for this phi and word, keeps the level-free
+    tables from one level to the next; without it they are built here."""
+    if n is not None and n < 0:
         raise ValueError("evaluation level must be nonnegative")
-    elif frag == MIXED:
-        raise FragmentError("cannot evaluate a formula mixing U<= and R>")
-    dual = frag == COST_GT
-    if dual:
-        phi = negate_dual(phi)
-    pre = len(word.prefix)
-    letters = word.prefix + word.cycle
-    memo: dict[int, list] = {}
-    return _table(phi, letters, pre, n, memo)[0] != dual
+    if tables is None:
+        frag = classify_fragment(phi)
+        if n is None and frag != LTL:
+            raise FragmentError("lasso evaluation without a level handles plain LTL only")
+        if frag == MIXED:
+            raise FragmentError("cannot evaluate a formula mixing U<= and R>")
+        tables = _Tables(phi, word, frag == COST_GT)
+    return _table(tables.phi, tables, n, {})[0] != tables.dual
 
 
-def _table(phi: Formula, letters, pre: int, n: int | None, memo) -> list[bool]:
-    got = memo.get(id(phi))
+class _Tables:
+    """One formula's level-free tables over one lasso word.  phi is the
+    formula, dualised when it is an R> one; fixed keeps the table of each
+    subformula holding no U<=, and counts the failure counts of each U<=
+    whose operands hold none."""
+
+    def __init__(self, phi: Formula, word: LassoWord, dual: bool):
+        self.phi, self.dual = (negate_dual(phi) if dual else phi), dual
+        self.letters, self.pre = word.prefix + word.cycle, len(word.prefix)
+        self.fixed: dict[int, list[bool]] = {}
+        self.counts: dict[int, list] = {}
+
+
+def _table(phi: Formula, w: _Tables, n: int | None, memo) -> list[bool]:
+    """phi's table at level n; memo keeps the level's other tables."""
+    key = id(phi)
+    got = w.fixed.get(key) or memo.get(key)  # a table is never empty
     if got is not None:
         return got
+    letters, pre = w.letters, w.pre
     total = len(letters)
     if isinstance(phi, TrueF):
         out = [True] * total
@@ -85,31 +109,37 @@ def _table(phi: Formula, letters, pre: int, n: int | None, memo) -> list[bool]:
     elif isinstance(phi, Lit):
         out = [(phi.name in letters[i]) == phi.positive for i in range(total)]
     elif isinstance(phi, And):
-        l = _table(phi.left, letters, pre, n, memo)
-        r = _table(phi.right, letters, pre, n, memo)
+        l, r = _table(phi.left, w, n, memo), _table(phi.right, w, n, memo)
         out = [a and b for a, b in zip(l, r)]
     elif isinstance(phi, Or):
-        l = _table(phi.left, letters, pre, n, memo)
-        r = _table(phi.right, letters, pre, n, memo)
+        l, r = _table(phi.left, w, n, memo), _table(phi.right, w, n, memo)
         out = [a or b for a, b in zip(l, r)]
     elif isinstance(phi, Next):
-        v = _table(phi.operand, letters, pre, n, memo)
+        v = _table(phi.operand, w, n, memo)
         out = [v[i + 1] if i + 1 < total else v[pre] for i in range(total)]
-    elif isinstance(phi, (Until, Release, CostUntil)):
-        a = _table(phi.left, letters, pre, n, memo)
-        b = _table(phi.right, letters, pre, n, memo)
+    elif isinstance(phi, (Until, Release)):
+        a, b = _table(phi.left, w, n, memo), _table(phi.right, w, n, memo)
         if isinstance(phi, Until):
             out = _sweep(pre, total, False, lambda i, x: b[i] or (a[i] and x))
-        elif isinstance(phi, Release):
-            out = _sweep(pre, total, True, lambda i, x: b[i] and (a[i] or x))
         else:
+            out = _sweep(pre, total, True, lambda i, x: b[i] and (a[i] or x))
+    elif isinstance(phi, CostUntil):
+        count = w.counts.get(key)
+        if count is None:
+            a, b = _table(phi.left, w, n, memo), _table(phi.right, w, n, memo)
             # failures of the left operand before the first right operand
             count = _sweep(pre, total, math.inf, lambda i, x: 0 if b[i] else x + (not a[i]))
-            out = [c <= n for c in count]
+            if id(phi.left) in w.fixed and id(phi.right) in w.fixed:
+                w.counts[key] = count
+        memo[key] = out = [c <= n for c in count]
+        return out
     else:
         # R> never gets here: eval_ltl_on_lasso dualises it or rejects it
         raise TypeError(f"not a formula: {phi!r}")
-    memo[id(phi)] = out
+    if all(id(c) in w.fixed for c in children(phi)):
+        w.fixed[key] = out
+    else:
+        memo[key] = out
     return out
 
 
@@ -153,8 +183,9 @@ def value_inf(phi: Formula, word: LassoWord, cap: int):
         raise ValueError("cap must be at least 1")
     if classify_fragment(phi) not in (LTL, COST_LE):
         raise FragmentError("value_inf takes a U<= (or plain LTL) formula")
+    tables = _Tables(phi, word, False)
     n = _least_level(
-        lambda n: eval_ltl_on_lasso(phi, word, n), 0, min(cap, word.positions())
+        lambda n: eval_ltl_on_lasso(phi, word, n, tables), 0, min(cap, word.positions())
     )
     return ABOVE_CAP if n is None else n
 
@@ -176,9 +207,11 @@ def value_sup(phi: Formula, word: LassoWord, cap: int):
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if classify_fragment(phi) not in (LTL, COST_GT):
+    frag = classify_fragment(phi)
+    if frag not in (LTL, COST_GT):
         raise FragmentError("value_sup takes an R> (or plain LTL) formula")
+    tables = _Tables(phi, word, frag == COST_GT)
     n = _least_level(
-        lambda n: not eval_ltl_on_lasso(phi, word, n), 1, min(cap, word.positions())
+        lambda n: not eval_ltl_on_lasso(phi, word, n, tables), 1, min(cap, word.positions())
     )
     return ABOVE_CAP if n is None else n - 1

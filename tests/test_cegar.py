@@ -369,6 +369,25 @@ def test_bound_searches_build_no_product_automaton(monkeypatch):
             assert len(made) == sum(len(w.prefix) + len(w.cycle) for w in words), text
 
 
+def test_sup_queries_expand_no_product_node(monkeypatch):
+    # A sup query's tests read rows, and its witness check builds only the
+    # edges between the nodes each witness transition joins: no node of
+    # the product is expanded whole.
+    expanded, checked = [], []
+    edges, check = _ModelProduct.edges, cltlbound.cegar.check_lasso_run
+    monkeypatch.setattr(_ModelProduct, "edges", lambda p, s: expanded.append(s) or edges(p, s))
+    monkeypatch.setattr(
+        cltlbound.cegar, "check_lasso_run", lambda *args: checked.append(args) or check(*args)
+    )
+    models = [load_model(p) for p in sorted((ROOT / "models").glob("*.model"))]
+    models += [_lk_model(40), _ring(6)]
+    for search, text in _fixture_queries():
+        if search is compute_sup_bound:
+            for m in models:
+                search(m, parse_formula(text))
+    assert len(checked) > 20 and not expanded
+
+
 def test_lazy_product_agrees_with_the_whole_product(monkeypatch):
     # Every lasso a search finds is a run of the whole product
     # (`synchronized_product`), once its nodes are numbered as there: the
@@ -536,7 +555,7 @@ def _ring(m):
     return model("\n".join(lines))
 
 
-def test_a_run_worth_more_than_its_nodes_can_have_a_finite_sup():
+def test_a_run_worth_more_than_its_nodes_can_have_a_finite_sup(monkeypatch):
     # Every o closes a window counting the letters since the one before,
     # and c starts a window that e closes.  One lap of the ring is worth
     # as many d-moves as the word makes; two laps give a second o window
@@ -546,14 +565,36 @@ def test_a_run_worth_more_than_its_nodes_can_have_a_finite_sup():
     # repeat an o, so only the run's graph, not its value, can tell.
     phi = parse_formula("G (!o | X (G> !o)) & F (c & G> !e)")
     m = _ring(6)
+    pumped = []
+    monkeypatch.setattr(
+        cltlbound.cegar, "_pumps", lambda *args: pumped.append(args) or _pumps(*args)
+    )
     r = compute_sup_bound(m, phi)
     assert (r.outcome, r.bound) == ("finite", 11)
+    assert pumped  # the run observes two counters, so its value is no proof
     assert value_sup(phi, r.witness, 13) == 11
     product = _ModelProduct(Tableau(phi), m)
     run, _ = find_accepting_lasso(product, 11)
     steps = run.stem + run.loop
     assert run_value(run, product) == 11 > len({s.src for s in steps}) == 10
     assert not _pumps(product.init, steps, product.num_acc_sets)
+
+
+def test_one_observed_counter_proves_an_unbounded_sup_without_pumping(monkeypatch, tmp_path):
+    # A run of value p over fewer than p nodes that observes one counter
+    # proves the sup infinite on its own (see the cegar docstring).
+    def refuse(*args):
+        raise AssertionError("_pumps ran")
+
+    monkeypatch.setattr(cltlbound.cegar, "_pumps", refuse)
+    spec = importlib.util.spec_from_file_location(
+        "sup_search_sizes", ROOT / "scripts" / "sup_search_sizes.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    path = tmp_path / "ring160.model"
+    path.write_text(module.render_ring(160), encoding="utf-8")
+    assert compute_sup_bound(load_model(path), parse_formula("G> a")).outcome == "unbounded"
 
 
 def test_sup_rejections():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cltlbound import oracle
 from cltlbound.formula import (
     FragmentError,
     cost_operator_count,
@@ -207,3 +208,77 @@ def test_level_evaluation_rejects():
         eval_ltl_on_lasso(parse_formula("F<= a"), w, -1)
     with pytest.raises(FragmentError):
         eval_ltl_on_lasso(parse_formula("F<= a & G> a"), w, 2)
+
+
+def _long_words(count):
+    """Words of 50 to 64 positions, each with a prefix and a cycle, whose
+    letters lean to a so that the counts reach past a few."""
+    rng = random.Random(28)
+
+    def letter():
+        return frozenset(p for p, odds in (("a", 0.8), ("b", 0.25)) if rng.random() < odds)
+
+    out = []
+    for _ in range(count):
+        pre = rng.randrange(25, 40)
+        out.append(LassoWord(tuple(letter() for _ in range(pre)),
+                             tuple(letter() for _ in range(rng.randrange(50 - pre, 65 - pre)))))
+    return out
+
+
+def test_tables_kept_across_levels_agree_with_instantiation_route():
+    # A search keeps the tables that hold at every level; these shapes put
+    # a counting operator inside another, under each plain operator, and
+    # next to a level-free sibling, so a table kept past its level shows.
+    le = [parse_formula(t) for t in (
+        "F<= (!a & X (!b U<= b))",
+        "b U<= (a & (!a U<= b))",
+        "(a | b) U<= (!a & F<= b)",
+        "(F<= !a) U b",
+        "b R (!b U<= !a)",
+        "X (F<= (b & !a))",
+        "(F b) & (G (F<= !a))",
+        "(G a) | F<= (!a & b)",
+    )]
+    gt = [negate_dual(phi) for phi in le] + [parse_formula(t) for t in (
+        "G> (a & X (G> (a | b)))",
+        "a R> (b | G> a)",
+        "(F b) & G> (a | X b)",
+        "(G !a) | G> a",
+    )]
+    finite = 0
+    for w in _long_words(4):
+        assert w.prefix and w.positions() >= 50
+        for phi in le + gt:
+            value = value_inf if phi in le else value_sup
+            route = instantiation_value_inf if phi in le else instantiation_value_sup
+            v = value(phi, w, w.positions() + 2)
+            if v is ABOVE_CAP:
+                caps = (5, w.positions() + 2)
+            else:
+                caps = (max(1, v - 1), v + 1)
+                finite += v > 1
+            for cap in caps:
+                assert value(phi, w, cap) == route(phi, w, cap), (str(phi), str(w), cap)
+    assert finite > 30
+
+
+def test_a_search_sweeps_level_free_counts_once(monkeypatch):
+    calls = {"sweep": 0, "eval": 0}
+    sweep, evaluate = oracle._sweep, oracle.eval_ltl_on_lasso
+
+    def counted_sweep(*args):
+        calls["sweep"] += 1
+        return sweep(*args)
+
+    def counted_eval(*args):
+        calls["eval"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(oracle, "_sweep", counted_sweep)
+    monkeypatch.setattr(oracle, "eval_ltl_on_lasso", counted_eval)
+    w = parse_lasso(" ".join(["{a}"] * 148) + " | {b}")
+    assert value_inf(parse_formula("F<= b"), w, 150) == 148
+    # One probe at 149, then seven bisection steps over [0, 149]: the
+    # failure counts of F<= b are swept on the first, and kept.
+    assert calls == {"sweep": 1, "eval": 8}
