@@ -223,8 +223,7 @@ class _ModelProduct:
     shared cube, which all their cubes imply.  The source is asked once
     per (state, shared cube), and the edges it returns that contradict
     the shared cube are dropped.  Each edge left is paired with each move
-    whose cube it does not contradict, source-major; a model state with
-    one move and no sets skips the move loop.
+    whose cube it does not contradict, source-major.
 
     `edges(s)` makes and keeps node s's edges, the source's sets and
     actions first, for the whole walks, the Streett check and
@@ -323,26 +322,13 @@ class _ModelProduct:
             return [e for e in self.edges(s) if e[1] == d]
         (p, q), (dst_a, dst_b) = self.order[s], self.order[d]
         pairs = [e for e in self._source_edges((p, self._shared[q])) if e[1] == dst_a]
-        return self._pair(s, pairs, [m for m in self._moves[q] if m[0] == dst_b])
+        return self._pair(s, pairs, tuple(m for m in self._moves[q] if m[0] == dst_b))
 
     def _pair(self, s: int, pairs: list[tuple], moves: tuple[tuple, ...]) -> list[tuple]:
         """Node s's edges of these source edges and model moves, paired
         source-major where their cubes meet; the nodes they reach are
         numbered as met."""
         index, order, edges = self._index, self.order, []
-        if len(moves) == 1 and not moves[0][4]:  # one move and no sets: no move loop
-            (dst_b, _, actions_b, cube_b, _), = moves
-            for _, dst_a, acc_a, actions_a, cube_a in pairs:
-                cube = cube_a if cube_a is cube_b else _narrow(cube_a, cube_b)
-                if cube is None:
-                    continue
-                tgt = (dst_a, dst_b)
-                d = index.get(tgt)
-                if d is None:
-                    d = index[tgt] = len(order)
-                    order.append(tgt)
-                edges.append((s, d, acc_a, actions_a + actions_b, cube))
-            return edges
         for _, dst_a, acc_a, actions_a, cube_a in pairs:
             for dst_b, acc_b, actions_b, cube_b, _ in moves:
                 cube = cube_a if cube_a is cube_b else _narrow(cube_a, cube_b)

@@ -40,10 +40,10 @@ value (`_pumps`).  Then the test's lower end jumps to infinity and the
 search ends at `unbounded`; no cutoff is needed.  `_pumps` runs only
 when the run's value p exceeds the number of distinct product nodes it
 visits and the run observes two counters or more.  With one observed
-counter, p above the nodes alone proves it: between an
-observation and its counter's last reset lie p increments, so some node
-repeats with an increment in between, and repeating that stretch raises
-the observation and reads no other counter.  With two it does not: the
+counter, p above the nodes alone proves it: between an observation and
+its counter's last reset lie p increments, so some node repeats with an
+increment in between, and repeating that stretch raises the observation
+and reads no other counter.  With two it does not: the
 stretch can hold an observation of the other counter, which reads less
 in each repeat than it did once (the tests hold a sup of 11 whose
 witness is worth 11 on 10 nodes).  The search terminates: the run
@@ -162,6 +162,11 @@ def run_peak(run: LassoRun, aut: CounterAutomaton | _ModelProduct) -> int:
     return _read_run(run, aut)[1]
 
 
+def _observed(steps: tuple[Transition, ...]) -> list[int]:
+    """The counters that the steps observe, in order."""
+    return sorted({c for s in steps for c, a in enumerate(s.actions) if a == "or"})
+
+
 def _pumps(init: int, steps: tuple[Transition, ...], num_acc_sets: int) -> bool:
     """Has the graph of these transitions, a run's, accepting runs from
     node init of every value?
@@ -183,7 +188,7 @@ def _pumps(init: int, steps: tuple[Transition, ...], num_acc_sets: int) -> bool:
     the converse holds, which the sup search needs to terminate, is
     checked against the capped unfolding on random automata in the tests.
     """
-    observed = sorted({c for s in steps for c, a in enumerate(s.actions) if a == "or"})
+    observed = _observed(steps)
     moves: dict[int, list[tuple]] = {}  # node -> (dst, sets, observes, resets, increments)
     for src, dst, acc, actions in dict.fromkeys((s.src, s.dst, s.acc, s.actions) for s in steps):
         masks = (sum(1 << j for j, c in enumerate(observed) if actions[c] in keys)
@@ -283,7 +288,7 @@ def _sup_direct(model, phi, cutoff):
         word = hit[1]
         steps = hit[0].stem + hit[0].loop
         if math.inf > p > len({s.src for s in steps}) and (
-            len({c for s in steps for c, a in enumerate(s.actions) if a == "or"}) == 1
+            len(_observed(steps)) == 1
             or _pumps(product.init, steps, product.num_acc_sets)
         ):
             return math.inf, hi

@@ -23,9 +23,8 @@ shortest path into the component it picks, and its loop also threads one
 reset edge per counter the loop may increment.
 
 `check_lasso_run` validates a witness against aut's own edges; on a
-product it builds only those between the two nodes each transition
-joins, from the source's edges and the model's moves, not from the rows
-the threshold tests read.
+product it builds only those joining each transition's two nodes, not
+the rows the threshold tests read.
 """
 
 from __future__ import annotations
@@ -195,11 +194,9 @@ def check_lasso_run(
     Checks chaining, loop closure, the initial state, that each transition
     is one of aut's edges leaving its source, acceptance coverage of the
     loop, and (when a word is given) letter-by-letter cube match.  aut is a
-    CounterAutomaton or a `automaton._ModelProduct`.  The node a product's
-    transition leaves must be one the product has met; only its edges to
-    the node the transition enters are built (`_ModelProduct.edges_to`),
-    unless no search has met that node yet, and then the whole node is
-    expanded.
+    CounterAutomaton or a `automaton._ModelProduct`, whose transitions
+    must leave nodes it has met; `_ModelProduct.edges_to` builds only the
+    edges joining a transition's two nodes.
     """
     if not run.loop:
         raise ValueError("loop is empty")

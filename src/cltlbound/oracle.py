@@ -67,11 +67,12 @@ def eval_ltl_on_lasso(
 
     Without n, phi must be plain LTL.  With n, phi may also count, and
     the question is whether the word satisfies phi[n].  tables, made by
-    `value_inf` or `value_sup` for this phi and word, keeps the level-free
-    tables from one level to the next; without it they are built here."""
+    `value_inf` or `value_sup`, keeps the level-free tables from one level
+    to the next; unless made for this very phi and word, they are built
+    here."""
     if n is not None and n < 0:
         raise ValueError("evaluation level must be nonnegative")
-    if tables is None:
+    if tables is None or tables.source is not phi or tables.word is not word:
         frag = classify_fragment(phi)
         if n is None and frag != LTL:
             raise FragmentError("lasso evaluation without a level handles plain LTL only")
@@ -83,12 +84,13 @@ def eval_ltl_on_lasso(
 
 class _Tables:
     """One formula's level-free tables over one lasso word.  phi is the
-    formula, dualised when it is an R> one; fixed keeps the table of each
-    subformula holding no U<=, and counts the failure counts of each U<=
-    whose operands hold none."""
+    source formula, dualised when it is an R> one; fixed keeps the table
+    of each subformula holding no U<=, and counts the failure counts of
+    each U<= whose operands hold none."""
 
     def __init__(self, phi: Formula, word: LassoWord, dual: bool):
-        self.phi, self.dual = (negate_dual(phi) if dual else phi), dual
+        self.source, self.word, self.dual = phi, word, dual
+        self.phi = negate_dual(phi) if dual else phi
         self.letters, self.pre = word.prefix + word.cycle, len(word.prefix)
         self.fixed: dict[int, list[bool]] = {}
         self.counts: dict[int, list] = {}

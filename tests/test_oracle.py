@@ -282,3 +282,12 @@ def test_a_search_sweeps_level_free_counts_once(monkeypatch):
     # One probe at 149, then seven bisection steps over [0, 149]: the
     # failure counts of F<= b are swept on the first, and kept.
     assert calls == {"sweep": 1, "eval": 8}
+
+
+def test_tables_of_another_formula_or_word_are_not_used():
+    phi, other = parse_formula("F<= b"), parse_formula("G a")
+    w = parse_lasso(" ".join(["{a}"] * 5) + " | {b}")
+    stale = oracle._Tables(phi, parse_lasso("{b} | {a}"), False)
+    assert not eval_ltl_on_lasso(phi, w, 4, stale)
+    assert eval_ltl_on_lasso(phi, w, 5, stale)
+    assert not eval_ltl_on_lasso(other, w, 0, oracle._Tables(phi, w, False))
