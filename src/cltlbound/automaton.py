@@ -29,8 +29,8 @@ shared cube), which `_Rows` maps to each node; `_touched` picks the
 tracked counters of any source.  The sup and inf searches test a
 Tableau × model product (`emptiness.find_accepting_lasso`, which threads
 a witness lasso through the accepting component the test stops in),
-value mode a Tableau × word product (`value_on_lasso`); all three pick
-their thresholds with `narrow`.
+value mode a Tableau × word product through the sup's capped reading
+(`value_on_lasso`); all three pick their thresholds with `narrow`.
 """
 
 from __future__ import annotations
@@ -229,10 +229,10 @@ class _ModelProduct:
     actions first, for the whole walks, the Streett check and
     `synchronized_product`; `edges_to(s, d)` builds those that reach
     node d alone, for `emptiness.check_lasso_run`.  The threshold tests
-    read one of three readings (`_Rows`) instead: capped and best first
-    for sup (`_capped`), bounded for inf (`_bounded`), and capped in edge
-    order for value mode (`_every`).  A row names the source's edge;
-    `edge` rebuilds the product edge of a witness's.
+    read one of two readings (`_Rows`) instead: capped and best first for
+    sup and value mode (`_capped`), bounded for inf (`_bounded`).  A row
+    names the source's edge; `edge` rebuilds the product edge of a
+    witness's.
     """
 
     init = 0
@@ -360,21 +360,16 @@ class _ModelProduct:
 
     @cached_property
     def _capped(self) -> _Rows:
-        return self._reading(_touched(self._source, "o"), False, True)
+        return self._reading(_touched(self._source, "o"), False)
 
     @cached_property
     def _bounded(self) -> _Rows:
-        return self._reading(_touched(self._source, "i"), True, False)
+        return self._reading(_touched(self._source, "i"), True)
 
-    @cached_property
-    def _every(self) -> _Rows:
-        return self._reading(_touched(self._source, "o"), False, False)
-
-    def _reading(self, tracked, bounded: bool, best_first: bool) -> _Rows:
+    def _reading(self, tracked, bounded: bool) -> _Rows:
         if self.num_counters > self._source.num_counters:
             raise ValueError("a threshold test reads no model counters")
-        pairs = _Succ(self._source_edges, tracked, bounded, self.num_acc_sets, best_first)
-        return _Rows(self, pairs)
+        return _Rows(self, _Succ(self._source_edges, tracked, bounded, self.num_acc_sets))
 
 
 class _Rows(dict):
@@ -383,7 +378,12 @@ class _Rows(dict):
     made when first looked up.  pairs, a `_Succ` keyed by (source state,
     shared cube number), compiles each pair's rows once; a node pairs
     them in order with its model state's moves.  bounded, num_slots and
-    full are pairs'."""
+    full are pairs'.  A model state with one move and no sets (`_after`:
+    every word position, the a-steps of an a^k model, not L_k's two-move
+    states) takes a branch with no move loop and no cube test, its move's
+    cube being the shared cube.  It stays, though `_pair` has none, because
+    every test runs it on every node it expands: without it `value-cap` ran
+    1.06-1.14x and `sup-gap` 1.00-1.08x slower (paired runs, 2 cores)."""
 
     def __init__(self, product: _ModelProduct, pairs: _Succ):
         super().__init__()
@@ -448,18 +448,16 @@ class _Succ(dict):
     resets only.  bounded, num_slots and full (the mask of all
     num_acc_sets acceptance sets) are kept for the test.
 
-    With best_first (capped only), the rows come best first (`_row_rank`,
-    computed once per distinct counter ops): those that observe least,
-    then reset least, then increment most, ties in edge order.  The
-    depth-first test meets them in that order, so a passing test tends to
-    return a run of high value; the order never changes a verdict, since
-    an empty test rules out every row.  Otherwise, and always bounded, the
-    rows keep the edge order: value mode reads verdicts alone.
+    Capped, the rows come best first (`_row_rank`, computed once per
+    distinct counter ops): those that observe least, then reset least,
+    then increment most, ties in edge order.  The depth-first test meets
+    them in that order, so a passing sup test tends to return a run of
+    high value; the order never changes a verdict, since an empty test
+    rules out every row, so value mode, which reads verdicts alone, reads
+    the same rows.  Bounded, the rows keep the edge order.
     """
 
-    def __init__(
-        self, edges_of, tracked, bounded: bool, num_acc_sets: int, best_first: bool = True
-    ):
+    def __init__(self, edges_of, tracked, bounded: bool, num_acc_sets: int):
         super().__init__()
         self._edges_of = edges_of
         self._slot = {c: i for i, c in enumerate(tracked)}
@@ -468,9 +466,7 @@ class _Succ(dict):
         self.full = (1 << num_acc_sets) - 1
         self._kept = "ir" if bounded else "ior"
         self._ops: dict[tuple[str, ...], tuple[tuple[int, str], ...]] = {}
-        self._rank: dict[tuple[tuple[int, str], ...], tuple] | None = (
-            {} if best_first and not bounded else None
-        )
+        self._rank: dict[tuple[tuple[int, str], ...], tuple] | None = None if bounded else {}
         self._masks: dict[frozenset, int] = {}  # the sets are few, and mostly shared
 
     def __missing__(self, key) -> list[tuple]:
@@ -758,8 +754,8 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None, lo: int = -1):
     ABOVE_CAP when every threshold up to cap is achievable (covers
     infinite values), and the exact value otherwise.
 
-    A positive threshold test runs `_accepts` on the product's value-mode
-    reading (`_every`).  Threshold 0 ("is there any accepting run?") walks
+    A positive threshold test runs `_accepts` on the sup search's
+    reading of the product (`_capped`).  Threshold 0 ("is there any accepting run?") walks
     the whole product and asks its SCCs (`accepting_components`): with no
     accepting run every reachable node is explored anyway.
 
@@ -775,7 +771,7 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None, lo: int = -1):
     if cap < 1:
         raise ValueError("cap must be at least 1")
     product = _ModelProduct(aut, word)
-    reading = product._every
+    reading = product._capped
 
     def test(t: int, lo: int, hi: int) -> tuple[int, int]:
         if t > 0:

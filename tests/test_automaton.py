@@ -390,11 +390,10 @@ def over(word, ap):
 
 def product_readings(source):
     """The readings of a product with source, a CounterAutomaton or a
-    `Tableau`, as (name, tracked counters, bounded, best first)."""
+    `Tableau`, as (name, tracked counters, bounded)."""
     return [
-        ("_every", _touched(source, "o"), False, False),
-        ("_capped", _touched(source, "o"), False, True),
-        ("_bounded", _touched(source, "i"), True, False),
+        ("_capped", _touched(source, "o"), False),
+        ("_bounded", _touched(source, "i"), True),
     ]
 
 
@@ -406,9 +405,9 @@ def check_readings(product, source, thresholds):
     two agree at each threshold.  Returns how many tests passed."""
     reachable_part(product)  # every node met
     passing = 0
-    for name, tracked, bounded, best_first in product_readings(source):
+    for name, tracked, bounded in product_readings(source):
         reading = getattr(product, name)
-        succ = _Succ(product.edges, tracked, bounded, product.num_acc_sets, best_first)
+        succ = _Succ(product.edges, tracked, bounded, product.num_acc_sets)
         for node in range(product.num_states):
             rows, want = reading[node], succ[node]
             assert [row[:3] for row in rows] == [row[:3] for row in want], (name, node)
@@ -441,11 +440,11 @@ def test_a_word_is_read_as_its_one_path_model():
         for node, (state, _) in enumerate(product.order):
             assert product.edges(node) == model.edges(node)
             if isinstance(source, CounterAutomaton):
-                dropped += len(source.edges(state)) - len(product._every[node])
+                dropped += len(source.edges(state)) - len(product._capped[node])
         check_readings(product, source, range(cap + 1))
         value = value_on_lasso(source, word, cap)
         for t in range(cap + 1):
-            hit = _accepts(product._every, 0, t)[0] is not None
+            hit = _accepts(product._capped, 0, t)[0] is not None
             assert hit == (value is ABOVE_CAP or value >= t), (source, str(word), t, value)
             passing += hit and t > 0
     assert dropped > 100
@@ -473,7 +472,7 @@ def test_a_model_is_read_through_its_edges():
     # source's: under each reading a node's rows are those of its edges.
     rng = random.Random(59)
     contradicted = several = passing = 0
-    for _ in range(300):
+    for _ in range(400):
         source = random_automaton(rng, max_states=4, max_acc=2, max_counters=2)
         model = several_edges_model(rng)
         product = _ModelProduct(source, model)
@@ -512,7 +511,7 @@ def test_each_state_and_shared_cube_is_asked_once():
         asking = Asking(source)
         product = _ModelProduct(asking, word)
         for t in (3, 1, 0, 2):
-            _accepts(product._every, 0, t)
+            _accepts(product._capped, 0, t)
         reachable_part(product)
         ap = frozenset(source.ap)
         reached = {
@@ -574,7 +573,7 @@ def test_witnesses_take_parallel_model_edges():
     counting = CounterAutomaton(
         1, 0, 1, 0, (Transition(0, TOP_CUBE, ("i",), frozenset(), 0),), ap=("a", "b")
     )
-    for name in ("_capped", "_bounded", "_every"):
+    for name in ("_capped", "_bounded"):
         with pytest.raises(ValueError):
             getattr(_ModelProduct(source, counting), name)
     with pytest.raises(ValueError):
