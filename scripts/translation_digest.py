@@ -25,11 +25,13 @@ more than four cost operators:
   along the word (what value mode's check reads);
 - `ltl`: 300 plain LTL formula/word pairs, translated whole and lazily;
 - `values`: value mode's answer (`automaton.value_on_lasso`) on each of
-  the 900 formula/word pairs above at cap 10, read as its check reads it
-  (`cli._check_value`: an R> formula itself, any other formula's R>
-  dual), once with no guess and once with the guess the check passes;
-  every bracket starts at -1, where the check starts an R> formula's at
-  0, so an answer reads -1 where no run accepts.
+  the 900 formula/word pairs above at cap 10, read with capped counters
+  on an R> tableau: an R> formula's own (where `cli._check_value` reads
+  only an above-cap value; it reads one below the cap on the U<= dual,
+  bounded), any other formula's R> dual (as the check reads it), once
+  with no guess and once with the guess the check passes; every bracket
+  starts at -1, where the check starts an R> formula's at 0, so an
+  answer reads -1 where no run accepts.
 
 That is 1,400 whole translations, 900 lazy ones and 900 value pairs.
 The script imports the package from the `src` directory next to it, so
@@ -100,11 +102,13 @@ def lazy(phi, word) -> str:
 
 
 def values(phi, word) -> str:
-    """Value mode's answer for phi on word at cap 10, read as
-    `cli._check_value` reads it, with no guess and then with the guess the
-    check passes.  An R> formula's own Tableau is read, and the guess is
-    the oracle's value; any other formula's R> dual is read, and the guess
-    is the dual value the oracle's value implies."""
+    """Value mode's answer for phi on word at cap 10, read with capped
+    counters, with no guess and then with the guess the check passes.  An
+    R> formula's own Tableau is read, as `cli._check_value` reads an
+    above-cap value only (one below the cap it reads on the U<= dual), and
+    the guess is the oracle's value; any other formula's R> dual is read,
+    as the check reads it, and the guess is the dual value the oracle's
+    value implies."""
     frag = classify_fragment(phi)
     if frag == COST_GT:
         source, guess = phi, oracle.value_sup(phi, word, CAP)

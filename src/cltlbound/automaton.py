@@ -29,8 +29,9 @@ shared cube), which `_Rows` maps to each node; `_touched` picks the
 tracked counters of any source.  The sup and inf searches test a
 Tableau × model product (`emptiness.find_accepting_lasso`, which threads
 a witness lasso through the accepting component the test stops in),
-value mode a Tableau × word product through the sup's capped reading
-(`value_on_lasso`); all three pick their thresholds with `narrow`.
+value mode a Tableau × word product (`value_on_lasso`) through the
+sup's capped reading or, for a U<= formula's Tableau, the inf's bounded
+one; all three pick their thresholds with `narrow`.
 """
 
 from __future__ import annotations
@@ -124,6 +125,10 @@ class CounterAutomaton:
     num_acc_sets: int
     transitions: tuple[Transition, ...]
     ap: tuple[str, ...] = ()
+
+    # Read with capped counters by `value_on_lasso`, whatever it counts;
+    # a U<= formula's `translate.Tableau` is the one bounded source.
+    bounded = False
 
     def __post_init__(self):
         props = frozenset(self.ap)
@@ -230,7 +235,8 @@ class _ModelProduct:
     `synchronized_product`; `edges_to(s, d)` builds those that reach
     node d alone, for `emptiness.check_lasso_run`.  The threshold tests
     read one of two readings (`_Rows`) instead: capped and best first for
-    sup and value mode (`_capped`), bounded for inf (`_bounded`).  A row
+    sup and value mode (`_capped`), bounded for inf and for value mode on
+    a U<= formula's Tableau (`_bounded`).  A row
     names the source's edge; `edge` rebuilds the product edge of a
     witness's.
     """
@@ -755,22 +761,43 @@ def value_on_lasso(aut, word: LassoWord, cap: int, guess=None, lo: int = -1):
     infinite values), and the exact value otherwise.
 
     A positive threshold test runs `_accepts` on the sup search's
-    reading of the product (`_capped`).  Threshold 0 ("is there any accepting run?") walks
-    the whole product and asks its SCCs (`accepting_components`): with no
-    accepting run every reachable node is explored anyway.
+    reading of the product (`_capped`).  Threshold 0 ("is there any
+    accepting run?") walks the whole product and asks its SCCs
+    (`accepting_components`): with no accepting run every reachable node
+    is explored anyway.
 
-    The tests narrow the bracket (lo, cap + 1) up to cap (`narrow`).  lo
-    is -1, or 0 for a caller that reads "no run" as the value 0: the
-    answer is then max(0, value), and threshold 0 is never tested.
-    guess, the answer the caller expects (an int or ABOVE_CAP), picks the
-    first probes: g and g + 1, or cap for ABOVE_CAP; then come 0, cap and
-    1, and the gallop doubles from 1.  A right guess is confirmed by at
-    most two tests, and a right positive one never walks the whole
-    product.  The answer does not depend on the guess.
+    The Tableau of a U<= formula (aut.bounded) is valued as its R> dual,
+    through the inf search's reading (`_bounded`).  The bounded test at
+    level m passes exactly when the word satisfies the U<= formula at m,
+    that is fails the dual at m, so the dual's value is one less than the
+    least passing level: -1 when level 0 passes, ABOVE_CAP when no level
+    up to cap does.  Every level, 0 included, is tested on the fly, and a
+    passing test stops at its first accepting cycle.
+
+    The tests narrow the bracket (lo, cap + 1) up to cap (`narrow`), of
+    thresholds or, bounded, of levels.  lo is -1, or 0 for a caller that
+    reads "no run" as the value 0: the answer is then max(0, value), and
+    threshold (or level) 0 is never tested.  guess, the answer the caller
+    expects (an int or ABOVE_CAP), picks the first probes: g and g + 1,
+    or cap for ABOVE_CAP; then come 0, cap and 1, and the gallop doubles
+    from 1.  Bounded, the levels g + 1 and g, or cap, then the gallop from
+    lo.  A right guess is confirmed by at most two tests, and a right
+    positive one never walks the whole product.  The answer does not
+    depend on the guess.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     product = _ModelProduct(aut, word)
+    if aut.bounded:
+        reading = product._bounded
+
+        def level(t: int, lo: int, hi: int) -> tuple[int, int]:
+            passes = _accepts(reading, 0, t)[0] is not None
+            return (lo, t) if passes else (t, hi)
+
+        first = (cap,) if guess is ABOVE_CAP else () if guess is None else (guess + 1, guess)
+        _, hi = narrow(level, lo, cap + 1, cap, first)
+        return ABOVE_CAP if hi > cap else hi - 1
     reading = product._capped
 
     def test(t: int, lo: int, hi: int) -> tuple[int, int]:

@@ -5,6 +5,14 @@ language, `value` evaluates a formula on one lasso word.  Results print
 as `key: value` lines, or as JSON with --json; both renderings carry the
 same fields.
 
+Value mode's `--oracle-check` reads the formula's tableau along the word
+(`automaton.value_on_lasso`), up to the word's position count, and
+checks the oracle's value with at most two threshold tests: an R>
+value below the cap on the U<= dual with bounded counters, where one
+passing test at the value plus one stops at its first accepting cycle;
+an above-cap R> value on the formula itself; a U<= or plain formula's
+value on its R> dual.
+
 Exit codes: 0 finite bound or computed value, 1 usage or input error,
 2 unbounded, 3 infinite inf, 4 oracle cross-check mismatch, 5 cutoff
 reached: a user --cutoff stopped the search before a proof (a sup value
@@ -158,13 +166,21 @@ def _check_bound(phi, result: BoundResult) -> str:
 
 def _check_value(phi, frag: str, word, cap: int, val) -> str:
     # The formula's tableau is read along the word only, never built whole.
-    # The automaton route is handed the oracle's value as its guess: two
-    # threshold tests confirm a right one, and a wrong one only starts the
-    # search, whose answer does not depend on it.
+    # A value is at most the word's position count or infinite (see
+    # `oracle`), so the check's cap stops there: no answer changes, and the
+    # check costs no more for a larger cap.  The automaton route is handed
+    # the oracle's value as its guess: two threshold tests confirm a right
+    # one, and a wrong one only starts the search, whose answer does not
+    # depend on it.
+    cap = min(cap, word.positions())
     if frag == COST_GT:
-        # No run means the value 0 (the empty-sup convention), so the
-        # bracket starts at 0 and threshold 0 is never tested.
-        side = value_on_lasso(Tableau(phi), word, cap, val, lo=0)
+        # A value below the cap is read on the U<= dual: a bounded test at
+        # v + 1 passes, stopping at its first accepting run, and for v >= 1
+        # one at v fails.  An above-cap value takes one capped test at the
+        # cap of phi itself.  No run means the value 0 (the empty-sup
+        # convention), so the bracket starts at 0 and 0 is never tested.
+        psi = phi if val is ABOVE_CAP else negate_dual(phi)
+        side = value_on_lasso(Tableau(psi), word, cap, val, lo=0)
         expect = val
     else:
         # The dual value is the U<= value minus one, -1 meaning no run; a

@@ -128,10 +128,14 @@ def children(phi: Formula) -> tuple[Formula, ...]:
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
-    """Yield phi and all subformulas, depth-first, left to right."""
-    yield phi
-    for child in children(phi):
-        yield from subformulas(child)
+    """Yield phi and all subformulas, depth-first, left to right.  An
+    explicit stack: a recursive `yield from` passes each node up through
+    every level above it."""
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(reversed(children(f)))
 
 
 def propositions(phi: Formula) -> tuple[str, ...]:

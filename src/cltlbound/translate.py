@@ -236,7 +236,9 @@ class Tableau:
         fragment = classify_fragment(phi)
         if fragment == MIXED:
             raise FragmentError("cannot translate a formula mixing U<= and R>")
-        self._inf = fragment == COST_LE  # its dominance rule
+        # A U<= formula's runs are worth their largest counter value: its
+        # tableau is read with bounded counters, and dominated the inf way.
+        self.bounded = fragment == COST_LE
         phi = label_counters(phi)
         labels = cost_operator_count(phi)
         paired = _paired_occurrences(phi)
@@ -598,7 +600,7 @@ class Tableau:
             if key not in seen:
                 seen.add(key)
                 rows.append((dst, _narrow(own_cube, cube), marks, code))
-        kept = undominated(rows, self._inf)
+        kept = undominated(rows, self.bounded)
         return [
             (state, dst, self._acc(marks), self._actions(code), c) for dst, c, marks, code in kept
         ]

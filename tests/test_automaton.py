@@ -210,7 +210,21 @@ def test_a_right_guess_costs_at_most_two_threshold_tests(monkeypatch):
             assert value_on_lasso(tab, word, cap, want) == want
             assert calls == ([cap] if want is ABOVE_CAP else [want, want + 1]), (cap, calls)
             assert graphs == [], (cap, graphs)
+    # A U<= Tableau is valued as its R> dual, bounded: a right guess g
+    # tests the levels g + 1 (passing) and g (empty), or the cap alone.
     g = Tableau(parse_formula("G> a"))
+    dual = Tableau(negate_dual(parse_formula("G> a")))
+    for tab, word in value_cap_pairs():
+        if tab.ap != g.ap:
+            continue  # the words of F<= b
+        m = len(word.prefix)
+        for cap in (10, m - 1, m, 250):
+            want = value_on_lasso(g, word, cap)
+            calls.clear()
+            graphs.clear()
+            assert value_on_lasso(dual, word, cap, want) == want
+            assert calls == ([cap] if want is ABOVE_CAP else [want + 1, want]), (cap, calls)
+            assert graphs == [], (cap, graphs)
     for aut, text, want in [
         (block_counter(), "| {}", 0),
         (block_counter(), "| {a}", -1),

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cltlbound.automaton
 import cltlbound.cegar
 import cltlbound.cli
 import cltlbound.oracle
@@ -306,9 +308,41 @@ def test_value_check_tells_u_le_zero_from_one(capsys, monkeypatch, word, wrong):
     assert data["oracle"].startswith("mismatch")
 
 
-# The check reads G> a as is, which is 198 on a^199 | {} {a} at cap 200,
-# and F<= b through its R> dual, which is 147 on a^148 | {b} at cap 150
-# (F<= b itself is 148).
+@pytest.mark.parametrize("word, wrong, says", [("{a} | {}", 1, 0), ("{a} {a} | {}", 0, 1)])
+def test_value_check_tells_r_gt_zero_from_one(capsys, monkeypatch, word, wrong, says):
+    # G> a is 0 on the first word and 1 on the second.  The check reads a
+    # value below the cap on the U<= dual, whose least level is the value
+    # plus one, so a value off by one at that boundary is a mismatch.
+    monkeypatch.setattr(cltlbound.oracle, "value_sup", lambda phi, w, cap: wrong)
+    code, data = run_json(
+        capsys, "-f", "G> a", "--mode", "value", "--word", word, "--oracle-check"
+    )
+    assert (code, data["value"]) == (4, wrong)
+    assert data["oracle"] == f"mismatch: automaton route says {says}, expected {wrong}"
+
+
+@pytest.mark.parametrize("formula, word", [("G> a", "| {a}"), ("F<= b", "{a} | {a}")])
+def test_value_check_costs_no_more_for_a_larger_cap(capsys, monkeypatch, formula, word):
+    # Both values are infinite.  A value is at most the word's position
+    # count or infinite, so the check tests no threshold above it, however
+    # large the cap.
+    tested = []
+    engine = cltlbound.automaton._accepts
+    monkeypatch.setattr(
+        cltlbound.automaton, "_accepts", lambda *args: tested.append(args[2]) or engine(*args)
+    )
+    code, data = run_json(
+        capsys, "-f", formula, "--mode", "value", "--word", word,
+        "--cutoff", "100000", "--oracle-check",
+    )
+    assert (code, data["value"], data["oracle"]) == (0, "above-cap", "ok")
+    positions = len(word.replace("|", "").split())
+    assert tested and max(tested) <= positions, tested
+
+
+# The check reads G> a, which is 198 on a^199 | {} {a} at cap 200, on its
+# U<= dual (as is for an above-cap guess), and F<= b through its R> dual,
+# which is 147 on a^148 | {b} at cap 150 (F<= b itself is 148).
 LARGE_VALUES = {
     "value_sup": ("G> a", "{a} " * 199 + "| {} {a}", 200, "198"),
     "value_inf": ("F<= b", "{a} " * 148 + "| {b}", 150, "147"),
@@ -495,3 +529,26 @@ def test_diff_reports_counts_and_lists_changed_fields(tmp_path):
     ]
     same = subprocess.run(script + [str(a), str(a)], capture_output=True, text=True)
     assert (same.returncode, same.stdout) == (0, "0 of 2 lines differ\n")
+
+
+def test_paired_bench_summarizes_medians_quartiles_and_wins():
+    spec = importlib.util.spec_from_file_location(
+        "paired_bench", ROOT / "scripts" / "paired_bench.py")
+    paired_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(paired_bench)
+    texts = [
+        ('{"correct": true, "attempted": 60, "failed": 0, "metrics": {'
+         '"queries_per_s": {"value": %d, "unit": "1/s"},'
+         ' "query_s.p50": {"value": %s, "unit": "s"}}}') % (rate, p50)
+        for rate, p50 in [(600, 0.002), (700, 0.001), (610, 0.003), (650, 0.004),
+                          (620, 0.002), (640, 0.003)]
+    ]
+    results = [json.loads(text) for text in texts]
+    results[5]["failed"] = 1
+    pairs = list(zip(results[::2], results[1::2]))
+    assert paired_bench.summarize(pairs) == [
+        "pair 2 new: correct True, failed 1 of 60",
+        "queries_per_s: 610 [605, 615] -> 650 [645, 675] (+6.6%), new better in 3/3",
+        "query_s.p50: 0.002 [0.002, 0.0025] -> 0.003 [0.002, 0.0035] (+50.0%),"
+        " new better in 1/3",
+    ]

@@ -15,9 +15,12 @@ import random
 
 import pytest
 
+import cltlbound.automaton
 from cltlbound.automaton import TOP_CUBE, Cube, action_code, undominated, value_on_lasso
 from cltlbound.cegar import _pruned
+from cltlbound.cli import main
 from cltlbound.formula import (
+    COST_GT,
     COST_LE,
     CostRelease,
     Lit,
@@ -29,9 +32,9 @@ from cltlbound.formula import (
     parse_formula,
     sort_key,
 )
-from cltlbound.oracle import value_sup
+from cltlbound.oracle import eval_ltl_on_lasso, value_sup
 from cltlbound.translate import Carry, Tableau, build_counter_automaton, prune_dominated
-from cltlbound.words import parse_lasso
+from cltlbound.words import ABOVE_CAP, parse_lasso
 
 from corpus import ReferenceTableau, random_formula, random_lasso, reference_automaton
 
@@ -74,6 +77,66 @@ def test_lazy_route_agrees_on_the_criterion_1_duals():
                 want = value_on_lasso(whole, word, cap)
                 assert got == want, (i, cap, str(phi), str(word), got, want)
     assert against_automaton == 179
+
+
+def test_the_dual_route_agrees_with_the_oracle_on_the_criterion_3_stream():
+    # Value mode's check reads an R> formula's value below the cap on its
+    # U<= dual, bounded: one less than the least level the dual holds at.
+    # The R> formulas of the first 400 pairs of criterion 3's stream at its
+    # cap of 10, with no guess, and with the oracle's value as the guess
+    # and the bracket from 0, as the check runs.
+    rng = random.Random(3)
+    seen, checked = set(), 0
+    for i in range(400):
+        phi = random_formula(rng, depth=4, props=("a", "b"), fragment="CostGT")
+        while cost_operator_count(phi) > 4:
+            phi = random_formula(rng, depth=4, props=("a", "b"), fragment="CostGT")
+        word = random_lasso(rng, props=("a", "b"))
+        if classify_fragment(phi) != COST_GT:
+            continue  # the check reads a plain formula the U<= way
+        checked += 1
+        want = value_sup(phi, word, 10)
+        dual = Tableau(negate_dual(phi))  # read again for the guess, from its memo
+        # With no guess the bracket starts at -1, so level 0 is tested too,
+        # and -1 says that phi fails at level 0.
+        exact = -1 if want == 0 and not eval_ltl_on_lasso(phi, word, 0) else want
+        got = value_on_lasso(dual, word, 10)
+        assert got == exact, (i, str(phi), str(word), got, exact)
+        got = value_on_lasso(dual, word, 10, want, lo=0)
+        assert got == want, (i, str(phi), str(word), got, want)
+        seen.add(exact if exact is ABOVE_CAP else min(exact, 2))
+    assert seen == {-1, 0, 1, 2, ABOVE_CAP}
+    assert checked == 261
+
+
+# Pair 33 of criterion 3's stream, value 0: the costliest query of the
+# benchmark's R> value-corpus stream to check on the formula itself.
+PAIR_33 = (
+    "((X (true & a)) R ((X !b) | !b)) R> (((!a U b) R (b R> !b))"
+    " | ((!a R !a) U (!b & !b)))"
+)
+PAIR_33_WORD = "{} {} {} | {b}"
+
+
+def test_a_value_of_0_is_confirmed_by_one_bounded_test(monkeypatch, capsys):
+    # On its own tableau the check's capped test at 1 explores 449
+    # configurations before it fails; the dual's bounded test at level 1
+    # stops at its first accepting cycle.
+    explored = []
+    engine = cltlbound.automaton._accepts
+
+    def spy(*args):
+        found, configs = engine(*args)
+        explored.append(configs)
+        return found, configs
+
+    monkeypatch.setattr(cltlbound.automaton, "_accepts", spy)
+    argv = ["-f", PAIR_33, "--mode", "value", "--word", PAIR_33_WORD, "--oracle-check"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "value: 0" in out and "oracle: ok" in out
+    assert len(explored) == 1
+    assert sum(explored) <= 20, explored
 
 
 def test_ranks_built_from_parts_equal_sort_key():
